@@ -31,6 +31,7 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -103,18 +104,18 @@ struct BenchArgs
     bool resume = false; ///< --resume: reuse completed checkpoint points
     std::string sweepJsonPath;  ///< --sweep-json=: consolidated sweep JSON
     unsigned jobs = 1; ///< --jobs: sweep workers (0 = hw concurrency)
-    /// --domains=: event domains each simulated point shards its
-    /// machine into ("auto" = 0 = pick per point from the simulated
-    /// core count and host concurrency). Output is bit-identical for
-    /// any value and either domain mode (the CI smoke `cmp`s the
-    /// sweep JSON across counts and modes); composes freely with
-    /// --jobs (points in parallel × domains within a point).
+    /// --domains=: host threads (event domains) each simulated point
+    /// shards its machine into ("auto" = 0 = pick per point from the
+    /// simulated core count and host concurrency); more than one
+    /// needs --domain-mode=parallel or auto. Output is bit-identical
+    /// to one domain (the CI smoke `cmp`s the sweep JSON); composes
+    /// freely with --jobs (points in parallel × domains within one).
     unsigned domains = 1;
     /// --domain-mode=sequenced|parallel|auto: how domains execute.
-    /// sequenced = single-threaded barrier rotation (the oracle);
+    /// sequenced = one serial engine (the oracle);
     /// parallel = one host thread per domain under the conservative
     /// lookahead bound (rejected when the config makes it illegal);
-    /// auto = parallel whenever legal, sequenced otherwise.
+    /// auto = parallel whenever legal, one engine otherwise.
     sim::DomainMode domainMode = sim::DomainMode::Sequenced;
     /// --model-only: skip host-kernel (wall-clock) points; record only
     /// analytic/DES model points. For sanitizer CI runs, where host
@@ -230,13 +231,33 @@ parseFaultSpec(const std::string &spec)
     return cfg;
 }
 
+/**
+ * Parse the unsigned count @p value of @p flag.
+ * @throws ConfigError unless the whole value is a number.
+ */
+inline unsigned
+parseCount(const std::string &flag, const std::string &value)
+{
+    size_t used = 0;
+    unsigned long v = 0;
+    try {
+        v = std::stoul(value, &used);
+    } catch (const std::exception &) {
+        used = 0;
+    }
+    if (used == 0 || used != value.size() || value[0] == '-' ||
+        v > std::numeric_limits<unsigned>::max()) {
+        PGCN_THROW(ConfigError,
+                   flag << ": '" << value << "' is not a count");
+    }
+    return static_cast<unsigned>(v);
+}
+
 /** Parse a --domains value: a count, or "auto" (= 0 sentinel). */
 inline unsigned
 parseDomainCount(const std::string &value)
 {
-    if (value == "auto")
-        return 0;
-    return static_cast<unsigned>(std::stoul(value));
+    return value == "auto" ? 0 : parseCount("--domains", value);
 }
 
 /** Parse a --domain-mode value. @throws ConfigError on junk. */
@@ -270,9 +291,10 @@ domainModeName(sim::DomainMode mode)
 }
 
 /**
- * Parse positionals + telemetry flags. Unknown --flags are reported
- * and skipped so stale CI invocations fail loudly in the log, not
- * silently misroute output.
+ * Parse positionals + telemetry flags.
+ * @throws ConfigError on an unknown --flag (a typo such as
+ *         --domain-mod=parallel would otherwise run a different
+ *         configuration than asked) or a malformed count.
  */
 inline BenchArgs
 parseBenchArgs(int argc, char **argv)
@@ -302,9 +324,9 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg.rfind("--sweep-json=", 0) == 0) {
             args.sweepJsonPath = arg.substr(13);
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            args.jobs = static_cast<unsigned>(std::stoul(arg.substr(7)));
+            args.jobs = parseCount("--jobs", arg.substr(7));
         } else if (arg == "--jobs" && i + 1 < argc) {
-            args.jobs = static_cast<unsigned>(std::stoul(argv[++i]));
+            args.jobs = parseCount("--jobs", argv[++i]);
         } else if (arg.rfind("--domains=", 0) == 0) {
             args.domains = parseDomainCount(arg.substr(10));
         } else if (arg == "--domains" && i + 1 < argc) {
@@ -324,10 +346,9 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg.rfind("--faults=", 0) == 0) {
             args.faults = parseFaultSpec(arg.substr(9));
         } else if (arg.rfind("--retries=", 0) == 0) {
-            args.pointAttempts =
-                static_cast<unsigned>(std::stoul(arg.substr(10)));
+            args.pointAttempts = parseCount("--retries", arg.substr(10));
         } else if (arg.rfind("--", 0) == 0) {
-            std::cerr << "unknown flag ignored: " << arg << "\n";
+            PGCN_THROW(ConfigError, "unknown flag: " << arg);
         } else if (positional == 0) {
             args.csvPath = arg;
             ++positional;
@@ -337,6 +358,14 @@ parseBenchArgs(int argc, char **argv)
         } else {
             std::cerr << "extra positional ignored: " << arg << "\n";
         }
+    }
+    // Caught here rather than per sweep point, where the run would
+    // quarantine every point and still exit 0.
+    if (args.domains > 1 && args.domainMode == sim::DomainMode::Sequenced) {
+        PGCN_THROW(ConfigError, "--domains " << args.domains
+                                             << " needs --domain-mode="
+                                                "parallel or auto: "
+                                                "sequenced runs one engine");
     }
     return args;
 }

@@ -17,10 +17,11 @@
  * --sweep-json=<path> (a killed sweep recomputes only the missing
  * simulations) and --jobs N (independent points run on worker
  * threads; the checkpoint and consolidated JSON stay byte-identical
- * to a serial run, see bench::SweepDriver). --domains N shards each
- * simulated machine into per-node event domains (sim::DomainSet),
- * again with byte-identical output — the CI smoke `cmp`s the sweep
- * JSON of --domains 4 against --domains 1.
+ * to a serial run, see bench::SweepDriver). --domains N
+ * --domain-mode=parallel splits each simulated machine into per-node
+ * event domains on their own threads (sim::DomainSet), again with
+ * byte-identical output — the CI smoke `cmp`s the sweep JSON of
+ * --domains 4 against the serial engine.
  *
  * Every DES point runs with a sim::MonitorHub attached (disable with
  * --no-monitors), so the middle panel also reports, per core count:
@@ -77,10 +78,10 @@ benchMain(int argc, char **argv)
 
     if (mega_cores != 0) {
         // One fig8-style point at full-machine scale. The graph is the
-        // scale-14 RMAT proxy the sharded-engine measurements have
-        // always used (results/BENCH_PR9 narrative), so sequenced
-        // numbers stay comparable across runs; monitors are left off —
-        // per-core timelines at 16K cores dwarf the simulation itself.
+        // scale-14 RMAT proxy every big-machine measurement in
+        // EXPERIMENTS.md uses, so numbers stay comparable across runs.
+        // Monitors stay off — per-core timelines at 16K cores dwarf
+        // the simulation itself.
         const graph::Csr big = graph::normalizedAdjacency(
             graph::generateRmat(14, 1u << 18, graph::rmatSkewed(), 99));
         std::cout << "mega proxy: |V|=" << big.numVertices()

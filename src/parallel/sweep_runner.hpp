@@ -85,15 +85,14 @@ struct SweepOptions
     double retryBackoffSeconds = 0.1;
     /// Event domains each simulated point shards its machine into
     /// (0 = auto: the model picks per point from its core count and
-    /// the host's concurrency). Purely a wall-clock/architecture
-    /// knob: point output is bit-identical for any value and either
-    /// domain mode (see sim/domain.hpp), which the domain
-    /// differential tests pin against the checkpoint bytes.
+    /// the host's concurrency). Purely a wall-clock knob: point output
+    /// is bit-identical for any value (see sim/domain.hpp), which the
+    /// domain differential tests pin against the checkpoint bytes.
     unsigned domains = 1;
-    /// How the domains execute: Sequenced (single-threaded barrier
-    /// rotation, the bit-identity oracle), Parallel (one host thread
-    /// per domain under the conservative lookahead bound), or Auto
-    /// (Parallel whenever the point's config makes it legal).
+    /// How the domains execute: Sequenced (one serial engine, the
+    /// bit-identity oracle; domains must be 1), Parallel (one host
+    /// thread per domain under the conservative lookahead bound), or
+    /// Auto (Parallel whenever the point's config makes it legal).
     sim::DomainMode domainMode = sim::DomainMode::Sequenced;
 };
 

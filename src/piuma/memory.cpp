@@ -74,51 +74,48 @@ MemorySystem::autoDomainCount(const PiumaConfig &cfg)
 
 sim::DomainSet::Options
 MemorySystem::domainPlan(const PiumaConfig &cfg,
-                         const sim::SimControls *controls,
-                         bool sequenced_only)
+                         const sim::SimControls *controls, bool attached)
 {
-    sim::DomainSet::Options opts;
-    opts.domains =
-        controls != nullptr && controls->domains != 0 ? controls->domains
-                                                      : 0;
-    if (opts.domains == 0)
-        opts.domains = autoDomainCount(cfg);
-    opts.domains = std::max(1u, std::min(opts.domains, cfg.numCores));
     const sim::DomainMode want = controls != nullptr
                                      ? controls->domainMode
                                      : sim::DomainMode::Sequenced;
-    const double lookahead = modelLookaheadNs(
-        cfg, controls != nullptr && controls->faults != nullptr
-                 ? &controls->faults->config()
-                 : nullptr);
-    opts.mode = sim::DomainSet::Mode::Sequenced;
-    if (want == sim::DomainMode::Parallel) {
-        if (!(lookahead > 0.0)) {
+    const unsigned requested = controls != nullptr ? controls->domains : 1;
+    sim::DomainSet::Options one;
+    if (want == sim::DomainMode::Sequenced) {
+        if (requested > 1) {
             PGCN_THROW(ConfigError,
-                       "--domain-mode=parallel is illegal for this "
-                       "config: the model lookahead bound is "
-                           << lookahead
-                           << " ns (timeout must exceed the worst-case "
-                              "request hop; network jitter must leave "
-                              "the minimum hop positive)");
+                       "--domains " << requested
+                                    << " needs --domain-mode=parallel or "
+                                       "auto: sequenced runs one engine");
         }
-        if (sequenced_only) {
-            warn("domain-mode=parallel downgraded to sequenced: an "
-                 "attached telemetry session or monitor hub shares "
-                 "single-threaded geometry");
-        } else {
-            opts.mode = sim::DomainSet::Mode::Parallel;
-        }
-    } else if (want == sim::DomainMode::Auto) {
-        if (lookahead > 0.0 && opts.domains > 1 && !sequenced_only)
-            opts.mode = sim::DomainSet::Mode::Parallel;
+        return one;
     }
-    if (opts.mode == sim::DomainSet::Mode::Parallel) {
-        // +inf (single-core) never reaches here with domains > 1
-        // clamped by numCores... except numCores == 1; guard anyway.
-        opts.lookaheadNs = std::min(lookahead, 1e18);
+    const double lookahead = modelLookaheadNs(
+        cfg, controls->faults != nullptr ? &controls->faults->config()
+                                         : nullptr);
+    if (want == sim::DomainMode::Parallel && !(lookahead > 0.0)) {
+        PGCN_THROW(ConfigError,
+                   "--domain-mode=parallel is illegal for this "
+                   "config: the model lookahead bound is "
+                       << lookahead
+                       << " ns (timeout must exceed the worst-case "
+                          "request hop; network jitter must leave "
+                          "the minimum hop positive)");
     }
-    return opts;
+    const unsigned domains =
+        std::min(std::max(1u, requested != 0 ? requested
+                                             : autoDomainCount(cfg)),
+                 cfg.numCores);
+    if (domains == 1 || !(lookahead > 0.0))
+        return one;
+    if (attached) {
+        if (want == sim::DomainMode::Parallel)
+            warn("domain-mode=parallel runs on one domain: an attached "
+                 "telemetry session or monitor hub is single-threaded");
+        return one;
+    }
+    // +inf (a single core) never gets here: domains <= numCores.
+    return {domains, std::min(lookahead, 1e18)};
 }
 
 void
@@ -413,8 +410,8 @@ void
 MemorySystem::noteLatency(const PendingAccess &pa)
 {
     // Histogrammed at completion: under the response-path protocol
-    // the latency isn't known at issue. Sessions force Sequenced
-    // mode, so this only ever runs single-threaded.
+    // the latency isn't known at issue. Sessions force one domain,
+    // so this only ever runs single-threaded.
     tlmLatency_->add(pa.acc.responseAt - pa.issuedAt);
 }
 

@@ -26,10 +26,10 @@
  *     timing into the caller's PendingAccess and resumes the parked
  *     coroutine.
  *
- * Because the carried keys decide equal-timestamp dispatch order in
- * both DomainSet modes, a Parallel run is bit-identical to the
- * Sequenced merge; and because every cross-domain edge bears at
- * least modelLookaheadNs() of latency, Parallel mode is legal.
+ * Because the carried keys decide equal-timestamp dispatch order at
+ * any domain count, a threaded multi-domain run is bit-identical to
+ * the serial engine; and because every cross-domain edge bears at
+ * least modelLookaheadNs() of latency, threading it is legal.
  * The one synchronous survivor is the clean local fast path
  * (requester core == slice, no drop classes enabled): same engine,
  * same domain for any domain count, so resolving it at issue keeps
@@ -155,24 +155,25 @@ class MemorySystem
 
     /**
      * The `--domains auto` heuristic (DESIGN.md §15): 1 below 64
-     * simulated cores — the sequenced merge / window overhead beats
-     * any win on tiny runs (the BENCH_PR9 0.86x regression) — else
-     * min(numCores / 16, host hardware threads) clamped to [1, 64].
+     * simulated cores — the window-barrier overhead beats any win on
+     * tiny runs — else min(numCores / 16, host hardware threads)
+     * clamped to [1, 64].
      */
     static unsigned autoDomainCount(const PiumaConfig &cfg);
 
     /**
-     * Resolve SimControls into concrete DomainSet options: expands
-     * the domains==0 auto sentinel via autoDomainCount() and the
-     * DomainMode::Auto policy via modelLookaheadNs(). An explicit
-     * Parallel request with a non-positive lookahead throws
-     * ConfigError; @p sequenced_only (a telemetry session or monitor
-     * hub is attached — shared single-threaded geometry) downgrades
-     * Parallel to Sequenced with a log warning.
+     * Resolve SimControls into concrete DomainSet options. Sequenced
+     * (and no controls) is one domain; an explicit `domains > 1` with
+     * it throws ConfigError. Parallel and Auto expand the domains==0
+     * sentinel via autoDomainCount() and run on that many threads —
+     * except that they fall back to one domain when @p attached (a
+     * telemetry session or monitor hub, both single-threaded) or when
+     * modelLookaheadNs() is not positive. An explicit Parallel request
+     * with a non-positive lookahead throws ConfigError instead.
      */
     static sim::DomainSet::Options
     domainPlan(const PiumaConfig &cfg, const sim::SimControls *controls,
-               bool sequenced_only);
+               bool attached);
 
     /** Domain owning core/slice @p entity under this set's count. */
     unsigned
@@ -583,7 +584,7 @@ class MemorySystem
      * remote_accesses} counters, a piuma.mem.access_latency_ns
      * histogram, per-slice utilisation and aggregate GB/s rate gauges.
      * Pass null (or never call) to leave the hot path untouched.
-     * Sessions are single-threaded: entry points force Sequenced mode
+     * Sessions are single-threaded: entry points run one domain
      * whenever one is attached (see domainPlan()).
      */
     void attachTelemetry(telemetry::Session *session);
@@ -593,7 +594,7 @@ class MemorySystem
      * @p hub's occupancy timelines (one per slice and per port). The
      * hub must already be sized by MonitorHub::beginRun for this
      * system's core count. No-op under PGCN_NO_TELEMETRY. Hubs share
-     * fold geometry across cores: entry points force Sequenced mode
+     * fold geometry across cores: entry points run one domain
      * whenever one is attached.
      */
     void

@@ -75,11 +75,11 @@ constexpr double kNnzBytesPerEdge = 8.0; // 4B column + 4B value
  * (a domain stands in for one PIUMA node / DRAM-slice group); every
  * core's agents, issue resources and DMA queue live on the core's
  * domain engine, and memory requests/responses travel between
- * domains as keyed events (see piuma/memory.hpp). The set runs
- * Sequenced or Parallel per MemorySystem::domainPlan — the carried
- * keys make both modes dispatch identically, so the event order,
- * every always-on stat and every output byte are identical for any
- * domain count and either mode (the differential tests pin this).
+ * domains as keyed events (see piuma/memory.hpp). The domain count
+ * comes from MemorySystem::domainPlan — the carried keys make every
+ * count dispatch identically, so the event order, every always-on
+ * stat and every output byte are identical to the serial engine
+ * (the differential tests pin this).
  *
  * Every mutable accumulator is sharded per core (single writer: only
  * code running in the core's domain touches the core's shard) and
@@ -155,7 +155,7 @@ struct RunContext
     }
 
     sim::DomainSet domains;
-    sim::Engine &engine; ///< domain 0's engine (setup/sequenced use)
+    sim::Engine &engine; ///< domain 0's engine (setup/serial use)
     const Csr &csr;
     unsigned k;
     const PiumaConfig &cfg;
@@ -169,7 +169,7 @@ struct RunContext
     /// when fault injection is off.
     std::vector<char> stuckAtStart;
     /// Occupancy/stall monitor; null leaves the wait sites at one
-    /// predictable branch each. Attaching one forces Sequenced mode.
+    /// predictable branch each. Attaching one forces one domain.
     sim::MonitorHub *monitor = nullptr;
     /// Fault injector shared with memory/DMA (fork source); null
     /// disables the stuck-core hazard draw at thread start.
@@ -720,7 +720,7 @@ attachRunGauges(RunContext &ctx, telemetry::Session &session)
                           return busy /
                                  static_cast<double>(ctx.mtpIssue.size());
                       });
-    // Shard-summing stall gauges: sessions force Sequenced mode, so
+    // Shard-summing stall gauges: sessions force one domain, so
     // sampling these mid-run never races a writer.
     reg.registerGauge("piuma.mtp.stall.nnz", telemetry::GaugeKind::Rate,
                       [&ctx] {
@@ -791,13 +791,13 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
         PGCN_THROW(ShapeError, "cannot simulate SpMM on an empty matrix");
 
     // A telemetry session or monitor hub shares single-threaded
-    // geometry with the run; their presence downgrades Parallel mode
-    // (domainPlan warns when the request was explicit).
-    const bool sequenced_only =
+    // geometry with the run; their presence keeps it on one domain
+    // (domainPlan warns when Parallel was explicit).
+    const bool attached =
         session != nullptr ||
         (controls != nullptr && controls->monitor != nullptr);
     const sim::DomainSet::Options opts =
-        MemorySystem::domainPlan(cfg, controls, sequenced_only);
+        MemorySystem::domainPlan(cfg, controls, attached);
     RunContext ctx(csr, embedding_dim, cfg, opts);
 
     if (controls != nullptr) {

@@ -1,7 +1,7 @@
 /**
  * @file
- * DomainSet implementation: the sequenced K-way merge and the
- * parallel conservative-lookahead window protocol. See domain.hpp
+ * DomainSet implementation: the conservative-lookahead window
+ * protocol that runs each domain on its own thread. See domain.hpp
  * for the model-level rationale and DESIGN.md §15 for the proofs.
  */
 #include "sim/domain.hpp"
@@ -11,7 +11,13 @@
 #include <exception>
 #include <limits>
 #include <mutex>
+#include <sstream>
+#include <string>
 #include <thread>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace pgcn::sim {
 
@@ -64,22 +70,30 @@ class Barrier
 
 } // namespace
 
-DomainSet::DomainSet(const Options &opts)
-    : mode_(opts.mode), lookaheadNs_(opts.lookaheadNs)
+DomainSet::DomainSet(const Options &opts) : lookaheadNs_(opts.lookaheadNs)
 {
     const unsigned d = std::max(1u, opts.domains);
-    PGCN_ASSERT(mode_ == Mode::Sequenced || lookaheadNs_ > 0.0,
-                "parallel mode needs a positive lookahead");
+    PGCN_ASSERT(d == 1 || lookaheadNs_ > 0.0,
+                "several domains need a positive lookahead");
     engines_.reserve(d);
-    for (unsigned i = 0; i < d; ++i) {
+    for (unsigned i = 0; i < d; ++i)
         engines_.push_back(std::make_unique<Engine>());
-        if (mode_ == Mode::Sequenced)
-            engines_.back()->bindShared(shared_);
-    }
-    if (mode_ == Mode::Parallel)
+    if (d > 1) // one domain never posts across domains
         boxes_.resize(static_cast<size_t>(d) * d);
     postSeq_.assign(d, 0);
     crossPosts_.assign(d, 0);
+}
+
+DomainSet::~DomainSet()
+{
+    const bool deep = peakQueueDepth() >= kTrimDepth;
+    engines_.clear();
+#if defined(__GLIBC__)
+    if (deep)
+        malloc_trim(0);
+#else
+    (void)deep;
+#endif
 }
 
 void
@@ -95,11 +109,11 @@ DomainSet::postWake(unsigned src, unsigned dst, SimTime when,
     PGCN_ASSERT(d > 0.0, "postWake for a response already due");
     e.injectAbsolute(e.now() + d,
                      reinterpret_cast<uintptr_t>(h.address()),
-                     e.ctx_->curDepth + 1);
+                     e.curDepth_ + 1);
     if (src != dst) {
         // The awaiting coroutine always runs on dst's thread, so dst
         // is the executing domain — index the tally by it to keep the
-        // counters single-writer in Parallel mode.
+        // counters single-writer.
         ++crossPosts_[dst];
     }
 }
@@ -108,16 +122,14 @@ void
 DomainSet::post(unsigned src_domain, unsigned dst_domain, SimTime when,
                 std::function<void()> fn)
 {
-    if (mode_ == Mode::Sequenced || src_domain == dst_domain) {
+    if (src_domain == dst_domain) {
         Engine &e = engine(dst_domain);
         PGCN_ASSERT(when >= e.now(), "post into the past");
         e.injectAbsolute(when, e.internCallback(std::move(fn)),
-                         e.ctx_->curDepth + 1);
-        if (src_domain != dst_domain)
-            ++crossPosts_[src_domain];
+                         e.curDepth_ + 1);
         return;
     }
-    // Parallel cross-domain: must be issued from src's worker thread
+    // Cross-domain: must be issued from src's worker thread
     // during its dispatch window, and must respect the lookahead the
     // safe-window proof depends on (tiny epsilon absorbs float
     // rounding in callers that compute `now + lookahead` themselves).
@@ -128,8 +140,8 @@ DomainSet::post(unsigned src_domain, unsigned dst_domain, SimTime when,
                     << " (src clock t=" << src.now() << ")");
     const unsigned d = domains();
     boxes_[static_cast<size_t>(src_domain) * d + dst_domain].push(
-        Msg{when, src_domain, postSeq_[src_domain]++,
-            src.ctx_->curDepth + 1, 0, std::move(fn)});
+        Msg{when, src_domain, postSeq_[src_domain]++, src.curDepth_ + 1, 0,
+            std::move(fn)});
     ++crossPosts_[src_domain];
 }
 
@@ -140,12 +152,10 @@ DomainSet::postKeyed(unsigned src_domain, unsigned dst_domain,
 {
     PGCN_ASSERT(keyed_seq >= kSeqBandRequest,
                 "keyed post without a band bit (seq=" << keyed_seq << ")");
-    if (mode_ == Mode::Sequenced || src_domain == dst_domain) {
+    if (src_domain == dst_domain) {
         Engine &e = engine(dst_domain);
         e.injectKeyed(when, e.internCallback(std::move(fn)), keyed_seq,
-                      e.ctx_->curDepth + 1);
-        if (src_domain != dst_domain)
-            ++crossPosts_[src_domain];
+                      e.curDepth_ + 1);
         return;
     }
     Engine &src = engine(src_domain);
@@ -155,8 +165,8 @@ DomainSet::postKeyed(unsigned src_domain, unsigned dst_domain,
                     << " (src clock t=" << src.now() << ")");
     const unsigned d = domains();
     boxes_[static_cast<size_t>(src_domain) * d + dst_domain].push(
-        Msg{when, src_domain, postSeq_[src_domain]++,
-            src.ctx_->curDepth + 1, keyed_seq, std::move(fn)});
+        Msg{when, src_domain, postSeq_[src_domain]++, src.curDepth_ + 1,
+            keyed_seq, std::move(fn)});
     ++crossPosts_[src_domain];
 }
 
@@ -211,39 +221,9 @@ DomainSet::raiseIfBlockedAnywhere(SimTime at) const
 }
 
 SimTime
-DomainSet::runSequenced()
-{
-    if (engines_.size() == 1)
-        return engines_[0]->run();
-    for (;;) {
-        // Dispatch the global minimum (when, seq). The scan is O(D)
-        // per event with D <= a handful of shards; each peek is O(1)
-        // amortized (the per-engine minimum is cached).
-        Engine *best = nullptr;
-        Engine::Key best_key{};
-        for (const auto &e : engines_) {
-            if (!e->hasPending())
-                continue;
-            const Engine::Key k = e->peekMinKey();
-            if (best == nullptr || Engine::before(k, best_key)) {
-                best = e.get();
-                best_key = k;
-            }
-        }
-        if (best == nullptr)
-            break;
-        best->dispatchEvent(best->popMinLocal());
-    }
-    raiseIfBlockedAnywhere(shared_.now);
-    return shared_.now;
-}
-
-SimTime
 DomainSet::runParallel()
 {
     const unsigned d = domains();
-    if (d == 1)
-        return engines_[0]->run();
 
     std::vector<SimTime> next(d, kInf);
     std::vector<std::exception_ptr> errors(d);
@@ -254,6 +234,7 @@ DomainSet::runParallel()
     // orders every access, so plain fields suffice.
     bool done = false;
     SimTime horizon = 0.0;
+    std::exception_ptr budget_error;
 
     auto worker = [&](unsigned dom) {
         Engine &e = *engines_[dom];
@@ -291,6 +272,12 @@ DomainSet::runParallel()
                     done = true;
                 else
                     horizon = m + lookaheadNs_;
+                // Every worker is parked here, so the summed count is
+                // stable: the event budget is a whole-run budget.
+                if (maxEvents_ > 0 && eventsProcessed() > maxEvents_) {
+                    budget_error = std::make_exception_ptr(budgetError());
+                    done = true;
+                }
             });
             if (done)
                 return;
@@ -321,6 +308,8 @@ DomainSet::runParallel()
     for (std::exception_ptr &err : errors)
         if (err)
             std::rethrow_exception(err);
+    if (budget_error)
+        std::rethrow_exception(budget_error);
 
     SimTime end = 0.0;
     for (const auto &e : engines_)
@@ -339,21 +328,32 @@ DomainSet::drainDiscard(unsigned dst, std::vector<Msg> &scratch)
     scratch.clear();
 }
 
+SimLimitError
+DomainSet::budgetError() const
+{
+    std::ostringstream os;
+    os << "event budget exceeded: " << eventsProcessed()
+       << " events dispatched across " << domains() << " domains > limit "
+       << maxEvents_;
+    std::string snapshots;
+    for (unsigned i = 0; i < domains(); ++i)
+        snapshots += "domain " + std::to_string(i) + ":\n" +
+                     engines_[i]->snapshot() + "\n";
+    return SimLimitError(os.str(), snapshots);
+}
+
 SimTime
 DomainSet::run()
 {
-    return mode_ == Mode::Sequenced ? runSequenced() : runParallel();
+    return engines_.size() == 1 ? engines_[0]->run() : runParallel();
 }
 
 void
 DomainSet::setRunLimits(const Engine::RunLimits &limits)
 {
-    if (mode_ == Mode::Sequenced) {
-        engines_[0]->setRunLimits(limits); // one shared block
-    } else {
-        for (const auto &e : engines_)
-            e->setRunLimits(limits);
-    }
+    maxEvents_ = limits.maxEvents;
+    for (const auto &e : engines_)
+        e->setRunLimits(limits);
 }
 
 void
@@ -365,8 +365,6 @@ DomainSet::attachObserver(Engine::Observer *observer, SimTime first_sample)
 SimTime
 DomainSet::now() const
 {
-    if (mode_ == Mode::Sequenced)
-        return shared_.now;
     SimTime t = 0.0;
     for (const auto &e : engines_)
         t = std::max(t, e->now());
@@ -376,8 +374,6 @@ DomainSet::now() const
 uint64_t
 DomainSet::eventsProcessed() const
 {
-    if (mode_ == Mode::Sequenced)
-        return shared_.eventsProcessed;
     uint64_t total = 0;
     for (const auto &e : engines_)
         total += e->eventsProcessed();
@@ -387,8 +383,6 @@ DomainSet::eventsProcessed() const
 uint64_t
 DomainSet::criticalPathEvents() const
 {
-    if (mode_ == Mode::Sequenced)
-        return shared_.maxDepth;
     uint64_t depth = 0;
     for (const auto &e : engines_)
         depth = std::max(depth, e->criticalPathEvents());
@@ -398,8 +392,6 @@ DomainSet::criticalPathEvents() const
 size_t
 DomainSet::peakQueueDepth() const
 {
-    if (mode_ == Mode::Sequenced)
-        return shared_.peakQueueDepth;
     size_t peak = 0;
     for (const auto &e : engines_)
         peak = std::max(peak, e->peakQueueDepth());

@@ -19,40 +19,40 @@
  *    scheduled at the current timestamp (BoundedQueue hand-offs,
  *    DMA wakeups) are O(1) pushes that never touch the time-ordered
  *    heap;
- *  - the "far wheel": calendar buckets for events strictly in the
- *    future. Nodes live in a reusable slab and chain off an array of
- *    bucket heads indexed by floor(when / width); dispatch scans the
- *    current bucket (a handful of nodes) instead of sifting a
- *    thousands-deep comparison tree, making the per-event cost
- *    independent of how many events are pending. The bucket width
- *    self-tunes to a few mean dispatch gaps. Because floor(when /
- *    width) is monotone in `when` even under floating-point rounding,
- *    bucket order can never contradict (when, seq) order — the scan
- *    always finds the exact global minimum;
+ *  - the "far calendar": buckets for events strictly in the future.
+ *    Nodes live in a reusable slab and chain, unsorted, off an array
+ *    of bucket heads indexed by floor(when / width). Dispatch loads
+ *    the next occupied bucket into a small binary min-heap (the
+ *    "bottom") and pops from there, so an event is moved once and an
+ *    equal-timestamp cluster costs O(log k) per pop instead of a
+ *    rescan. Because floor(when / width) is monotone in `when` even
+ *    under floating-point rounding, bucket order can never contradict
+ *    (when, seq) order: the bottom always holds the global minimum.
+ *    Every cost is amortized O(1) whatever the pending depth: the
+ *    bucket count doubles when the population outgrows it, the width
+ *    is re-derived from the mean dispatch gap only after the scans
+ *    have wasted as many node visits as a relink costs, and a full
+ *    revolution of empty buckets jumps to the earliest node the
+ *    revolution itself inspected;
  *  - "completion streams": FIFO rings of waits whose timestamps are
  *    non-decreasing (everything queued behind one bandwidth-limited
  *    resource completes in reservation order). Only the head of each
- *    stream sits in the far heap, so the heap stays shallow and the
- *    events behind the head cost O(1). A wait that would break a
- *    stream's monotonicity (possible only through floating-point
- *    rounding of delayUntil arithmetic) silently falls back to a
- *    plain heap event, so ordering never depends on the assumption.
+ *    stream sits in the far calendar, so the events behind the head
+ *    cost O(1). A wait that would break a stream's monotonicity
+ *    (possible only through floating-point rounding of delayUntil
+ *    arithmetic) silently falls back to a plain far event, so
+ *    ordering never depends on the assumption.
  *
  * Determinism contract: every event is stamped with a global sequence
  * number at schedule time, and run() always dispatches the minimum
  * (when, seq) across all arenas, so the observable order is exactly
  * the seed engine's single-priority-queue order.
  *
- * Sharded event domains (sim/domain.hpp): several Engine instances
- * can be bound to one SharedState — a shared clock, sequence counter
- * and stat block — while each keeps its own event arenas. A DomainSet
- * then either merges the shards deterministically (dispatching the
- * global minimum (when, seq) each step, bit-identical to a single
- * engine by the contract above) or runs them on real threads under a
- * conservative-lookahead window protocol. The hooks this needs —
- * hasPending()/runUntil() plus the private peek/pop/dispatch/inject
- * primitives — are exactly the old run() loop split at its seams; a
- * solo engine's run() composes them back into the identical loop.
+ * Event domains (sim/domain.hpp): a DomainSet runs one Engine per
+ * domain on its own thread under a conservative-lookahead window
+ * protocol. The hooks this needs — hasPending()/runUntil() plus the
+ * private peek/pop/dispatch/inject primitives — are exactly the run()
+ * loop split at its seams.
  *
  * Critical-path tracking: every event also carries the length of the
  * dependency chain that produced it — an event scheduled while
@@ -171,39 +171,6 @@ class Engine
         uint64_t maxEvents = 0;
     };
 
-    /**
-     * The per-run mutable state that must be *common* to every shard
-     * of a sharded simulation for bit-identity: the clock, the global
-     * sequence counter, the critical-path/dispatch counters, and the
-     * observer/watchdog hooks (sampling and budget checks must fire at
-     * the same global event no matter which shard dispatches it).
-     * A standalone engine owns a private instance; DomainSet binds all
-     * of its shards to one (sequenced mode) or leaves each shard its
-     * own (parallel mode, aggregated at the end).
-     */
-    struct SharedState
-    {
-        static constexpr uint32_t kWallCheckPeriod = 4096;
-
-        SimTime now = 0.0;
-        uint64_t nextSeq = 0;
-        uint32_t curDepth = 0; ///< depth of the event being dispatched
-        uint64_t maxDepth = 0; ///< longest dependency chain (critical path)
-        uint64_t eventsProcessed = 0;
-        uint64_t coroutineEvents = 0;
-        uint64_t callbackEvents = 0;
-        size_t pending = 0;
-        size_t peakQueueDepth = 0;
-#ifndef PGCN_NO_TELEMETRY
-        Observer *observer = nullptr; ///< telemetry sample hook
-        SimTime observerNext = 0.0;   ///< next requested sample time
-#endif
-        RunLimits limits{};
-        bool limitsActive = false;
-        std::chrono::steady_clock::time_point wallStart{};
-        uint32_t wallCheckCountdown = kWallCheckPeriod;
-    };
-
     Engine() = default;
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
@@ -223,29 +190,14 @@ class Engine
         for (const int32_t head : slotHeads_)
             for (int32_t n = head; n >= 0; n = farArena_[n].next)
                 destroyFramePayload(farArena_[n].payload);
+        for (const Event &ev : bottom_)
+            destroyFramePayload(ev.payload);
         for (Stream &st : streams_)
             while (!st.fifo.empty())
                 std::coroutine_handle<>::from_address(
                     st.fifo.pop_front().frame)
                     .destroy();
     }
-
-    /**
-     * Bind this engine to an external SharedState (sharded operation;
-     * see DomainSet). Must be called before anything is scheduled —
-     * the engine's own (now abandoned) state block must be untouched.
-     */
-    void
-    bindShared(SharedState &shared)
-    {
-        PGCN_ASSERT(own_.nextSeq == 0 && own_.eventsProcessed == 0 &&
-                        own_.pending == 0,
-                    "bindShared() after events were scheduled");
-        ctx_ = &shared;
-    }
-
-    /** The state block this engine dispatches against. */
-    const SharedState &shared() const { return *ctx_; }
 
     /** Track @p waitable for deadlock reporting. */
     void registerWaitable(Waitable *waitable)
@@ -326,18 +278,16 @@ class Engine
     /**
      * Arm (or, with a default-constructed RunLimits, disarm) the
      * watchdog budgets for subsequent run() calls. The wall clock
-     * starts counting here. Under a shared state block the budgets
-     * are global: any shard's dispatch can trip them.
+     * starts counting here.
      */
     void
     setRunLimits(const RunLimits &limits)
     {
-        ctx_->limits = limits;
-        ctx_->limitsActive = limits.maxSimTimeNs > 0.0 ||
-                             limits.maxWallSeconds > 0.0 ||
-                             limits.maxEvents > 0;
-        ctx_->wallStart = std::chrono::steady_clock::now();
-        ctx_->wallCheckCountdown = SharedState::kWallCheckPeriod;
+        limits_ = limits;
+        limitsActive_ = limits.maxSimTimeNs > 0.0 ||
+                        limits.maxWallSeconds > 0.0 || limits.maxEvents > 0;
+        wallStart_ = std::chrono::steady_clock::now();
+        wallCheckCountdown_ = kWallCheckPeriod;
     }
 
     /**
@@ -350,20 +300,20 @@ class Engine
     {
         std::ostringstream os;
         os << "--- engine snapshot ---\n"
-           << "simulated time: " << ctx_->now << " ns\n"
-           << "events dispatched: " << ctx_->eventsProcessed
-           << " (coroutine " << ctx_->coroutineEvents << ", callback "
-           << ctx_->callbackEvents << ")\n"
-           << "pending events: " << ctx_->pending << " (now-queue "
-           << (nowQ_.size() - nowHead_) << ", far wheel " << farCount_
-           << "; peak " << ctx_->peakQueueDepth << ")\n";
+           << "simulated time: " << now_ << " ns\n"
+           << "events dispatched: " << eventsProcessed_
+           << " (coroutine " << coroutineEvents_ << ", callback "
+           << callbackEvents_ << ")\n"
+           << "pending events: " << pending_ << " (now-queue "
+           << (nowQ_.size() - nowHead_) << ", far calendar " << farCount_
+           << "; peak " << peakQueueDepth_ << ")\n";
         size_t stream_waits = 0;
         for (const Stream &st : streams_)
             stream_waits += st.fifo.size();
         os << "completion streams: " << streams_.size() << " ("
            << stream_waits << " parked waits)\n"
-           << "far-wheel buckets: " << slotHeads_.size() << " (width "
-           << wheelWidth_ << " ns)\n"
+           << "far-calendar buckets: " << slotHeads_.size() << " (width "
+           << wheelWidth_ << " ns; " << bottom_.size() << " loaded)\n"
            << "arena growths: " << arenaGrowths_ << "\n";
         std::vector<BlockedAgent> blocked;
         for (const Waitable *w : waitables_)
@@ -385,8 +335,8 @@ class Engine
     attachObserver(Observer *observer, SimTime first_sample)
     {
 #ifndef PGCN_NO_TELEMETRY
-        ctx_->observer = observer;
-        ctx_->observerNext = first_sample;
+        observer_ = observer;
+        observerNext_ = first_sample;
 #else
         (void)observer;
         (void)first_sample;
@@ -394,27 +344,27 @@ class Engine
     }
 
     /** Current simulated time (ns). */
-    SimTime now() const { return ctx_->now; }
+    SimTime now() const { return now_; }
 
     /** Total events dispatched so far. */
-    uint64_t eventsProcessed() const { return ctx_->eventsProcessed; }
+    uint64_t eventsProcessed() const { return eventsProcessed_; }
 
     /** Dispatched events that resumed a coroutine directly. */
-    uint64_t coroutineEvents() const { return ctx_->coroutineEvents; }
+    uint64_t coroutineEvents() const { return coroutineEvents_; }
 
     /** Dispatched events that went through the callback slab. */
-    uint64_t callbackEvents() const { return ctx_->callbackEvents; }
+    uint64_t callbackEvents() const { return callbackEvents_; }
 
     /**
-     * Times any event arena (now queue, far-wheel slab, callback
-     * slab) had to grow its backing storage. Stays O(log events) from cold and
-     * zero after reserveEvents() sized the arenas — the per-event hot
-     * path itself never allocates.
+     * Times any event arena (now queue, far-calendar slab and bottom,
+     * callback slab) had to grow its backing storage. Stays
+     * O(log events) from cold and zero after reserveEvents() sized the
+     * arenas — the per-event hot path itself never allocates.
      */
     uint64_t arenaGrowths() const { return arenaGrowths_; }
 
     /** Largest number of pending events observed. */
-    size_t peakQueueDepth() const { return ctx_->peakQueueDepth; }
+    size_t peakQueueDepth() const { return peakQueueDepth_; }
 
     /**
      * Length (in events) of the longest dependency chain dispatched
@@ -423,10 +373,10 @@ class Engine
      * upper bound on the speedup any execution of this event graph
      * can achieve.
      */
-    uint64_t criticalPathEvents() const { return ctx_->maxDepth; }
+    uint64_t criticalPathEvents() const { return maxDepth_; }
 
     /** Events currently pending (all arenas). */
-    size_t queueDepth() const { return ctx_->pending; }
+    size_t queueDepth() const { return pending_; }
 
     /** Events pending in *this* engine's local arenas. */
     bool
@@ -445,6 +395,7 @@ class Engine
     reserveEvents(size_t far, size_t zero = 0)
     {
         farArena_.reserve(far);
+        bottom_.reserve(far);
         nowQ_.reserve(zero ? zero : far);
     }
 
@@ -489,9 +440,9 @@ class Engine
         if (blockedWaiters() > 0) [[unlikely]] {
             std::vector<BlockedAgent> agents;
             appendBlockedAgents(agents);
-            throw SimDeadlockError(ctx_->now, std::move(agents));
+            throw SimDeadlockError(now_, std::move(agents));
         }
-        return ctx_->now;
+        return now_;
     }
 
     /**
@@ -509,7 +460,7 @@ class Engine
                 break;
             dispatchEvent(popMinLocal());
         }
-        return ctx_->now;
+        return now_;
     }
 
     /** Coroutines suspended on this engine's registered Waitables. */
@@ -560,7 +511,7 @@ class Engine
     auto
     delayUntil(SimTime when)
     {
-        return delay(when - ctx_->now);
+        return delay(when - now_);
     }
 
     /** Identifies one completion stream; see createStream(). */
@@ -570,7 +521,7 @@ class Engine
      * Register a completion stream: a wait channel whose resume times
      * are expected to be non-decreasing (e.g. all waiters queued on
      * one BandwidthResource). Waits on a stream are O(1); only the
-     * stream's earliest wait occupies the far heap.
+     * stream's earliest wait occupies the far calendar.
      */
     StreamId
     createStream()
@@ -607,7 +558,7 @@ class Engine
     auto
     streamDelayUntil(StreamId sid, SimTime when)
     {
-        return streamDelay(sid, when - ctx_->now);
+        return streamDelay(sid, when - now_);
     }
 
   private:
@@ -622,31 +573,28 @@ class Engine
     void
     enforceLimits()
     {
-        if (ctx_->limits.maxSimTimeNs > 0.0 &&
-            ctx_->now > ctx_->limits.maxSimTimeNs) {
+        if (limits_.maxSimTimeNs > 0.0 && now_ > limits_.maxSimTimeNs) {
             std::ostringstream os;
-            os << "simulated-time budget exceeded: t=" << ctx_->now
-               << " ns > limit " << ctx_->limits.maxSimTimeNs << " ns";
+            os << "simulated-time budget exceeded: t=" << now_
+               << " ns > limit " << limits_.maxSimTimeNs << " ns";
             throw SimLimitError(os.str(), snapshot());
         }
-        if (ctx_->limits.maxEvents > 0 &&
-            ctx_->eventsProcessed >= ctx_->limits.maxEvents) {
+        if (limits_.maxEvents > 0 && eventsProcessed_ >= limits_.maxEvents) {
             std::ostringstream os;
-            os << "event budget exceeded: " << ctx_->eventsProcessed
-               << " events dispatched >= limit " << ctx_->limits.maxEvents;
+            os << "event budget exceeded: " << eventsProcessed_
+               << " events dispatched >= limit " << limits_.maxEvents;
             throw SimLimitError(os.str(), snapshot());
         }
-        if (ctx_->limits.maxWallSeconds > 0.0 &&
-            --ctx_->wallCheckCountdown == 0) {
-            ctx_->wallCheckCountdown = SharedState::kWallCheckPeriod;
+        if (limits_.maxWallSeconds > 0.0 && --wallCheckCountdown_ == 0) {
+            wallCheckCountdown_ = kWallCheckPeriod;
             const double elapsed =
                 std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - ctx_->wallStart)
+                    std::chrono::steady_clock::now() - wallStart_)
                     .count();
-            if (elapsed > ctx_->limits.maxWallSeconds) {
+            if (elapsed > limits_.maxWallSeconds) {
                 std::ostringstream os;
                 os << "wall-clock budget exceeded: " << elapsed
-                   << " s > limit " << ctx_->limits.maxWallSeconds << " s";
+                   << " s > limit " << limits_.maxWallSeconds << " s";
                 throw SimLimitError(os.str(), snapshot());
             }
         }
@@ -738,9 +686,9 @@ class Engine
     push(SimTime delay, Payload p)
     {
         PGCN_ASSERT(delay >= 0.0, "negative event delay " << delay);
-        const SimTime when = ctx_->now + delay;
-        const uint64_t seq = ctx_->nextSeq++;
-        const uint32_t depth = ctx_->curDepth + 1;
+        const SimTime when = now_ + delay;
+        const uint64_t seq = nextSeq_++;
+        const uint32_t depth = curDepth_ + 1;
         if (delay == 0.0) {
             // Invariant: with non-negative delays every pending event
             // has when >= now, so zero-delay events are always ready
@@ -751,33 +699,31 @@ class Engine
         } else {
             farPush(Key{when, seq}, p, depth);
         }
-        ++ctx_->pending;
-        ctx_->peakQueueDepth = std::max(ctx_->peakQueueDepth, ctx_->pending);
+        ++pending_;
+        peakQueueDepth_ = std::max(peakQueueDepth_, pending_);
     }
 
     /**
      * File an event at *absolute* time @p when with an explicit depth
      * — the cross-domain injection path (DomainSet). The event takes
-     * the next sequence number from the bound state block, exactly as
-     * a local push would; under a shared block this is what keeps a
-     * sequenced merge bit-identical to the serial engine.
+     * the next sequence number, exactly as a local push would.
      */
     void
     injectAbsolute(SimTime when, Payload p, uint32_t depth)
     {
-        PGCN_ASSERT(when >= ctx_->now,
+        PGCN_ASSERT(when >= now_,
                     "cross-domain event at t=" << when
-                        << " is behind the clock t=" << ctx_->now);
-        const uint64_t seq = ctx_->nextSeq++;
-        if (when == ctx_->now) {
+                        << " is behind the clock t=" << now_);
+        const uint64_t seq = nextSeq_++;
+        if (when == now_) {
             if (nowQ_.size() == nowQ_.capacity())
                 ++arenaGrowths_;
             nowQ_.push_back(Event{when, seq, p, depth});
         } else {
             farPush(Key{when, seq}, p, depth);
         }
-        ++ctx_->pending;
-        ctx_->peakQueueDepth = std::max(ctx_->peakQueueDepth, ctx_->pending);
+        ++pending_;
+        peakQueueDepth_ = std::max(peakQueueDepth_, pending_);
     }
 
     /**
@@ -785,27 +731,27 @@ class Engine
      * *caller-chosen* sequence number — the keyed-message path
      * (DomainSet::postKeyed). Banded keys (sim/domain.hpp) make the
      * equal-timestamp dispatch order a property of the message itself
-     * instead of the scheduling history, which is what keeps the
-     * sequenced merge and the threaded Parallel mode bit-identical
-     * for the memory request/response protocol. Always files into
-     * the far wheel: the now queue's FIFO is only correct when seq
-     * order equals insertion order, which carried keys deliberately
-     * violate (farPush pulls the dispatch cursor back for when==now).
+     * instead of the scheduling history, which is what keeps one
+     * engine and the threaded Parallel domains bit-identical for the
+     * memory request/response protocol. Always files into the far
+     * calendar: the now queue's FIFO is only correct when seq order
+     * equals insertion order, which carried keys deliberately violate
+     * (a when==now key lands in the sorted bottom).
      */
     void
     injectKeyed(SimTime when, Payload p, uint64_t seq, uint32_t depth)
     {
-        PGCN_ASSERT(when >= ctx_->now,
+        PGCN_ASSERT(when >= now_,
                     "keyed event at t=" << when
-                        << " is behind the clock t=" << ctx_->now);
+                        << " is behind the clock t=" << now_);
         farPush(Key{when, seq}, p, depth);
-        ++ctx_->pending;
-        ctx_->peakQueueDepth = std::max(ctx_->peakQueueDepth, ctx_->pending);
+        ++pending_;
+        peakQueueDepth_ = std::max(peakQueueDepth_, pending_);
     }
 
     /**
      * Sort key of this engine's earliest local event (now queue vs far
-     * wheel). Requires hasPending().
+     * calendar). Requires hasPending().
      */
     Key
     peekMinKey()
@@ -849,9 +795,8 @@ class Engine
     }
 
     /**
-     * Advance the clock to @p ev and execute it: the body of the old
-     * monolithic run() loop, shared verbatim by run(), runUntil() and
-     * the DomainSet sequenced merge.
+     * Advance the clock to @p ev and execute it: the loop body shared
+     * by run() and runUntil().
      */
     void
     dispatchEvent(const Event &ev)
@@ -859,27 +804,27 @@ class Engine
         // Monotonicity is the bedrock invariant: delays are
         // non-negative, so the global minimum can never precede
         // the current time. A violation means arena corruption.
-        PGCN_ASSERT(ev.when >= ctx_->now,
+        PGCN_ASSERT(ev.when >= now_,
                     "simulated time ran backwards: dispatching t="
-                        << ev.when << " at t=" << ctx_->now);
-        ctx_->now = ev.when;
-        if (ctx_->limitsActive) [[unlikely]]
+                        << ev.when << " at t=" << now_);
+        now_ = ev.when;
+        if (limitsActive_) [[unlikely]]
             enforceLimits();
 #ifndef PGCN_NO_TELEMETRY
         // Telemetry sampling rides the dispatch loop instead of
         // scheduling its own events, so an attached observer can
         // never alter event order or keep the queue alive.
-        if (ctx_->observer != nullptr && ctx_->now >= ctx_->observerNext)
+        if (observer_ != nullptr && now_ >= observerNext_)
             [[unlikely]]
-            ctx_->observerNext = ctx_->observer->onSample(ctx_->now, *this);
+            observerNext_ = observer_->onSample(now_, *this);
 #endif
-        ++ctx_->eventsProcessed;
-        --ctx_->pending;
+        ++eventsProcessed_;
+        --pending_;
         const uintptr_t tag = ev.payload & kTagMask;
         if (tag == 0) {
-            ++ctx_->coroutineEvents;
-            ctx_->curDepth = ev.depth;
-            ctx_->maxDepth = std::max<uint64_t>(ctx_->maxDepth, ev.depth);
+            ++coroutineEvents_;
+            curDepth_ = ev.depth;
+            maxDepth_ = std::max<uint64_t>(maxDepth_, ev.depth);
             std::coroutine_handle<>::from_address(
                 reinterpret_cast<void *>(ev.payload))
                 .resume();
@@ -897,14 +842,14 @@ class Engine
                 const StreamEvent &nx = st.fifo.front();
                 farPush(Key{nx.when, nx.seq}, ev.payload, nx.depth);
             }
-            ++ctx_->coroutineEvents;
-            ctx_->curDepth = se.depth;
-            ctx_->maxDepth = std::max<uint64_t>(ctx_->maxDepth, se.depth);
+            ++coroutineEvents_;
+            curDepth_ = se.depth;
+            maxDepth_ = std::max<uint64_t>(maxDepth_, se.depth);
             std::coroutine_handle<>::from_address(se.frame).resume();
         } else {
-            ++ctx_->callbackEvents;
-            ctx_->curDepth = ev.depth;
-            ctx_->maxDepth = std::max<uint64_t>(ctx_->maxDepth, ev.depth);
+            ++callbackEvents_;
+            curDepth_ = ev.depth;
+            maxDepth_ = std::max<uint64_t>(maxDepth_, ev.depth);
             const size_t slot = ev.payload >> 2;
             // Move out before invoking: the callback may schedule
             // further events and recycle slab slots.
@@ -919,17 +864,17 @@ class Engine
      * Park @p h on stream @p sid, to resume @p ns from now. Timing and
      * global dispatch order are identical to schedule(): the event is
      * stamped with the next global sequence number, and the stream's
-     * minimum (when, seq) is always present in the far heap. Appends
-     * that would sort before the stream's tail (floating-point
-     * rounding artefacts) fall back to plain heap events.
+     * minimum (when, seq) is always present in the far calendar.
+     * Appends that would sort before the stream's tail (floating-point
+     * rounding artefacts) fall back to plain far events.
      */
     void
     scheduleOnStream(StreamId sid, SimTime ns, std::coroutine_handle<> h)
     {
         PGCN_ASSERT(ns > 0.0, "stream wait must be in the future");
-        const SimTime when = ctx_->now + ns;
-        const uint64_t seq = ctx_->nextSeq++;
-        const uint32_t depth = ctx_->curDepth + 1;
+        const SimTime when = now_ + ns;
+        const uint64_t seq = nextSeq_++;
+        const uint32_t depth = curDepth_ + 1;
         Stream &st = streams_[sid];
         if (!st.fifo.empty() && when < st.fifo.back().when) {
             farPush(Key{when, seq},
@@ -942,8 +887,8 @@ class Engine
             }
             st.fifo.push_back(StreamEvent{when, seq, h.address(), depth});
         }
-        ++ctx_->pending;
-        ctx_->peakQueueDepth = std::max(ctx_->peakQueueDepth, ctx_->pending);
+        ++pending_;
+        peakQueueDepth_ = std::max(peakQueueDepth_, pending_);
     }
 
     /** Absolute calendar-bucket index of @p when. Monotone in when. */
@@ -953,10 +898,16 @@ class Engine
         return static_cast<uint64_t>(when * wheelInvWidth_);
     }
 
-    /** File an event in the far wheel. O(1), allocation-free once the
-     *  slab has reached its high-water mark. */
-    void
-    farPush(const Key &k, Payload p, uint32_t depth)
+    /** Min-heap order on the bottom: the earliest (when, seq) on top. */
+    static bool
+    later(const Event &a, const Event &b)
+    {
+        return before(Key{b.when, b.seq}, Key{a.when, a.seq});
+    }
+
+    /** Take a slab node for @p ev (unlinked). */
+    int32_t
+    allocNode(const Event &ev)
     {
         int32_t n;
         if (farFree_ >= 0) {
@@ -968,156 +919,192 @@ class Engine
             farArena_.emplace_back();
             n = static_cast<int32_t>(farArena_.size() - 1);
         }
-        const uint64_t bucket = bucketOf(k.when);
-        const size_t slot = static_cast<size_t>(bucket) & slotMask_;
-        farArena_[n] = FarNode{k.when, k.seq, p, slotHeads_[slot], depth};
+        farArena_[n] = FarNode{ev.when, ev.seq, ev.payload, -1, ev.depth};
+        return n;
+    }
+
+    /** Chain node @p n onto its bucket's slot. */
+    void
+    linkNode(int32_t n)
+    {
+        const size_t slot =
+            static_cast<size_t>(bucketOf(farArena_[n].when)) & slotMask_;
+        farArena_[n].next = slotHeads_[slot];
         slotHeads_[slot] = n;
-        // The dispatch cursor may have scanned ahead of now while
-        // locating a minimum that lost the merge against the now
-        // queue; a push landing behind it pulls it back so the new
-        // event is seen (bucketOf is monotone, so bucket >= the
-        // current time's bucket always holds).
-        if (bucket < curBucket_)
-            curBucket_ = bucket;
-        // The cached minimum survives only pushes that can't precede
-        // it: a push into an earlier-or-equal bucket may be the new
-        // minimum, and one aliasing the cached slot stales the cached
-        // predecessor link.
-        if (minValid_ && (bucket <= minBucket_ || slot == minSlot_))
-            minValid_ = false;
-        ++farCount_;
+    }
+
+    /** Append @p ev to the bottom without restoring heap order. */
+    void
+    bottomAppend(const Event &ev)
+    {
+        if (bottom_.size() == bottom_.capacity())
+            ++arenaGrowths_;
+        bottom_.push_back(ev);
     }
 
     /**
-     * Locate the pending event with the smallest (when, seq) and
-     * cache its position. Every live node's bucket is >= curBucket_
-     * (events are never scheduled in the past), so the first bucket
-     * holding a non-aliased node contains the global minimum.
+     * File an event in the far calendar. Amortized O(1): the bucket
+     * count doubles once the population outgrows it (a relink of every
+     * node, paid for by the pushes that doubled it), and an event whose
+     * bucket the dispatch cursor has already loaded joins the bottom.
      */
     void
-    farLocateMin()
+    farPush(const Key &k, Payload p, uint32_t depth)
     {
-        if (minValid_)
-            return;
-        PGCN_ASSERT(farCount_ > 0, "min of an empty far wheel");
+        if (++farCount_ > slotHeads_.size())
+            rebuild(wheelWidth_, 2 * slotHeads_.size());
+        const Event ev{k.when, k.seq, p, depth};
+        if (bucketOf(k.when) < cursor_) {
+            bottomAppend(ev);
+            std::push_heap(bottom_.begin(), bottom_.end(), later);
+        } else {
+            linkNode(allocNode(ev));
+        }
+    }
+
+    /**
+     * Load the next occupied bucket into the (empty) bottom. Every
+     * chained node's bucket is >= cursor_ (events are never scheduled
+     * in the past, and earlier buckets were loaded), so the first
+     * bucket holding a node of the current revolution holds the
+     * global minimum. Nodes of later revolutions aliasing a scanned
+     * slot stay chained; a full revolution without a hit has walked
+     * every chain, so it jumps straight to the earliest bucket seen.
+     * Empty buckets, alias visits and the events of an oversized
+     * bucket (a deep bottom heap) count as waste (see farPop).
+     */
+    void
+    farLoad()
+    {
+        PGCN_ASSERT(farCount_ > 0, "min of an empty far calendar");
+        uint64_t earliest = ~uint64_t{0};
         size_t advanced = 0;
-        for (;;) {
-            const size_t slot =
-                static_cast<size_t>(curBucket_) & slotMask_;
-            int32_t best = -1;
-            int32_t best_prev = -1;
-            for (int32_t prev = -1, i = slotHeads_[slot]; i >= 0;
-                 prev = i, i = farArena_[i].next) {
-                const FarNode &nd = farArena_[i];
-                if (bucketOf(nd.when) != curBucket_)
-                    continue; // a later revolution aliasing this slot
-                if (best < 0 ||
-                    before(Key{nd.when, nd.seq},
-                           Key{farArena_[best].when,
-                               farArena_[best].seq})) {
-                    best = i;
-                    best_prev = prev;
+        while (bottom_.empty()) {
+            int32_t *link = &slotHeads_[static_cast<size_t>(cursor_) &
+                                        slotMask_];
+            while (*link >= 0) {
+                const int32_t n = *link;
+                FarNode &nd = farArena_[n];
+                const uint64_t bucket = bucketOf(nd.when);
+                if (bucket != cursor_) {
+                    earliest = std::min(earliest, bucket);
+                    ++waste_;
+                    link = &nd.next;
+                    continue;
+                }
+                bottomAppend(Event{nd.when, nd.seq, nd.payload, nd.depth});
+                *link = nd.next;
+                nd.next = farFree_;
+                farFree_ = n;
+            }
+            ++cursor_;
+            if (bottom_.empty()) {
+                ++waste_;
+                if (++advanced == slotHeads_.size()) {
+                    cursor_ = earliest;
+                    earliest = ~uint64_t{0};
+                    advanced = 0;
                 }
             }
-            if (best >= 0) {
-                minValid_ = true;
-                minNode_ = best;
-                minPrev_ = best_prev;
-                minSlot_ = slot;
-                minBucket_ = curBucket_;
-                return;
-            }
-            ++curBucket_;
-            if (++advanced == slotHeads_.size()) {
-                // A full revolution of empty buckets: everything
-                // pending is over one wheel span ahead. Jump straight
-                // to the earliest occupied bucket.
-                uint64_t min_bucket = ~uint64_t{0};
-                for (const int32_t head : slotHeads_)
-                    for (int32_t i = head; i >= 0; i = farArena_[i].next)
-                        min_bucket =
-                            std::min(min_bucket, bucketOf(farArena_[i].when));
-                curBucket_ = min_bucket;
-                advanced = 0;
-            }
         }
+        if (bottom_.size() > kOversizedLoad)
+            waste_ += bottom_.size();
+        std::make_heap(bottom_.begin(), bottom_.end(), later);
     }
 
     /** Sort key of the earliest pending far event. */
     Key
     farMinKey()
     {
-        farLocateMin();
-        const FarNode &nd = farArena_[minNode_];
-        return Key{nd.when, nd.seq};
+        if (bottom_.empty())
+            farLoad();
+        return Key{bottom_.front().when, bottom_.front().seq};
     }
 
-    /** Remove and return the earliest pending far event. */
+    /**
+     * Remove and return the earliest pending far event. Once the
+     * scans have wasted as many visits as a relink of every node
+     * costs, the bucket width is re-aimed at kBucketEvents mean
+     * dispatch gaps — so retuning stays amortized O(1) per event.
+     */
     Event
     farPop()
     {
-        farLocateMin();
-        FarNode &nd = farArena_[minNode_];
-        const Event ev{nd.when, nd.seq, nd.payload, nd.depth};
-        if (minPrev_ < 0)
-            slotHeads_[minSlot_] = nd.next;
-        else
-            farArena_[minPrev_].next = nd.next;
-        nd.next = farFree_;
-        farFree_ = minNode_;
-        minValid_ = false;
+        if (bottom_.empty())
+            farLoad();
+        std::pop_heap(bottom_.begin(), bottom_.end(), later);
+        const Event ev = bottom_.back();
+        bottom_.pop_back();
         --farCount_;
-        // Track the mean dispatch gap so the bucket width can follow
-        // the workload's event density.
-        gapEma_ += (ev.when - lastFarWhen_ - gapEma_) * (1.0 / 32.0);
+        ++gapPops_;
         lastFarWhen_ = ev.when;
-        if (++farPopsSinceRetune_ >= kRetunePeriod) {
-            farPopsSinceRetune_ = 0;
-            maybeRetune();
-        }
+        if (waste_ > farCount_ + kMinRetuneWaste)
+            retune();
         return ev;
     }
 
     /**
-     * Re-tune the wheel: aim the bucket width at a few mean dispatch
-     * gaps and the bucket count at twice the pending population, so a
-     * bucket scan touches O(1) nodes regardless of workload. Runs at
-     * most every kRetunePeriod far dispatches; a rebuild relinks the
-     * live nodes in place (no node is copied or reallocated).
+     * Re-derive the bucket width from the mean far dispatch gap since
+     * the last retune; relink only when it moved by more than 2x, so
+     * an irreducible cluster of equal timestamps never thrashes.
      */
     void
-    maybeRetune()
+    retune()
     {
+        const double span = lastFarWhen_ - gapStart_;
         const double target =
-            std::clamp(3.0 * gapEma_, 1e-6, 1e9);
-        size_t nb = slotHeads_.size();
-        while (nb < 2 * farCount_ && nb < kMaxSlots)
-            nb *= 2;
-        if (nb == slotHeads_.size() && target < 2.0 * wheelWidth_ &&
-            target > 0.5 * wheelWidth_)
-            return;
-        retuneScratch_.clear();
-        for (const int32_t head : slotHeads_)
-            for (int32_t i = head; i >= 0; i = farArena_[i].next)
-                retuneScratch_.push_back(i);
-        wheelWidth_ = target;
-        wheelInvWidth_ = 1.0 / target;
-        slotHeads_.assign(nb, -1);
-        slotMask_ = nb - 1;
-        curBucket_ = bucketOf(ctx_->now);
-        for (const int32_t i : retuneScratch_) {
-            const size_t slot =
-                static_cast<size_t>(bucketOf(farArena_[i].when)) &
-                slotMask_;
-            farArena_[i].next = slotHeads_[slot];
-            slotHeads_[slot] = i;
+            span > 0.0 ? std::clamp(kBucketEvents * span /
+                                        static_cast<double>(gapPops_),
+                                    1e-6, 1e9)
+                       : wheelWidth_;
+        waste_ = 0;
+        gapPops_ = 0;
+        gapStart_ = lastFarWhen_;
+        if (target > 2.0 * wheelWidth_ || target < 0.5 * wheelWidth_)
+            rebuild(target, slotHeads_.size());
+    }
+
+    /**
+     * Relink every far event — the bottom included — into @p slots
+     * buckets of @p width ns, and restart the cursor at the clock's
+     * bucket. Chained nodes are threaded onto one list through their
+     * own links first, so a rebuild copies no node and needs no
+     * scratch memory.
+     */
+    void
+    rebuild(double width, size_t slots)
+    {
+        int32_t all = -1;
+        const auto collect = [&](int32_t n) {
+            farArena_[n].next = all;
+            all = n;
+        };
+        for (const int32_t head : slotHeads_) {
+            for (int32_t n = head; n >= 0;) {
+                const int32_t next = farArena_[n].next;
+                collect(n);
+                n = next;
+            }
         }
-        minValid_ = false;
+        for (const Event &ev : bottom_)
+            collect(allocNode(ev));
+        bottom_.clear();
+        wheelWidth_ = width;
+        wheelInvWidth_ = 1.0 / width;
+        slotHeads_.assign(slots, -1);
+        slotMask_ = slots - 1;
+        cursor_ = bucketOf(now_);
+        while (all >= 0) {
+            const int32_t next = farArena_[all].next;
+            linkNode(all);
+            all = next;
+        }
+        waste_ = 0;
     }
 
     /** One far event: sort key, payload, and intrusive bucket link.
      *  The depth field occupies what was padding — FarNode stays 32
-     *  bytes, so critical-path tracking costs the far wheel nothing. */
+     *  bytes, so critical-path tracking costs the calendar nothing. */
     struct FarNode
     {
         SimTime when;
@@ -1128,27 +1115,28 @@ class Engine
     };
 
     static constexpr size_t kInitialSlots = 1024;
-    static constexpr size_t kMaxSlots = size_t{1} << 18;
-    static constexpr uint32_t kRetunePeriod = 1024;
+    /// Target events per bucket: keeps empty buckets rare and the
+    /// bottom heap a few entries deep.
+    static constexpr double kBucketEvents = 4.0;
+    /// A bucket loading more events than this is too wide.
+    static constexpr size_t kOversizedLoad = 32;
+    /// Waste floor before a retune, so tiny calendars never thrash.
+    static constexpr uint64_t kMinRetuneWaste = 1024;
 
-    std::vector<FarNode> farArena_;     ///< far-wheel node slab
+    std::vector<FarNode> farArena_;     ///< far-calendar node slab
     std::vector<int32_t> slotHeads_ =
         std::vector<int32_t>(kInitialSlots, -1); ///< bucket chain heads
-    std::vector<int32_t> retuneScratch_; ///< live-node list for rebuilds
+    std::vector<Event> bottom_;         ///< loaded buckets: min-heap
     size_t slotMask_ = kInitialSlots - 1;
     int32_t farFree_ = -1;              ///< slab free-list head
-    size_t farCount_ = 0;               ///< live far events
-    uint64_t curBucket_ = 0;            ///< dispatch scan position
+    size_t farCount_ = 0;               ///< live far events (incl. bottom)
+    uint64_t cursor_ = 0;               ///< next bucket to load
     double wheelWidth_ = 1.0;           ///< bucket width (ns)
     double wheelInvWidth_ = 1.0;
-    double gapEma_ = 1.0;               ///< mean far dispatch gap (ns)
+    uint64_t waste_ = 0;                ///< empty/alias visits since retune
+    uint64_t gapPops_ = 0;              ///< far pops since retune
+    SimTime gapStart_ = 0.0;            ///< far clock at the last retune
     SimTime lastFarWhen_ = 0.0;
-    uint32_t farPopsSinceRetune_ = 0;
-    bool minValid_ = false;             ///< cached-minimum fields valid?
-    int32_t minNode_ = -1;
-    int32_t minPrev_ = -1;
-    size_t minSlot_ = 0;
-    uint64_t minBucket_ = 0;            ///< absolute bucket of cached min
     std::vector<Event> nowQ_;           ///< FIFO of zero-delay events
     size_t nowHead_ = 0;                ///< dispatch cursor into nowQ_
     std::vector<std::function<void()>> callbackSlab_;
@@ -1157,10 +1145,26 @@ class Engine
     std::vector<Waitable *> waitables_; ///< deadlock-report registry
     std::unordered_map<void *, std::string> agentNames_;
     uint64_t arenaGrowths_ = 0;
-    /// Clock/sequence/counter block: private by default, shared when
-    /// this engine is one shard of a DomainSet (see bindShared).
-    SharedState own_{};
-    SharedState *ctx_ = &own_;
+
+    static constexpr uint32_t kWallCheckPeriod = 4096;
+
+    SimTime now_ = 0.0;
+    uint64_t nextSeq_ = 0;
+    uint32_t curDepth_ = 0; ///< depth of the event being dispatched
+    uint64_t maxDepth_ = 0; ///< longest dependency chain (critical path)
+    uint64_t eventsProcessed_ = 0;
+    uint64_t coroutineEvents_ = 0;
+    uint64_t callbackEvents_ = 0;
+    size_t pending_ = 0;
+    size_t peakQueueDepth_ = 0;
+#ifndef PGCN_NO_TELEMETRY
+    Observer *observer_ = nullptr; ///< telemetry sample hook
+    SimTime observerNext_ = 0.0;   ///< next requested sample time
+#endif
+    RunLimits limits_{};
+    bool limitsActive_ = false;
+    std::chrono::steady_clock::time_point wallStart_{};
+    uint32_t wallCheckCountdown_ = kWallCheckPeriod;
 };
 
 } // namespace pgcn::sim

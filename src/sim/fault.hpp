@@ -401,24 +401,22 @@ FaultInjector::fork(uint64_t salt) const
 }
 
 /**
- * How a sharded model run executes its event domains. Mirrors
- * DomainSet::Mode plus an Auto policy; defined here (not in
- * domain.hpp) so SimControls stays includable without the DomainSet
- * machinery.
+ * How a model run executes its event domains (see
+ * MemorySystem::domainPlan); defined here (not in domain.hpp) so
+ * SimControls stays includable without the DomainSet machinery.
  */
 enum class DomainMode
 {
-    /// Deterministic single-threaded K-way merge (the bit-identity
-    /// oracle; output identical to a serial engine).
+    /// One serial engine — the bit-identity oracle. `domains > 1`
+    /// with this mode is a ConfigError.
     Sequenced,
     /// One thread per domain under conservative-lookahead windows.
     /// Requires the model's lookahead bound to be positive; results
     /// are bit-identical to Sequenced by the keyed-seq construction.
     Parallel,
-    /// Pick per run: Parallel when the lookahead bound is positive,
-    /// more than one domain is in play, and no sequenced-only
-    /// attachment (telemetry session / monitor hub) is present;
-    /// Sequenced otherwise.
+    /// Parallel when the lookahead bound is positive and no
+    /// single-threaded attachment (telemetry session / monitor hub)
+    /// is present; one engine otherwise.
     Auto,
 };
 
@@ -436,10 +434,11 @@ struct SimControls
     /// Occupancy/stall monitor; null disables span tracking. The run
     /// calls MonitorHub::beginRun and wires every resource itself.
     MonitorHub *monitor = nullptr;
-    /// Event domains to shard the simulated machine into (>= 1).
-    /// 0 means "auto": derive the count from the simulated core count
-    /// and the host's hardware concurrency (see DESIGN.md §15).
-    /// Output is bit-identical for any value (see sim/domain.hpp).
+    /// Event domains to shard the simulated machine into (>= 1; more
+    /// than one needs Parallel or Auto mode). 0 means "auto": derive
+    /// the count from the simulated core count and the host's
+    /// hardware concurrency (see DESIGN.md §15). Output is
+    /// bit-identical for any value (see sim/domain.hpp).
     unsigned domains = 1;
     /// Execution mode for the domain set (see DomainMode).
     DomainMode domainMode = DomainMode::Sequenced;

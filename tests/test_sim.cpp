@@ -6,7 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <queue>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -345,26 +349,90 @@ namespace {
 
 using namespace pgcn::sim;
 
+/**
+ * A hold-model workload with its dispatch order recomputed by a
+ * std::priority_queue oracle. @p depth events are scheduled up front;
+ * each dispatch schedules one successor (until @p depth more were
+ * scheduled) and, one time in eight, an extra zero-delay event.
+ * Delays are drawn from a coarse grid — 0 included — so equal
+ * timestamps are dense. Every choice is a function of the event id
+ * alone, so the oracle replays the identical schedule and the engine
+ * must dispatch it in exactly the oracle's (when, seq) order.
+ */
+void
+expectOracleOrder(uint64_t depth)
+{
+    const uint64_t total = 2 * depth;
+    const auto draw = [](uint64_t id, uint64_t salt) {
+        uint64_t state = id * 4 + salt;
+        return pgcn::splitMix64(state);
+    };
+    // Initial events land on a wide grid; successors on a narrow one,
+    // so the pending set spans a shallow window plus a long tail.
+    const auto delayOf = [&](uint64_t id) {
+        const uint64_t r = draw(id, 0);
+        return id < depth ? static_cast<double>(r % 4096) * 0.5
+                          : static_cast<double>(r % 16) * 0.25;
+    };
+    const auto extraZero = [&](uint64_t id) { return draw(id, 1) % 8 == 0; };
+
+    // Oracle: (when, seq) min-heap; seq is the schedule order, which
+    // is also the event id.
+    using Item = std::pair<SimTime, uint64_t>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    std::vector<uint64_t> expected;
+    expected.reserve(total);
+    uint64_t next_id = 0;
+    const auto oracleSchedule = [&](SimTime now, SimTime delay) {
+        pq.emplace(now + delay, next_id++);
+    };
+    for (uint64_t i = 0; i < depth; ++i)
+        oracleSchedule(0.0, delayOf(next_id));
+    while (!pq.empty()) {
+        const auto [now, id] = pq.top();
+        pq.pop();
+        expected.push_back(id);
+        if (next_id < total)
+            oracleSchedule(now, delayOf(next_id));
+        if (next_id < total && extraZero(id))
+            oracleSchedule(now, 0.0);
+    }
+
+    Engine engine;
+    std::vector<uint64_t> order;
+    order.reserve(total);
+    uint64_t scheduled = 0;
+    std::function<void(uint64_t)> fire;
+    const auto engineSchedule = [&](SimTime delay) {
+        const uint64_t id = scheduled++;
+        engine.schedule(delay, [&fire, id] { fire(id); });
+    };
+    // Nested scheduling: every successor is scheduled from inside the
+    // dispatching callback, exactly as the oracle replays it.
+    fire = [&](uint64_t id) {
+        order.push_back(id);
+        if (scheduled < total)
+            engineSchedule(delayOf(scheduled));
+        if (scheduled < total && extraZero(id))
+            engineSchedule(0.0);
+    };
+    for (uint64_t i = 0; i < depth; ++i)
+        engineSchedule(delayOf(scheduled));
+    engine.run();
+    EXPECT_GE(engine.peakQueueDepth(), depth);
+    ASSERT_EQ(order.size(), expected.size());
+    EXPECT_TRUE(order == expected) << "dispatch order diverges from the "
+                                      "(when, seq) oracle";
+}
+
 TEST(EngineProperty, RandomScheduleRunsInOrder)
 {
-    // Schedule events at pseudo-random times; observed firing times
-    // must be non-decreasing and the count exact.
-    Engine engine;
-    uint64_t state = 77;
-    int fired = 0;
-    SimTime last = -1.0;
-    for (int i = 0; i < 5000; ++i) {
-        const double when =
-            static_cast<double>(pgcn::splitMix64(state) % 100000) / 10.0;
-        engine.schedule(when, [&, when] {
-            EXPECT_GE(engine.now(), last);
-            EXPECT_DOUBLE_EQ(engine.now(), when);
-            last = engine.now();
-            ++fired;
-        });
+    for (const uint64_t depth :
+         {uint64_t{1}, uint64_t{1} << 12, uint64_t{1} << 16,
+          uint64_t{1} << 20}) {
+        SCOPED_TRACE("pending depth " + std::to_string(depth));
+        expectOracleOrder(depth);
     }
-    engine.run();
-    EXPECT_EQ(fired, 5000);
 }
 
 TEST(ResourceProperty, BusyTimeNeverExceedsMakespan)
