@@ -21,6 +21,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 
 #include "graph/generators.hpp"
 #include "graph/normalize.hpp"
@@ -237,20 +238,35 @@ setGemmCounters(benchmark::State &state, uint64_t n)
                             static_cast<int64_t>(2 * n * n * n));
 }
 
+/** Packed GEMM on @p threads pool workers (0: inline, no pool). */
 void
-BM_DenseMmBlocked(benchmark::State &state)
+BM_DenseMmBlocked(benchmark::State &state, unsigned threads)
 {
     const auto n = static_cast<uint64_t>(state.range(0));
     tensor::DenseMatrix a(n, n), b(n, n), out;
     a.fillRandom(1);
     b.fillRandom(2);
+    std::unique_ptr<parallel::ThreadPool> pool;
+    if (threads > 0)
+        pool = std::make_unique<parallel::ThreadPool>(threads);
     for (auto _ : state) {
-        tensor::denseMmBlocked(a, b, out);
+        tensor::denseMmBlocked(a, b, out, pool.get());
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
     setGemmCounters(state, n);
 }
+
+void
+BM_DenseMmBlocked(benchmark::State &state)
+{
+    BM_DenseMmBlocked(state, 0);
+}
 BENCHMARK(BM_DenseMmBlocked)->Arg(64)->Arg(256);
+// The pooled row is named BM_DenseMmBlocked/pool4/<n>, so the
+// BM_DenseMmBlocked/256 serial row keeps its name. Wall-clock rates:
+// CPU time would count the calling thread's share only.
+BENCHMARK_CAPTURE(BM_DenseMmBlocked, pool4, 4u)->Arg(256)->UseRealTime();
 
 void
 BM_DenseMmBlockedScalar(benchmark::State &state)

@@ -15,8 +15,6 @@ namespace {
  *  call may happen on any thread. */
 std::atomic<LogLevel> g_level { LogLevel::Info };
 std::atomic<bool> g_level_initialized { false };
-/** One-time deprecation warning for the legacy PIUMA_LOG name. */
-std::atomic<bool> g_alias_warned { false };
 
 LogLevel
 activeLevel()
@@ -64,18 +62,7 @@ setLogLevel(LogLevel level)
 void
 refreshLogLevelFromEnv()
 {
-    // PGCN_LOG is the canonical knob (matching PGCN_SIMD / PGCN_NUMA /
-    // PGCN_TELEMETRY); PIUMA_LOG remains as a deprecated alias.
-    const char *text = std::getenv("PGCN_LOG");
-    if (text == nullptr) {
-        text = std::getenv("PIUMA_LOG");
-        if (text != nullptr &&
-            !g_alias_warned.exchange(true, std::memory_order_relaxed)) {
-            std::fprintf(stderr,
-                         "warn: PIUMA_LOG is deprecated; use PGCN_LOG\n");
-        }
-    }
-    g_level.store(parseLogLevel(text, LogLevel::Info),
+    g_level.store(parseLogLevel(std::getenv("PGCN_LOG"), LogLevel::Info),
                   std::memory_order_relaxed);
     g_level_initialized.store(true, std::memory_order_release);
 }

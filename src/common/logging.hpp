@@ -9,9 +9,8 @@
  *
  * Non-fatal messages are severity-filtered: the PGCN_LOG environment
  * variable (error | warn | info | debug, case-insensitive) sets the
- * maximum severity printed, defaulting to info. The legacy PIUMA_LOG
- * name is honoured as a deprecated alias (with a one-time warning)
- * when PGCN_LOG is unset. panic/fatal output is never suppressed.
+ * maximum severity printed, defaulting to info. panic/fatal output is
+ * never suppressed.
  */
 #ifndef PGCN_COMMON_LOGGING_HPP
 #define PGCN_COMMON_LOGGING_HPP
@@ -55,8 +54,7 @@ enum class LogLevel
 
 /**
  * The active log level. Initialised from the PGCN_LOG environment
- * variable (or its deprecated PIUMA_LOG alias) on first use;
- * overridable with setLogLevel().
+ * variable on first use; overridable with setLogLevel().
  */
 LogLevel logLevel();
 
@@ -67,9 +65,8 @@ LogLevel logLevel();
 void setLogLevel(LogLevel level);
 
 /**
- * Re-read PGCN_LOG (falling back to the deprecated PIUMA_LOG alias)
- * and make it the active level (missing or unparsable values fall
- * back to Info).
+ * Re-read PGCN_LOG and make it the active level (missing or
+ * unparsable values fall back to Info).
  */
 void refreshLogLevelFromEnv();
 

@@ -65,7 +65,6 @@ GcnModel::infer(const graph::Csr &adjacency, const DenseMatrix &features,
     }
 
     KernelBreakdown breakdown;
-    DenseMatrix h = features;
     auto run_spmm = [&](const DenseMatrix &in, DenseMatrix &out) {
         const double t0 = nowNs();
         switch (spmm_kind) {
@@ -85,7 +84,7 @@ GcnModel::infer(const graph::Csr &adjacency, const DenseMatrix &features,
     auto run_dense = [&](const DenseMatrix &in, const DenseMatrix &w,
                          DenseMatrix &out) {
         const double t0 = nowNs();
-        tensor::denseMmBlocked(in, w, out);
+        tensor::denseMmBlocked(in, w, out, &pool);
         breakdown.denseNs += nowNs() - t0;
     };
     // The fused path times one combined pass; split it between the
@@ -111,8 +110,12 @@ GcnModel::infer(const graph::Csr &adjacency, const DenseMatrix &features,
 
     // Ping-pong buffers hoisted out of the layer loop: each layer
     // reshapes into existing capacity instead of allocating afresh.
+    // Layer 0 reads the caller's features in place through `in`; from
+    // layer 1 on it points at h, the previous layer's output.
+    DenseMatrix h;
     DenseMatrix mid;
     DenseMatrix result;
+    const DenseMatrix *in = &features;
     const bool fuse =
         spmm_kind == CpuSpmmKind::Fused &&
         config_.order == LayerOrder::AggregateThenTransform;
@@ -121,24 +124,25 @@ GcnModel::infer(const graph::Csr &adjacency, const DenseMatrix &features,
         if (fuse) {
             // act((A H) W) in one pass; the aggregate tile never
             // leaves cache and ReLU runs on hot output rows.
-            run_fused(h, weights_[l], result, inner);
+            run_fused(*in, weights_[l], result, inner);
         } else if (config_.order == LayerOrder::TransformThenAggregate) {
             // A (H W): update first, aggregate at K_out.
-            run_dense(h, weights_[l], mid);
+            run_dense(*in, weights_[l], mid);
             run_spmm(mid, result);
         } else {
             // (A H) W: the paper's Eq. 1 order, aggregate at K_in.
-            run_spmm(h, mid);
+            run_spmm(*in, mid);
             run_dense(mid, weights_[l], result);
         }
 
         // Glue: activation between layers (fused path already did it).
         const double t0 = nowNs();
         if (inner && !fuse)
-            tensor::reluInPlace(result);
+            tensor::reluInPlace(result, &pool);
         breakdown.glueNs += nowNs() - t0;
 
         std::swap(h, result);
+        in = &h;
     }
 
     if (breakdown_out != nullptr)

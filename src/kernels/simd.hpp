@@ -25,12 +25,19 @@
 
 namespace pgcn::kernels::simd {
 
+/**
+ * Rows per GEMM register tile. gemmPrepacked walks A in row panels of
+ * this height, so a caller splitting rows across threads cuts at
+ * multiples of it and every panel stays a full tile.
+ */
+inline constexpr uint64_t kGemmMr = 6;
+
 /** Instruction-set tier of a kernel backend. */
 enum class Tier
 {
     Scalar, ///< plain C++, always compiled, runs anywhere
     Avx2,   ///< 8-lane fp32 with FMA
-    Avx512, ///< 16-lane fp32 with FMA and masked tails
+    Avx512, ///< 16-lane fp32 with FMA
 };
 
 /** Human-readable tier name ("scalar", "avx2", "avx512"). */
@@ -99,8 +106,11 @@ struct Ops
      * Register-tiled GEMM on a pre-packed B: C (m x n, leading
      * dimension ldc) (+)= A (m x kk, leading dimension lda) * B.
      * accumulate=false overwrites C, true adds into it. The inner
-     * microkernel is an MR x NR register tile (MR = 6 rows, NR = two
-     * vector registers of columns) fed by B panels from pack_buf.
+     * microkernel is an MR x NR register tile (MR = kGemmMr rows,
+     * NR = two vector registers of columns) fed by B panels from
+     * pack_buf. Each row of C depends only on the same row of A, in a
+     * fixed summation order, so calls on disjoint row ranges compose
+     * bit-identically to one call over all rows.
      */
     void (*gemmPrepacked)(const float *a, uint64_t lda,
                           const float *packed_b, float *c, uint64_t ldc,

@@ -29,6 +29,20 @@ struct Avx2Policy
     static V fma(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
     static V add(V a, V b) { return _mm256_add_ps(a, b); }
     static V max0(V a) { return _mm256_max_ps(a, _mm256_setzero_ps()); }
+    /** First n (< W) lanes; masked-off lanes are neither read nor written. */
+    static __m256i mask(uint64_t n)
+    {
+        return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                                  _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    }
+    static V loadN(const float *p, uint64_t n)
+    {
+        return _mm256_maskload_ps(p, mask(n));
+    }
+    static void storeN(float *p, V v, uint64_t n)
+    {
+        _mm256_maskstore_ps(p, mask(n), v);
+    }
 };
 
 } // namespace

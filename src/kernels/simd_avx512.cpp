@@ -28,6 +28,19 @@ struct Avx512Policy
     static V fma(V a, V b, V c) { return _mm512_fmadd_ps(a, b, c); }
     static V add(V a, V b) { return _mm512_add_ps(a, b); }
     static V max0(V a) { return _mm512_max_ps(a, _mm512_setzero_ps()); }
+    /** First n (< W) lanes; masked-off lanes are neither read nor written. */
+    static __mmask16 mask(uint64_t n)
+    {
+        return static_cast<__mmask16>((1u << n) - 1u);
+    }
+    static V loadN(const float *p, uint64_t n)
+    {
+        return _mm512_maskz_loadu_ps(mask(n), p);
+    }
+    static void storeN(float *p, V v, uint64_t n)
+    {
+        _mm512_mask_storeu_ps(p, mask(n), v);
+    }
 };
 
 } // namespace

@@ -8,17 +8,25 @@
  * instantiates Backend<Policy> here, compiled with that TU's -m
  * flags. The kernels themselves are written once:
  *
- *  - axpy / relu / addBias: straight-line vector loops with scalar
- *    tails.
+ *  - axpy / relu / addBias: straight-line vector loops; the last
+ *    partial register is a masked load/store (loadN/storeN), never a
+ *    scalar loop.
  *  - spmmRowRange / spmmGatherRows: the feature dimension is walked
- *    in blocks of four vector registers that stay resident across
- *    all non-zeros of a row (multi-accumulator inner loop), so each
- *    output row is written exactly once and the inner loop is pure
- *    FMA on loaded feature rows.
+ *    in blocks of up to eight vector registers that stay resident
+ *    across all non-zeros of a row (multi-accumulator inner loop), so
+ *    each output row is written exactly once and the inner loop is
+ *    pure FMA on loaded feature rows. A width that is not a multiple
+ *    of the lane count ends in one masked register inside the last
+ *    block (k = 47 on AVX-512 is one pass of 2 full + 1 masked).
  *  - gemmPackB / gemmPrepacked: BLIS-style packed GEMM. B is packed
  *    into NR-column panels (NR = two vector registers); the
- *    microkernel computes an MR x NR register tile (MR = 6) with
- *    KC-blocked accumulation over the inner dimension.
+ *    microkernel computes an MR x NR register tile (MR = kGemmMr)
+ *    with KC-blocked accumulation over the inner dimension, and a
+ *    partial last panel stores through the mask.
+ *
+ * Every element is summed in the same order whichever block, tile or
+ * mask computes it, so a caller that splits rows across threads gets
+ * bit-identical results.
  */
 #ifndef PGCN_KERNELS_SIMD_BACKEND_INC_HPP
 #define PGCN_KERNELS_SIMD_BACKEND_INC_HPP
@@ -30,8 +38,6 @@
 
 namespace pgcn::kernels::simd::detail {
 
-/** Rows per GEMM register tile. */
-inline constexpr uint64_t kGemmMr = 6;
 /** Inner-dimension cache block of the packed GEMM. */
 inline constexpr uint64_t kGemmKc = 256;
 /** Widest panel across tiers (AVX-512: NR = 2 * 16). */
@@ -60,45 +66,78 @@ template <class P> struct Backend
         }
         for (; j + W <= k; j += W)
             P::store(y + j, P::fma(vw, P::load(x + j), P::load(y + j)));
-        for (; j < k; ++j)
-            y[j] += w * x[j];
+        if (j < k) {
+            const uint64_t n = k - j;
+            P::storeN(y + j, P::fma(vw, P::loadN(x + j, n),
+                                    P::loadN(y + j, n)), n);
+        }
     }
 
     /**
-     * One output row, feature block [j, j + NB*W): NB accumulators
-     * held in registers across every non-zero of the row, so each
-     * feature row is gathered in as few passes as possible (NB = 8
-     * covers a whole k=128 row in one pass on AVX-512), and the row
-     * start — the one access the hardware prefetcher cannot predict —
-     * is touched once instead of once per pass.
+     * One output row, feature block [j, j + (NB-1)*W + last): NB
+     * accumulators held in registers across every non-zero of the
+     * row, so each feature row is gathered in as few passes as
+     * possible (NB = 8 covers a whole k=128 row in one pass on
+     * AVX-512), and the row start — the one access the hardware
+     * prefetcher cannot predict — is touched once instead of once per
+     * pass. The last register covers @p last lanes (1..W) through the
+     * policy's mask when last < W.
      */
-    template <int NB>
+    template <int NB, bool Tail>
     static void
     rowBlockN(float *out_row, const float *h_in, uint64_t k,
               const uint32_t *cols, const float *vals, uint64_t e0,
-              uint64_t e1, uint64_t j, bool accumulate)
+              uint64_t e1, uint64_t j, uint64_t last, bool accumulate)
     {
+        // Only the last register of a Tail block is masked; b is a
+        // constant once the register loops unroll, so the test folds.
+        const auto masked = [](int b) { return Tail && b + 1 == NB; };
         V acc[NB];
         for (int b = 0; b < NB; ++b) {
-            acc[b] = accumulate
-                         ? P::load(out_row + j + static_cast<uint64_t>(b) * W)
-                         : P::zero();
+            const float *o = out_row + j + static_cast<uint64_t>(b) * W;
+            acc[b] = !accumulate ? P::zero()
+                     : masked(b) ? P::loadN(o, last)
+                                 : P::load(o);
         }
         for (uint64_t e = e0; e < e1; ++e) {
             const float *in =
                 h_in + static_cast<uint64_t>(cols[e]) * k + j;
             const V vw = P::set1(vals[e]);
             for (int b = 0; b < NB; ++b) {
-                acc[b] = P::fma(
-                    vw, P::load(in + static_cast<uint64_t>(b) * W),
-                    acc[b]);
+                const float *x = in + static_cast<uint64_t>(b) * W;
+                acc[b] = P::fma(vw, masked(b) ? P::loadN(x, last)
+                                              : P::load(x),
+                                acc[b]);
             }
         }
-        for (int b = 0; b < NB; ++b)
-            P::store(out_row + j + static_cast<uint64_t>(b) * W, acc[b]);
+        for (int b = 0; b < NB; ++b) {
+            float *o = out_row + j + static_cast<uint64_t>(b) * W;
+            if (masked(b))
+                P::storeN(o, acc[b], last);
+            else
+                P::store(o, acc[b]);
+        }
     }
 
-    /** One output row, all feature blocks. */
+    /** rowBlockN over the last (1..8)-register block of a row. */
+    template <int NB>
+    static void
+    rowTail(float *out_row, const float *h_in, uint64_t k,
+            const uint32_t *cols, const float *vals, uint64_t e0,
+            uint64_t e1, uint64_t j, uint64_t last, bool accumulate)
+    {
+        if (last == W)
+            rowBlockN<NB, false>(out_row, h_in, k, cols, vals, e0, e1, j,
+                                 W, accumulate);
+        else
+            rowBlockN<NB, true>(out_row, h_in, k, cols, vals, e0, e1, j,
+                                last, accumulate);
+    }
+
+    /**
+     * One output row, all feature blocks: full eight-register blocks,
+     * then one block of the remaining ceil(rest / W) registers.
+     */
     static void
     rowKernel(float *out_row, const float *h_in, uint64_t k,
               const uint32_t *cols, const float *vals, uint64_t e0,
@@ -106,26 +145,21 @@ template <class P> struct Backend
     {
         uint64_t j = 0;
         for (; j + 8 * W <= k; j += 8 * W)
-            rowBlockN<8>(out_row, h_in, k, cols, vals, e0, e1, j,
-                         accumulate);
-        for (; j + 4 * W <= k; j += 4 * W)
-            rowBlockN<4>(out_row, h_in, k, cols, vals, e0, e1, j,
-                         accumulate);
-        for (; j + W <= k; j += W) {
-            V a = accumulate ? P::load(out_row + j) : P::zero();
-            for (uint64_t e = e0; e < e1; ++e) {
-                const float *in =
-                    h_in + static_cast<uint64_t>(cols[e]) * k + j;
-                a = P::fma(P::set1(vals[e]), P::load(in), a);
-            }
-            P::store(out_row + j, a);
-        }
-        for (; j < k; ++j) {
-            float s = accumulate ? out_row[j] : 0.0f;
-            for (uint64_t e = e0; e < e1; ++e)
-                s += vals[e] * h_in[static_cast<uint64_t>(cols[e]) * k + j];
-            out_row[j] = s;
-        }
+            rowBlockN<8, false>(out_row, h_in, k, cols, vals, e0, e1, j, W,
+                                accumulate);
+        if (j == k)
+            return;
+        const uint64_t rest = k - j;
+        const uint64_t nb = (rest + W - 1) / W;
+        const uint64_t last = rest - (nb - 1) * W;
+        using TailFn = void (*)(float *, const float *, uint64_t,
+                                const uint32_t *, const float *, uint64_t,
+                                uint64_t, uint64_t, uint64_t, bool);
+        static constexpr TailFn kTails[8] = {
+            &rowTail<1>, &rowTail<2>, &rowTail<3>, &rowTail<4>,
+            &rowTail<5>, &rowTail<6>, &rowTail<7>, &rowTail<8>};
+        kTails[nb - 1](out_row, h_in, k, cols, vals, e0, e1, j, last,
+                       accumulate);
     }
 
     static void
@@ -167,8 +201,8 @@ template <class P> struct Backend
         }
         for (; i + W <= n; i += W)
             P::store(p + i, P::max0(P::load(p + i)));
-        for (; i < n; ++i)
-            p[i] = p[i] < 0.0f ? 0.0f : p[i];
+        if (i < n)
+            P::storeN(p + i, P::max0(P::loadN(p + i, n - i)), n - i);
     }
 
     static void
@@ -180,8 +214,11 @@ template <class P> struct Backend
             for (; c + W <= cols; c += W)
                 P::store(row + c,
                          P::add(P::load(row + c), P::load(bias + c)));
-            for (; c < cols; ++c)
-                row[c] += bias[c];
+            if (c < cols) {
+                const uint64_t n = cols - c;
+                P::storeN(row + c, P::add(P::loadN(row + c, n),
+                                          P::loadN(bias + c, n)), n);
+            }
         }
     }
 
@@ -230,31 +267,25 @@ template <class P> struct Backend
                 acc[r][1] = P::fma(va, b1, acc[r][1]);
             }
         }
-        if (jw == NR) {
-            for (int r = 0; r < MR_; ++r) {
-                float *crow = c + static_cast<uint64_t>(r) * ldc;
-                if (beta_one) {
-                    P::store(crow, P::add(P::load(crow), acc[r][0]));
-                    P::store(crow + W,
-                             P::add(P::load(crow + W), acc[r][1]));
-                } else {
-                    P::store(crow, acc[r][0]);
-                    P::store(crow + W, acc[r][1]);
-                }
-            }
-        } else {
-            alignas(64) float tmp[kGemmMr * kGemmNrMax * 2];
-            for (int r = 0; r < MR_; ++r) {
-                P::store(tmp + static_cast<uint64_t>(r) * NR, acc[r][0]);
-                P::store(tmp + static_cast<uint64_t>(r) * NR + W,
-                         acc[r][1]);
-            }
-            for (int r = 0; r < MR_; ++r) {
-                float *crow = c + static_cast<uint64_t>(r) * ldc;
-                const float *trow = tmp + static_cast<uint64_t>(r) * NR;
-                for (uint64_t j = 0; j < jw; ++j)
-                    crow[j] = beta_one ? crow[j] + trow[j] : trow[j];
-            }
+        // A partial last panel (jw < NR) stores its valid columns
+        // through the mask; the padded lanes never touch C.
+        const uint64_t w0 = std::min(jw, W);
+        const uint64_t w1 = jw - w0;
+        for (int r = 0; r < MR_; ++r) {
+            float *crow = c + static_cast<uint64_t>(r) * ldc;
+            storePart(crow, acc[r][0], w0, beta_one);
+            storePart(crow + W, acc[r][1], w1, beta_one);
+        }
+    }
+
+    /** C[0..n) (+)= v for n in [0, W]; n = W is a plain store. */
+    static void
+    storePart(float *c, V v, uint64_t n, bool beta_one)
+    {
+        if (n == W) {
+            P::store(c, beta_one ? P::add(P::load(c), v) : v);
+        } else if (n > 0) {
+            P::storeN(c, beta_one ? P::add(P::loadN(c, n), v) : v, n);
         }
     }
 

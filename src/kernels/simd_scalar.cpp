@@ -24,6 +24,13 @@ struct ScalarPolicy
     static V fma(V a, V b, V c) { return a * b + c; }
     static V add(V a, V b) { return a + b; }
     static V max0(V a) { return a < 0.0f ? 0.0f : a; }
+    // One lane: a partial register is empty, so the tails never run.
+    static V loadN(const float *p, uint64_t n) { return n > 0 ? *p : 0.0f; }
+    static void storeN(float *p, V v, uint64_t n)
+    {
+        if (n > 0)
+            *p = v;
+    }
 };
 
 } // namespace

@@ -1,12 +1,41 @@
 #include "tensor/dense_mm.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "kernels/simd.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace pgcn::tensor {
 
 namespace {
+
+/** GEMM row panels (kGemmMr rows each) per pool work item. */
+constexpr uint64_t kGemmPanelsPerChunk = 16;
+/** Floats per ReLU work item, rounded to whole rows. */
+constexpr uint64_t kReluChunkFloats = uint64_t{1} << 13;
+
+/**
+ * body(begin, end) over [0, count) in chunks of @p chunk taken from
+ * the pool, or as one inline range when there is no pool or no more
+ * than one chunk of work. Callers only split independent rows, so
+ * the result does not depend on which thread ran which range.
+ */
+void
+forChunks(parallel::ThreadPool *pool, uint64_t count, uint64_t chunk,
+          const std::function<void(uint64_t, uint64_t)> &body)
+{
+    if (count == 0)
+        return;
+    if (pool == nullptr || count <= chunk) {
+        body(0, count);
+        return;
+    }
+    pool->parallelFor(count, parallel::Schedule::Dynamic, chunk,
+                      [&](unsigned, uint64_t begin, uint64_t end) {
+                          body(begin, end);
+                      });
+}
 
 void
 checkGemmShapes(const DenseMatrix &a, const DenseMatrix &b)
@@ -56,9 +85,8 @@ denseMmReference(const DenseMatrix &a, const DenseMatrix &b,
 
 void
 denseMmBlocked(const DenseMatrix &a, const DenseMatrix &b, DenseMatrix &out,
-               uint64_t block)
+               parallel::ThreadPool *pool)
 {
-    (void)block;
     checkGemmShapes(a, b);
     const uint64_t m = a.rows();
     const uint64_t kk = a.cols();
@@ -68,10 +96,19 @@ denseMmBlocked(const DenseMatrix &a, const DenseMatrix &b, DenseMatrix &out,
         return;
 
     const auto &ops = kernels::simd::ops();
+    // B is packed once, on the calling thread; the row panels then
+    // read it concurrently. Each panel is kGemmMr rows of A and C.
     float *pack = packScratch(kernels::simd::gemmPackBufferElems(n, kk));
     ops.gemmPackB(b.data(), n, n, kk, pack);
-    ops.gemmPrepacked(a.data(), kk, pack, out.data(), n, m, n, kk,
-                      /*accumulate=*/false);
+    const uint64_t mr = kernels::simd::kGemmMr;
+    forChunks(pool, (m + mr - 1) / mr, kGemmPanelsPerChunk,
+              [&](uint64_t p0, uint64_t p1) {
+                  const uint64_t r0 = p0 * mr;
+                  const uint64_t r1 = std::min(p1 * mr, m);
+                  ops.gemmPrepacked(a.data() + r0 * kk, kk, pack,
+                                    out.data() + r0 * n, n, r1 - r0, n, kk,
+                                    /*accumulate=*/false);
+              });
 }
 
 void
@@ -103,9 +140,16 @@ denseMmBlockedScalar(const DenseMatrix &a, const DenseMatrix &b,
 }
 
 void
-reluInPlace(DenseMatrix &m)
+reluInPlace(DenseMatrix &m, parallel::ThreadPool *pool)
 {
-    kernels::simd::ops().relu(m.data(), m.size());
+    const auto &ops = kernels::simd::ops();
+    const uint64_t cols = m.cols();
+    const uint64_t rows_per_chunk =
+        std::max<uint64_t>(kReluChunkFloats / std::max<uint64_t>(cols, 1), 1);
+    forChunks(pool, m.rows(), rows_per_chunk,
+              [&](uint64_t r0, uint64_t r1) {
+                  ops.relu(m.data() + r0 * cols, (r1 - r0) * cols);
+              });
 }
 
 void

@@ -15,6 +15,10 @@
 
 #include "tensor/dense_matrix.hpp"
 
+namespace pgcn::parallel {
+class ThreadPool;
+} // namespace pgcn::parallel
+
 namespace pgcn::tensor {
 
 /**
@@ -31,17 +35,19 @@ void denseMmReference(const DenseMatrix &a, const DenseMatrix &b,
 /**
  * Production dense-update GEMM: packed, register-tiled, SIMD-
  * dispatched (AVX-512 / AVX2 / scalar chosen at runtime). B is
- * packed once per call into panel scratch reused across calls on the
- * same thread.
+ * packed once per call, on the calling thread, into panel scratch
+ * reused across calls on that thread; the rows of A then run in
+ * kGemmMr-row panels on @p pool (inline without one). A row split
+ * never reorders any element's sum, so the result is bit-identical
+ * for every pool size, a null pool included.
  *
  * @param a Left operand (m x k).
  * @param b Right operand (k x n).
  * @param out Result (m x n); resized (capacity kept) by the call.
- * @param block Unused legacy parameter, kept so existing call sites
- *        compile; cache blocking is now internal (KC panels).
+ * @param pool Threads for the row panels; nullptr runs them inline.
  */
 void denseMmBlocked(const DenseMatrix &a, const DenseMatrix &b,
-                    DenseMatrix &out, uint64_t block = 64);
+                    DenseMatrix &out, parallel::ThreadPool *pool = nullptr);
 
 /**
  * The previous cache-blocked scalar GEMM (i-k-j inner ordering).
@@ -51,8 +57,12 @@ void denseMmBlocked(const DenseMatrix &a, const DenseMatrix &b,
 void denseMmBlockedScalar(const DenseMatrix &a, const DenseMatrix &b,
                           DenseMatrix &out, uint64_t block = 64);
 
-/** In-place ReLU: x = max(x, 0). Vectorized via the SIMD layer. */
-void reluInPlace(DenseMatrix &m);
+/**
+ * In-place ReLU: x = max(x, 0). Vectorized via the SIMD layer; row
+ * chunks run on @p pool when one is given (inline otherwise), with
+ * bit-identical results either way.
+ */
+void reluInPlace(DenseMatrix &m, parallel::ThreadPool *pool = nullptr);
 
 /**
  * In-place row-wise bias add: m[r, :] += bias. Vectorized via the

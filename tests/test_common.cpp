@@ -231,7 +231,6 @@ TEST(LogLevel, SeverityFilter)
 TEST(LogLevel, EnvVariableControlsLevel)
 {
     const LogLevel saved = logLevel();
-    ::unsetenv("PIUMA_LOG");
     ::setenv("PGCN_LOG", "error", 1);
     refreshLogLevelFromEnv();
     EXPECT_EQ(logLevel(), LogLevel::Error);
@@ -242,24 +241,6 @@ TEST(LogLevel, EnvVariableControlsLevel)
     ::unsetenv("PGCN_LOG");
     refreshLogLevelFromEnv();
     EXPECT_EQ(logLevel(), LogLevel::Info); // default
-    setLogLevel(saved);
-}
-
-TEST(LogLevel, DeprecatedPiumaLogAliasStillWorks)
-{
-    const LogLevel saved = logLevel();
-    ::unsetenv("PGCN_LOG");
-    ::setenv("PIUMA_LOG", "error", 1);
-    refreshLogLevelFromEnv();
-    EXPECT_EQ(logLevel(), LogLevel::Error);
-    // The canonical name wins when both are set.
-    ::setenv("PGCN_LOG", "debug", 1);
-    refreshLogLevelFromEnv();
-    EXPECT_EQ(logLevel(), LogLevel::Debug);
-    ::unsetenv("PGCN_LOG");
-    ::unsetenv("PIUMA_LOG");
-    refreshLogLevelFromEnv();
-    EXPECT_EQ(logLevel(), LogLevel::Info);
     setLogLevel(saved);
 }
 

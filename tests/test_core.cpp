@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/breakdown.hpp"
 #include "core/gcn.hpp"
 #include "core/gcn_config.hpp"
@@ -168,6 +170,32 @@ TEST_F(GcnInference, AllSpmmKindsAgreeInBothLayerOrders)
                 << "kind " << static_cast<int>(kind) << ", order "
                 << static_cast<int>(order) << ", max diff "
                 << maxAbsDiff(ref, out);
+        }
+    }
+}
+
+TEST_F(GcnInference, PoolSizeDoesNotChangeLogits)
+{
+    // Every step splits only independent rows across the pool, so the
+    // logits are bit-identical whatever the thread count. The 47-wide
+    // hidden layer sends SpMM, GEMM and ReLU through their tails.
+    GcnModelConfig cfg;
+    cfg.inputDim = 32;
+    cfg.hiddenDim = 47;
+    cfg.outputDim = 7;
+    for (const auto order : {LayerOrder::TransformThenAggregate,
+                             LayerOrder::AggregateThenTransform}) {
+        cfg.order = order;
+        GcnModel model(cfg);
+        parallel::ThreadPool serial(1);
+        const auto want = model.infer(*adjacency_, features_, serial);
+        for (unsigned threads : {2u, 4u}) {
+            parallel::ThreadPool pool(threads);
+            const auto got = model.infer(*adjacency_, features_, pool);
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(), want.bytes()), 0)
+                << threads << " threads, order "
+                << static_cast<int>(order);
         }
     }
 }

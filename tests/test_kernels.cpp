@@ -444,7 +444,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::ValuesIn(kernels::simd::availableTiers()),
         ::testing::Values(uint64_t{1}, uint64_t{7}, uint64_t{32},
-                          uint64_t{257})),
+                          uint64_t{47}, uint64_t{100}, uint64_t{257})),
     [](const ::testing::TestParamInfo<std::tuple<Tier, uint64_t>>
            &info) {
         return std::string(

@@ -1,12 +1,16 @@
 /**
  * @file
  * Unit tests for src/tensor: dense matrix container, GEMM kernels
- * (blocked vs reference, property sweeps over shapes), activations.
+ * (blocked vs reference, property sweeps over shapes and pool sizes),
+ * activations.
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <tuple>
 
+#include "parallel/thread_pool.hpp"
 #include "tensor/dense_matrix.hpp"
 #include "tensor/dense_mm.hpp"
 
@@ -94,35 +98,101 @@ TEST(DenseMm, KnownSmallProduct)
 }
 
 /** Blocked GEMM must agree with the reference across shapes that
- * exercise every block-boundary case (exact multiple, remainder,
- * smaller-than-block). */
+ * exercise every tile-boundary case (exact multiple, remainder,
+ * smaller-than-tile), inline and on pools of every size. */
 class BlockedGemmShapes
-    : public ::testing::TestWithParam<std::tuple<int, int, int, int>>
+    : public ::testing::TestWithParam<std::tuple<int, int, int>>
 {
 };
 
+/** Pool sizes the pooled kernels are checked on; 0 means no pool. */
+constexpr unsigned kPoolSizes[] = {0, 1, 2, 3, 4, 7};
+
+/** A pool of @p threads workers, or none for 0. */
+std::unique_ptr<pgcn::parallel::ThreadPool>
+makePool(unsigned threads)
+{
+    return threads == 0
+               ? nullptr
+               : std::make_unique<pgcn::parallel::ThreadPool>(threads);
+}
+
 TEST_P(BlockedGemmShapes, MatchesReference)
 {
-    const auto [m, k, n, block] = GetParam();
+    const auto [m, k, n] = GetParam();
     DenseMatrix a(m, k), b(k, n);
     a.fillRandom(m * 131 + k);
     b.fillRandom(n * 17 + 5);
-    DenseMatrix ref, out;
+    DenseMatrix ref;
     denseMmReference(a, b, ref);
-    denseMmBlocked(a, b, out, block);
-    EXPECT_TRUE(allClose(ref, out, 1e-4f, 1e-4f))
-        << "max diff " << maxAbsDiff(ref, out);
+    for (unsigned threads : kPoolSizes) {
+        const auto pool = makePool(threads);
+        DenseMatrix out;
+        denseMmBlocked(a, b, out, pool.get());
+        EXPECT_TRUE(allClose(ref, out, 1e-4f, 1e-4f))
+            << threads << " threads, max diff " << maxAbsDiff(ref, out);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ShapeSweep, BlockedGemmShapes,
-    ::testing::Values(std::make_tuple(1, 1, 1, 64),
-                      std::make_tuple(8, 8, 8, 4),
-                      std::make_tuple(64, 64, 64, 64),
-                      std::make_tuple(65, 63, 31, 16),
-                      std::make_tuple(3, 100, 7, 32),
-                      std::make_tuple(128, 16, 256, 64),
-                      std::make_tuple(37, 41, 43, 8)));
+    ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(8, 8, 8),
+                      std::make_tuple(64, 64, 64),
+                      std::make_tuple(65, 63, 31),
+                      std::make_tuple(3, 100, 7),
+                      std::make_tuple(128, 16, 256),
+                      std::make_tuple(37, 41, 43),
+                      std::make_tuple(385, 100, 47)));
+
+/** Row counts around the kGemmMr = 6 panel and a pool chunk edge. */
+constexpr uint64_t kPooledRows[] = {1, 5, 6, 7, 383, 385};
+
+bool
+bitIdentical(const DenseMatrix &a, const DenseMatrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.bytes()) == 0;
+}
+
+TEST(PooledGemm, BitIdenticalToInlineForEveryPoolSize)
+{
+    for (uint64_t n : {47u, 128u}) {
+        for (uint64_t m : kPooledRows) {
+            DenseMatrix a(m, 100), b(100, n);
+            a.fillRandom(m + n);
+            b.fillRandom(3);
+            DenseMatrix want;
+            denseMmBlocked(a, b, want);
+            for (unsigned threads = 1; threads <= 7; ++threads) {
+                pgcn::parallel::ThreadPool pool(threads);
+                DenseMatrix got;
+                denseMmBlocked(a, b, got, &pool);
+                EXPECT_TRUE(bitIdentical(want, got))
+                    << m << "x" << n << " on " << threads << " threads";
+            }
+        }
+    }
+}
+
+TEST(PooledRelu, BitIdenticalToInlineForEveryPoolSize)
+{
+    for (uint64_t cols : {47u, 128u}) {
+        for (uint64_t m : kPooledRows) {
+            DenseMatrix src(m, cols);
+            src.fillRandom(m * cols);
+            DenseMatrix want = src;
+            reluInPlace(want);
+            for (unsigned threads = 1; threads <= 7; ++threads) {
+                pgcn::parallel::ThreadPool pool(threads);
+                DenseMatrix got = src;
+                reluInPlace(got, &pool);
+                EXPECT_TRUE(bitIdentical(want, got))
+                    << m << "x" << cols << " on " << threads
+                    << " threads";
+            }
+        }
+    }
+}
 
 TEST(Relu, ClampsNegatives)
 {
