@@ -684,6 +684,20 @@ class SweepDriver
             std::cerr << "sweep point '" << err.key
                       << "' failed: " << err.message
                       << "\n  (point skipped; sweep continues)\n";
+        // One bad point is quarantined and skipped, but a sweep whose
+        // every point failed on its configuration has no result at
+        // all: that is the run's error, not a point's.
+        const bool all_config_errors =
+            runner_.size() > 0 && outcome_.failed == runner_.size() &&
+            std::all_of(outcome_.errors.begin(), outcome_.errors.end(),
+                        [](const parallel::SweepRunner::PointError &e) {
+                            return e.configError;
+                        });
+        if (all_config_errors) {
+            PGCN_THROW(ConfigError, "all " << runner_.size()
+                                           << " sweep points failed on a "
+                                              "configuration error");
+        }
     }
 
     /** Point @p index's values, or null if it failed. */
@@ -739,9 +753,6 @@ class SweepDriver
         m.gitDirty = version::kGitDirty;
         m.buildType = version::kBuildType;
         m.compiler = version::kCompiler;
-#ifdef PGCN_NO_TELEMETRY
-        m.telemetryCompiled = false;
-#endif
         m.simdTier =
             kernels::simd::tierName(kernels::simd::activeTier());
         m.numaNodes = parallel::detectNumaTopology().numNodes();

@@ -2,11 +2,11 @@
  * @file
  * Google-benchmark microbenchmarks for the functional host kernels:
  * SpMM variants (reference / vertex / edge / NNZ-balanced / tiled),
- * dense GEMM (packed SIMD vs the previous blocked scalar loop), the
- * fused SpMM->GEMM layer, graph generation and normalisation. These
- * measure real wall-clock throughput of the library's executable
- * kernels on this machine (as opposed to the modelled platforms of
- * the figure benches).
+ * the packed SIMD dense GEMM, graph generation and normalisation.
+ * Run under PGCN_SIMD=scalar for the scalar baselines. These measure
+ * real wall-clock throughput of the library's executable kernels on
+ * this machine (as opposed to the modelled platforms of the figure
+ * benches).
  *
  * Every compute bench reports FLOPS (measured) next to roofline_FLOPS
  * — the src/xeon analytical model evaluated for a single core of THIS
@@ -25,7 +25,6 @@
 
 #include "graph/generators.hpp"
 #include "graph/normalize.hpp"
-#include "kernels/fused_gcn.hpp"
 #include "kernels/simd.hpp"
 #include "kernels/spmm.hpp"
 #include "kernels/tiled_spmm.hpp"
@@ -194,40 +193,6 @@ BENCHMARK(BM_SpmmTiled)
     ->Args({14, 128, 256});    // many small tiles
 
 void
-BM_FusedGcnLayer(benchmark::State &state)
-{
-    const auto csr = benchGraph(static_cast<uint32_t>(state.range(0)));
-    const auto k_in = static_cast<uint64_t>(state.range(1));
-    const auto k_out = static_cast<uint64_t>(state.range(2));
-    tensor::DenseMatrix h(csr.numVertices(), k_in);
-    h.fillRandom(1);
-    tensor::DenseMatrix w(k_in, k_out);
-    w.fillRandom(2);
-    tensor::DenseMatrix out;
-    parallel::ThreadPool pool;
-    for (auto _ : state) {
-        kernels::fusedSpmmGemm(csr, h, w, out, pool,
-                               /*apply_relu=*/true);
-        benchmark::DoNotOptimize(out.data());
-    }
-    const double flops =
-        2.0 * static_cast<double>(csr.numEdges()) *
-            static_cast<double>(k_in) +
-        2.0 * static_cast<double>(csr.numVertices()) *
-            static_cast<double>(k_in) * static_cast<double>(k_out);
-    const auto cfg = hostRoofline();
-    const model::SpmmWorkload spmm_w{csr.numVertices(), csr.numEdges(),
-                                     k_in};
-    const double model_ns =
-        xeon::spmmTimeNs(cfg, spmm_w, 1, /*skewed=*/true) +
-        xeon::denseMmTimeNs(cfg, csr.numVertices(), k_in, k_out, 1);
-    setFlopsCounters(state, flops, model_ns);
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(csr.numEdges()));
-}
-BENCHMARK(BM_FusedGcnLayer)->Args({14, 128, 128})->Args({14, 128, 16});
-
-void
 setGemmCounters(benchmark::State &state, uint64_t n)
 {
     const double flops = 2.0 * static_cast<double>(n) *
@@ -267,21 +232,6 @@ BENCHMARK(BM_DenseMmBlocked)->Arg(64)->Arg(256);
 // BM_DenseMmBlocked/256 serial row keeps its name. Wall-clock rates:
 // CPU time would count the calling thread's share only.
 BENCHMARK_CAPTURE(BM_DenseMmBlocked, pool4, 4u)->Arg(256)->UseRealTime();
-
-void
-BM_DenseMmBlockedScalar(benchmark::State &state)
-{
-    const auto n = static_cast<uint64_t>(state.range(0));
-    tensor::DenseMatrix a(n, n), b(n, n), out;
-    a.fillRandom(1);
-    b.fillRandom(2);
-    for (auto _ : state) {
-        tensor::denseMmBlockedScalar(a, b, out);
-        benchmark::DoNotOptimize(out.data());
-    }
-    setGemmCounters(state, n);
-}
-BENCHMARK(BM_DenseMmBlockedScalar)->Arg(64)->Arg(256);
 
 void
 BM_RmatGeneration(benchmark::State &state)

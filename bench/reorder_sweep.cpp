@@ -188,9 +188,9 @@ benchMain(int argc, char **argv)
                                 });
                             } else {
                                 secs = bestSeconds([&] {
-                                    kernels::spmmIslandBalanced(
-                                        a, view.boundaries, h, out,
-                                        pool);
+                                    kernels::spmmNnzBalanced(
+                                        a, h, out, pool,
+                                        view.boundaries);
                                 });
                             }
                             const double flop =

@@ -130,7 +130,6 @@ RunManifest::toJsonLine() const
     os << ",\"git_dirty\":" << (gitDirty ? "true" : "false");
     os << ",\"build_type\":\"" << jsonEscape(buildType) << '"';
     os << ",\"compiler\":\"" << jsonEscape(compiler) << '"';
-    os << ",\"telemetry_compiled\":" << (telemetryCompiled ? "true" : "false");
     os << ",\"simd_tier\":\"" << jsonEscape(simdTier) << '"';
     os << ",\"numa_nodes\":" << numaNodes;
     os << ",\"host_threads\":" << hostThreads;

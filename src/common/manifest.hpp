@@ -72,8 +72,6 @@ struct RunManifest
     std::string buildType;
     /** Compiler id and version. */
     std::string compiler;
-    /** Whether telemetry hooks were compiled in (PGCN_TELEMETRY). */
-    bool telemetryCompiled = true;
     /** Active SIMD dispatch tier ("scalar", "avx2", "avx512"). */
     std::string simdTier;
     /** NUMA nodes visible to the process (0 = unknown/no libnuma). */

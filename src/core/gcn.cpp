@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "kernels/fused_gcn.hpp"
 #include "kernels/spmm.hpp"
 #include "tensor/dense_mm.hpp"
 
@@ -74,10 +73,6 @@ GcnModel::infer(const graph::Csr &adjacency, const DenseMatrix &features,
         case CpuSpmmKind::EdgeParallel:
             kernels::spmmEdgeParallel(adjacency, in, out, pool);
             break;
-        case CpuSpmmKind::NnzBalanced:
-        case CpuSpmmKind::Fused:
-            kernels::spmmNnzBalanced(adjacency, in, out, pool);
-            break;
         }
         breakdown.spmmNs += nowNs() - t0;
     };
@@ -87,27 +82,6 @@ GcnModel::infer(const graph::Csr &adjacency, const DenseMatrix &features,
         tensor::denseMmBlocked(in, w, out, &pool);
         breakdown.denseNs += nowNs() - t0;
     };
-    // The fused path times one combined pass; split it between the
-    // SpMM and Dense MM buckets proportional to flop counts so the
-    // breakdown schema stays comparable across kinds.
-    auto run_fused = [&](const DenseMatrix &in, const DenseMatrix &w,
-                         DenseMatrix &out, bool relu) {
-        const double t0 = nowNs();
-        kernels::fusedSpmmGemm(adjacency, in, w, out, pool, relu);
-        const double elapsed = nowNs() - t0;
-        const double spmm_flops =
-            2.0 * static_cast<double>(adjacency.numEdges()) *
-            static_cast<double>(in.cols());
-        const double dense_flops =
-            2.0 * static_cast<double>(in.rows()) *
-            static_cast<double>(w.rows()) *
-            static_cast<double>(w.cols());
-        const double total = spmm_flops + dense_flops;
-        const double frac = total > 0 ? spmm_flops / total : 0.5;
-        breakdown.spmmNs += elapsed * frac;
-        breakdown.denseNs += elapsed * (1.0 - frac);
-    };
-
     // Ping-pong buffers hoisted out of the layer loop: each layer
     // reshapes into existing capacity instead of allocating afresh.
     // Layer 0 reads the caller's features in place through `in`; from
@@ -116,16 +90,8 @@ GcnModel::infer(const graph::Csr &adjacency, const DenseMatrix &features,
     DenseMatrix mid;
     DenseMatrix result;
     const DenseMatrix *in = &features;
-    const bool fuse =
-        spmm_kind == CpuSpmmKind::Fused &&
-        config_.order == LayerOrder::AggregateThenTransform;
     for (size_t l = 0; l < weights_.size(); ++l) {
-        const bool inner = l + 1 < weights_.size();
-        if (fuse) {
-            // act((A H) W) in one pass; the aggregate tile never
-            // leaves cache and ReLU runs on hot output rows.
-            run_fused(*in, weights_[l], result, inner);
-        } else if (config_.order == LayerOrder::TransformThenAggregate) {
+        if (config_.order == LayerOrder::TransformThenAggregate) {
             // A (H W): update first, aggregate at K_out.
             run_dense(*in, weights_[l], mid);
             run_spmm(mid, result);
@@ -135,9 +101,9 @@ GcnModel::infer(const graph::Csr &adjacency, const DenseMatrix &features,
             run_dense(mid, weights_[l], result);
         }
 
-        // Glue: activation between layers (fused path already did it).
+        // Glue: activation between layers (none after the last).
         const double t0 = nowNs();
-        if (inner && !fuse)
+        if (l + 1 < weights_.size())
             tensor::reluInPlace(result, &pool);
         breakdown.glueNs += nowNs() - t0;
 

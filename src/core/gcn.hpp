@@ -29,10 +29,6 @@ enum class CpuSpmmKind
 {
     VertexParallel, ///< the paper's optimized CPU baseline
     EdgeParallel,   ///< Algorithm 2 (atomics; slower on CPU)
-    NnzBalanced,    ///< static equal-work chunks, no atomics
-    Fused,          ///< fused SpMM->GEMM tiles (falls back to
-                    ///< NnzBalanced when the layer order puts the
-                    ///< aggregation after the transform)
 };
 
 /**

@@ -67,8 +67,8 @@ struct Ops
      * loop), so `out` is written exactly once per row.
      *
      * @param out_row_base Row index of out's first row (0 for a full
-     *        |V|-row output; the fused path passes a tile base so a
-     *        small scratch tile can receive global row indices).
+     *        |V|-row output; a tile base lets a small scratch tile
+     *        receive global row indices).
      */
     void (*spmmRowRange)(float *out, const float *h_in, uint64_t k,
                          const uint64_t *offsets, const uint32_t *cols,

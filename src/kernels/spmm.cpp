@@ -213,7 +213,8 @@ spmmEdgeParallel(const Csr &a, const DenseMatrix &h_in, DenseMatrix &h_out,
 
 void
 spmmNnzBalanced(const Csr &a, const DenseMatrix &h_in, DenseMatrix &h_out,
-                parallel::ThreadPool &pool)
+                parallel::ThreadPool &pool,
+                std::span<const VertexId> island_boundaries)
 {
     checkShapes(a, h_in);
     const uint64_t k = h_in.cols();
@@ -223,33 +224,11 @@ spmmNnzBalanced(const Csr &a, const DenseMatrix &h_in, DenseMatrix &h_out,
 
     const auto &ops = simd::ops();
     const auto bounds =
-        nnzBalancedRowChunks(a.rowOffsets(), pool.numThreads());
-    const uint64_t *offsets = a.rowOffsets().data();
-    const uint32_t *cols = a.cols().data();
-    const float *vals = a.vals().data();
-    float *out = h_out.data();
-    const float *in = h_in.data();
-
-    pool.parallelRegion([&](unsigned t) {
-        ops.spmmRowRange(out, in, k, offsets, cols, vals, bounds[t],
-                         bounds[t + 1], /*out_row_base=*/0);
-    });
-}
-
-void
-spmmIslandBalanced(const Csr &a, std::span<const VertexId> boundaries,
-                   const DenseMatrix &h_in, DenseMatrix &h_out,
-                   parallel::ThreadPool &pool)
-{
-    checkShapes(a, h_in);
-    const uint64_t k = h_in.cols();
-    h_out.resizeForOverwrite(a.numVertices(), k);
-    if (a.numVertices() == 0)
-        return;
-
-    const auto &ops = simd::ops();
-    const auto bounds = nnzBalancedRowChunksAligned(
-        a.rowOffsets(), boundaries, pool.numThreads());
+        island_boundaries.empty()
+            ? nnzBalancedRowChunks(a.rowOffsets(), pool.numThreads())
+            : nnzBalancedRowChunksAligned(a.rowOffsets(),
+                                          island_boundaries,
+                                          pool.numThreads());
     const uint64_t *offsets = a.rowOffsets().data();
     const uint32_t *cols = a.cols().data();
     const float *vals = a.vals().data();

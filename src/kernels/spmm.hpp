@@ -20,7 +20,8 @@
  *  - spmmNnzBalanced: static equal-work partitioning — a prefix-sum
  *    (the CSR row-offset array) split into one row-aligned chunk of
  *    ~|E|/T non-zeros per thread, so skewed graphs balance without
- *    dynamic scheduling or atomics.
+ *    dynamic scheduling or atomics; optionally snapped to island
+ *    boundaries.
  */
 #ifndef PGCN_KERNELS_SPMM_HPP
 #define PGCN_KERNELS_SPMM_HPP
@@ -120,35 +121,25 @@ void spmmEdgeParallel(const graph::Csr &a, const tensor::DenseMatrix &h_in,
  * chunk per thread (see nnzBalancedRowChunks). No atomics, no
  * scheduling overhead; the partition itself absorbs degree skew.
  *
+ * Given @p island_boundaries, the chunks are instead snapped to those
+ * boundaries (nnzBalancedRowChunksAligned), so each thread streams a
+ * whole number of islands and its input working set is the islands'
+ * own neighbourhoods. That only pays off when the CSR is actually
+ * islandized; with uniform boundaries it degrades gracefully to a
+ * slightly coarser nnz balance.
+ *
  * @param a Sparse matrix.
  * @param h_in Input features (|V| x K).
  * @param h_out Output features; reshaped by the call.
  * @param pool Thread pool to run on.
+ * @param island_boundaries Island row boundaries (0 .. |V|
+ *        inclusive), or empty for plain nnz balance.
  */
 void spmmNnzBalanced(const graph::Csr &a, const tensor::DenseMatrix &h_in,
                      tensor::DenseMatrix &h_out,
-                     parallel::ThreadPool &pool);
-
-/**
- * Island-aligned SpMM: identical to spmmNnzBalanced except the static
- * per-thread chunks are snapped to island boundaries
- * (nnzBalancedRowChunksAligned), so each thread streams a whole
- * number of islands and its input working set is the islands' own
- * neighbourhoods. Only pays off when the CSR is actually islandized;
- * with uniform boundaries it degrades gracefully to a slightly
- * coarser nnz balance.
- *
- * @param a Sparse matrix (rows in island order).
- * @param boundaries Island row boundaries (0 .. |V| inclusive).
- * @param h_in Input features (|V| x K).
- * @param h_out Output features; reshaped by the call.
- * @param pool Thread pool to run on.
- */
-void spmmIslandBalanced(const graph::Csr &a,
-                        std::span<const graph::VertexId> boundaries,
-                        const tensor::DenseMatrix &h_in,
-                        tensor::DenseMatrix &h_out,
-                        parallel::ThreadPool &pool);
+                     parallel::ThreadPool &pool,
+                     std::span<const graph::VertexId> island_boundaries =
+                         {});
 
 } // namespace pgcn::kernels
 

@@ -70,6 +70,7 @@ SweepRunner::run(JsonlCheckpoint &ckpt)
     Outcome out;
     out.results.resize(n);
     std::vector<uint8_t> point_failed(n, 0);
+    std::vector<uint8_t> point_config_error(n, 0);
     std::vector<std::string> point_errors(n);
     std::atomic<size_t> retried{0};
 
@@ -175,6 +176,9 @@ SweepRunner::run(JsonlCheckpoint &ckpt)
                             continue;
                         }
                         point_failed[i] = 1;
+                        point_config_error[i] =
+                            dynamic_cast<const ConfigError *>(&e) !=
+                            nullptr;
                         point_errors[i] = e.what();
                         if (isTransient(e)) {
                             // Environmental failure: do not poison the
@@ -198,8 +202,9 @@ SweepRunner::run(JsonlCheckpoint &ckpt)
 
     for (size_t i = 0; i < n; ++i) {
         if (point_failed[i]) {
-            out.errors.push_back(
-                PointError{points_[i].key, point_errors[i]});
+            out.errors.push_back(PointError{points_[i].key,
+                                            point_errors[i],
+                                            point_config_error[i] != 0});
         }
     }
     // quarantined counts resume-time skips; fresh failures (permanent

@@ -114,6 +114,7 @@ class SweepRunner
     {
         std::string key;     ///< the failed point's key
         std::string message; ///< the typed error's what()
+        bool configError = false; ///< failed on a pgcn::ConfigError
     };
 
     /** What happened to each point of one run() invocation. */

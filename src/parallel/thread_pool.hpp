@@ -131,9 +131,8 @@ class ThreadPool
     /**
      * Per-thread kernel scratch: a 64-byte-aligned float buffer owned
      * by the pool, grown on demand and reused across kernel launches,
-     * so per-call workspaces (the edge-parallel SpMM accumulator, the
-     * fused GCN layer's tile buffers) cost no allocation after the
-     * first use.
+     * so per-call workspaces (the edge-parallel SpMM accumulator) cost
+     * no allocation after the first use.
      *
      * Thread-safety contract: each thread may only request its OWN
      * slot (@p tid must be the id the pool handed the caller), which

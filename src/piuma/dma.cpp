@@ -149,7 +149,6 @@ DmaEngine::run()
         ++stats_.descriptors;
         stats_.bytesMoved += desc.bytes;
         stats_.busyNs += engine_.now() - started;
-#ifndef PGCN_NO_TELEMETRY
         if (monitor_ != nullptr) [[unlikely]]
             monitor_->addSpan(started, engine_.now());
         if (session_ != nullptr) [[unlikely]] {
@@ -164,7 +163,6 @@ DmaEngine::run()
                 session_->trace().end(off + now, spanName_, tid);
             }
         }
-#endif
     }
 
     // Drain: the engine is not finished until its last transfers

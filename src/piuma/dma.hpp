@@ -125,17 +125,12 @@ class DmaEngine
 
     /**
      * Mirror per-descriptor busy spans (the same spans stats_.busyNs
-     * accumulates) onto @p timeline. Null detaches; no-op under
-     * PGCN_NO_TELEMETRY.
+     * accumulates) onto @p timeline. Null detaches.
      */
     void
     attachMonitor(sim::Timeline *timeline)
     {
-#ifndef PGCN_NO_TELEMETRY
         monitor_ = timeline;
-#else
-        (void)timeline;
-#endif
     }
 
     /**
@@ -166,9 +161,7 @@ class DmaEngine
     Histogram *tlmDescNs_ = nullptr;
     telemetry::TraceWriter::NameId spanName_ = 0;
     bool detailedTrace_ = false;
-#ifndef PGCN_NO_TELEMETRY
     sim::Timeline *monitor_ = nullptr; ///< busy-span occupancy sink
-#endif
     /// Forked per-engine fault stream; empty keeps the configured
     /// dispatch overhead and a fault-free descriptor stream.
     std::optional<sim::FaultStream> stream_;

@@ -319,10 +319,8 @@ MemorySystem::completeChunk(PendingAccess &pa, const MemoryAccess &chunk)
     PGCN_ASSERT(pa.remaining > 0, "response for a completed access");
     if (--pa.remaining != 0)
         return;
-#ifndef PGCN_NO_TELEMETRY
     if (tlmLatency_ != nullptr) [[unlikely]]
         noteLatency(pa);
-#endif
     if (!pa.waiter)
         return;
     const std::coroutine_handle<> h = pa.waiter;

@@ -208,10 +208,8 @@ class MemorySystem
     {
         beginAccess(requester_core, pa);
         issueShards_[requester_core].bytesRead += bytes;
-#ifndef PGCN_NO_TELEMETRY
         if (tlmReads_ != nullptr) [[unlikely]]
             noteIssue(*tlmReads_, requester_core == slice);
-#endif
         issueChunk(requester_core, slice, bytes, bytes / sliceRate_,
                    bytes / portRate_, pipelined, &pa);
         finishIfDone(pa);
@@ -224,10 +222,8 @@ class MemorySystem
     {
         beginAccess(requester_core, pa);
         issueShards_[requester_core].bytesWritten += bytes;
-#ifndef PGCN_NO_TELEMETRY
         if (tlmWrites_ != nullptr) [[unlikely]]
             noteIssue(*tlmWrites_, requester_core == slice);
-#endif
         issueChunk(requester_core, slice, bytes, bytes / sliceRate_,
                    bytes / portRate_, pipelined, &pa);
         finishIfDone(pa);
@@ -246,10 +242,8 @@ class MemorySystem
     {
         beginAccess(requester_core, pa);
         issueShards_[requester_core].bytesRead += bytes;
-#ifndef PGCN_NO_TELEMETRY
         if (tlmReads_ != nullptr) [[unlikely]]
             noteIssue(*tlmReads_, requester_core == start_slice);
-#endif
         issueStriped(requester_core, start_slice, bytes, pipelined, &pa);
         finishIfDone(pa);
     }
@@ -261,10 +255,8 @@ class MemorySystem
     {
         beginAccess(requester_core, pa);
         issueShards_[requester_core].bytesWritten += bytes;
-#ifndef PGCN_NO_TELEMETRY
         if (tlmWrites_ != nullptr) [[unlikely]]
             noteIssue(*tlmWrites_, requester_core == start_slice);
-#endif
         issueStriped(requester_core, start_slice, bytes, pipelined, &pa);
         finishIfDone(pa);
     }
@@ -282,10 +274,8 @@ class MemorySystem
                        double bytes, bool pipelined = false)
     {
         issueShards_[requester_core].bytesWritten += bytes;
-#ifndef PGCN_NO_TELEMETRY
         if (tlmWrites_ != nullptr) [[unlikely]]
             noteIssue(*tlmWrites_, requester_core == start_slice);
-#endif
         issueStriped(requester_core, start_slice, bytes, pipelined,
                      nullptr);
     }
@@ -593,14 +583,12 @@ class MemorySystem
      * Mirror every slice-controller and network-port reservation onto
      * @p hub's occupancy timelines (one per slice and per port). The
      * hub must already be sized by MonitorHub::beginRun for this
-     * system's core count. No-op under PGCN_NO_TELEMETRY. Hubs share
-     * fold geometry across cores: entry points run one domain
-     * whenever one is attached.
+     * system's core count. Hubs share fold geometry across cores:
+     * entry points run one domain whenever one is attached.
      */
     void
     attachMonitor(sim::MonitorHub *hub)
     {
-#ifndef PGCN_NO_TELEMETRY
         for (size_t i = 0; i < slices_.size(); ++i) {
             slices_[i].attachMonitor(
                 hub != nullptr
@@ -611,9 +599,6 @@ class MemorySystem
                     ? hub->portTimeline(static_cast<unsigned>(i))
                     : nullptr);
         }
-#else
-        (void)hub;
-#endif
     }
 
     /** Number of DRAM slices (== cores). */
@@ -777,10 +762,8 @@ class MemorySystem
     {
         if (pa.remaining != 0)
             return;
-#ifndef PGCN_NO_TELEMETRY
         if (tlmLatency_ != nullptr) [[unlikely]]
             noteLatency(pa);
-#endif
     }
 
     /** Cold path: histogram the completed access's latency. */

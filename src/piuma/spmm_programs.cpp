@@ -190,7 +190,6 @@ struct RunContext
         const bool local = slice == core;
         (local ? cs.stallMemNs : cs.stallNetNs) += waited - recovery;
         cs.recoveryStallNs += recovery;
-#ifndef PGCN_NO_TELEMETRY
         if (monitor != nullptr) [[unlikely]] {
             if (recovery > 0.0)
                 monitor->noteRecovery(core, t0, t0 + recovery);
@@ -199,10 +198,6 @@ struct RunContext
                                    : sim::StallCause::NetworkWait,
                              t0 + recovery, now);
         }
-#else
-        (void)t0;
-        (void)now;
-#endif
     }
 
     /// Close a stuck-core watchdog-reset wait (RecoveryWait cause).
@@ -212,15 +207,10 @@ struct RunContext
         CoreStats &cs = coreStats[core];
         cs.recoveryStallNs += now - t0;
         ++cs.stuckResets;
-#ifndef PGCN_NO_TELEMETRY
         if (monitor != nullptr) [[unlikely]] {
             monitor->endWait(core, sim::StallCause::RecoveryWait, t0,
                              now);
         }
-#else
-        (void)t0;
-        (void)now;
-#endif
     }
 
     /// Record this core's first unrecoverable fault (cold path).
@@ -240,27 +230,16 @@ struct RunContext
     void
     beginWait(unsigned core, sim::SimTime t0)
     {
-#ifndef PGCN_NO_TELEMETRY
         if (monitor != nullptr) [[unlikely]]
             monitor->beginWait(core, t0);
-#else
-        (void)core;
-        (void)t0;
-#endif
     }
 
     /// Close a queue-full backpressure wait on the monitor.
     void
     noteQueueWait(unsigned core, sim::SimTime t0, sim::SimTime now)
     {
-#ifndef PGCN_NO_TELEMETRY
         if (monitor != nullptr) [[unlikely]]
             monitor->endWait(core, sim::StallCause::QueueFull, t0, now);
-#else
-        (void)core;
-        (void)t0;
-        (void)now;
-#endif
     }
 
     unsigned
@@ -804,7 +783,6 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
         ctx.memory.setFaultInjector(controls->faults);
         ctx.faults = controls->faults;
         ctx.domains.setRunLimits(controls->limits);
-#ifndef PGCN_NO_TELEMETRY
         if (controls->monitor != nullptr) {
             // Monitors observe spans the model computes anyway and
             // never schedule events, so the simulated result stays
@@ -819,7 +797,6 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
             }
             ctx.memory.attachMonitor(&hub);
         }
-#endif
     }
 
     if (session != nullptr) {
@@ -856,13 +833,11 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
             for (auto &engine : ctx.dmaEngines)
                 engine.setFaultInjector(controls->faults);
         }
-#ifndef PGCN_NO_TELEMETRY
         if (ctx.monitor != nullptr) {
             for (unsigned c = 0; c < cfg.numCores; ++c)
                 ctx.dmaEngines[c].attachMonitor(
                     ctx.monitor->dmaTimeline(c));
         }
-#endif
         for (auto &engine : ctx.dmaEngines)
             engine.run();
         for (unsigned tid = 0; tid < cfg.totalThreads(); ++tid)
@@ -978,14 +953,12 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
             ? static_cast<double>(ctx.domains.eventsProcessed()) /
                   static_cast<double>(stats.criticalPathEvents)
             : 0.0;
-#ifndef PGCN_NO_TELEMETRY
     if (ctx.monitor != nullptr) {
         const sim::OccupancyReport rep = ctx.monitor->report(makespan);
         stats.latencyHidingEffectiveness =
             rep.latencyHidingEffectiveness;
         stats.exposedStallNs = rep.exposedStallNs;
     }
-#endif
     stats.nnzReads = nnz_reads;
     stats.avgNnzLatencyNs =
         nnz_reads ? nnz_latency_sum / static_cast<double>(nnz_reads)

@@ -126,9 +126,8 @@ class Engine
      * time dispatch reaches each requested simulated timestamp.
      * Observers must only *read* simulation state — scheduling events
      * or mutating agents from a hook would break the determinism
-     * contract. Compiled out entirely under PGCN_NO_TELEMETRY; when
-     * compiled in but not attached, the cost is one predictable
-     * branch per dispatched event.
+     * contract. When not attached, the cost is one predictable branch
+     * per dispatched event.
      */
     struct Observer
     {
@@ -334,13 +333,8 @@ class Engine
     void
     attachObserver(Observer *observer, SimTime first_sample)
     {
-#ifndef PGCN_NO_TELEMETRY
         observer_ = observer;
         observerNext_ = first_sample;
-#else
-        (void)observer;
-        (void)first_sample;
-#endif
     }
 
     /** Current simulated time (ns). */
@@ -810,14 +804,12 @@ class Engine
         now_ = ev.when;
         if (limitsActive_) [[unlikely]]
             enforceLimits();
-#ifndef PGCN_NO_TELEMETRY
         // Telemetry sampling rides the dispatch loop instead of
         // scheduling its own events, so an attached observer can
         // never alter event order or keep the queue alive.
         if (observer_ != nullptr && now_ >= observerNext_)
             [[unlikely]]
             observerNext_ = observer_->onSample(now_, *this);
-#endif
         ++eventsProcessed_;
         --pending_;
         const uintptr_t tag = ev.payload & kTagMask;
@@ -1157,10 +1149,8 @@ class Engine
     uint64_t callbackEvents_ = 0;
     size_t pending_ = 0;
     size_t peakQueueDepth_ = 0;
-#ifndef PGCN_NO_TELEMETRY
     Observer *observer_ = nullptr; ///< telemetry sample hook
     SimTime observerNext_ = 0.0;   ///< next requested sample time
-#endif
     RunLimits limits_{};
     bool limitsActive_ = false;
     std::chrono::steady_clock::time_point wallStart_{};

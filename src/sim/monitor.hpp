@@ -26,10 +26,10 @@
  *
  * Cost model: monitors follow the telemetry idiom — attach-based, a
  * null pointer plus one predictable branch on each hook when not
- * attached, and compiled out entirely under PGCN_NO_TELEMETRY. They
- * observe reservation spans that the model computes anyway and never
- * schedule events, so an attached monitor cannot perturb dispatch
- * order: simulated results are bit-identical with monitors on or off.
+ * attached. They observe reservation spans that the model computes
+ * anyway and never schedule events, so an attached monitor cannot
+ * perturb dispatch order: simulated results are bit-identical with
+ * monitors on or off.
  */
 #ifndef PGCN_SIM_MONITOR_HPP
 #define PGCN_SIM_MONITOR_HPP

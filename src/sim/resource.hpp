@@ -84,28 +84,22 @@ class BandwidthResource
         busyTime_ += duration;
         totalUnits_ += amount;
         ++requests_;
-#ifndef PGCN_NO_TELEMETRY
         // The (start, nextFree_) pair is exactly the busy span an
         // occupancy monitor wants; recording it cannot affect timing.
         if (monitor_ != nullptr) [[unlikely]]
             monitor_->addSpan(start, nextFree_);
-#endif
         return nextFree_;
     }
 
     /**
      * Mirror every reservation's busy span onto @p timeline (pass
      * nullptr to detach). Follows the telemetry idiom: one predictable
-     * branch when unattached, compiled out under PGCN_NO_TELEMETRY.
+     * branch when unattached.
      */
     void
     attachMonitor(Timeline *timeline)
     {
-#ifndef PGCN_NO_TELEMETRY
         monitor_ = timeline;
-#else
-        (void)timeline;
-#endif
     }
 
     /**
@@ -150,9 +144,7 @@ class BandwidthResource
     double rate_;
     Engine::StreamId stream_; ///< completion stream for transfer()
     std::string name_;
-#ifndef PGCN_NO_TELEMETRY
     Timeline *monitor_ = nullptr; ///< busy-span sink (occupancy)
-#endif
     SimTime nextFree_ = 0.0;
     double busyTime_ = 0.0;
     double totalUnits_ = 0.0;

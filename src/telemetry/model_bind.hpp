@@ -16,8 +16,8 @@
  * the bench main thread binds the caller session). Threads that never
  * bind record nothing, which is the correct default.
  */
-#ifndef PGCN_TELEMETRY_MODEL_BIND_HPP
-#define PGCN_TELEMETRY_MODEL_BIND_HPP
+#ifndef PGCN_TELEM_MODEL_BIND_HPP
+#define PGCN_TELEM_MODEL_BIND_HPP
 
 namespace pgcn::telemetry {
 
@@ -42,4 +42,4 @@ void bindModelTelemetry(Registry *registry);
 
 } // namespace pgcn::telemetry
 
-#endif // PGCN_TELEMETRY_MODEL_BIND_HPP
+#endif // PGCN_TELEM_MODEL_BIND_HPP

@@ -12,8 +12,8 @@
  * Thread-safety: none. The simulator is single-threaded by design
  * (see sim/engine.hpp); the registry inherits that contract.
  */
-#ifndef PGCN_TELEMETRY_REGISTRY_HPP
-#define PGCN_TELEMETRY_REGISTRY_HPP
+#ifndef PGCN_TELEM_REGISTRY_HPP
+#define PGCN_TELEM_REGISTRY_HPP
 
 #include <functional>
 #include <map>
@@ -159,4 +159,4 @@ class Registry
 
 } // namespace pgcn::telemetry
 
-#endif // PGCN_TELEMETRY_REGISTRY_HPP
+#endif // PGCN_TELEM_REGISTRY_HPP

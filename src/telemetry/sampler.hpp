@@ -11,8 +11,8 @@
  * into GB/s — the bandwidth/occupancy timelines of the paper's
  * Figs. 6-8 discussions.
  */
-#ifndef PGCN_TELEMETRY_SAMPLER_HPP
-#define PGCN_TELEMETRY_SAMPLER_HPP
+#ifndef PGCN_TELEM_SAMPLER_HPP
+#define PGCN_TELEM_SAMPLER_HPP
 
 #include <iosfwd>
 #include <string>
@@ -89,4 +89,4 @@ class Sampler : public sim::Engine::Observer
 
 } // namespace pgcn::telemetry
 
-#endif // PGCN_TELEMETRY_SAMPLER_HPP
+#endif // PGCN_TELEM_SAMPLER_HPP

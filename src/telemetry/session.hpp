@@ -11,8 +11,8 @@
  * concatenate those runs on one timeline so a multi-kernel bench
  * (e.g. a fig8 sweep) loads into Perfetto as consecutive spans.
  */
-#ifndef PGCN_TELEMETRY_SESSION_HPP
-#define PGCN_TELEMETRY_SESSION_HPP
+#ifndef PGCN_TELEM_SESSION_HPP
+#define PGCN_TELEM_SESSION_HPP
 
 #include <string>
 #include <string_view>
@@ -125,4 +125,4 @@ class Session
 
 } // namespace pgcn::telemetry
 
-#endif // PGCN_TELEMETRY_SESSION_HPP
+#endif // PGCN_TELEM_SESSION_HPP

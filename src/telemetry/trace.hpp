@@ -16,8 +16,8 @@
  * Event names are interned: recording stores a 4-byte id, so a
  * million-descriptor detailed trace does not copy a million strings.
  */
-#ifndef PGCN_TELEMETRY_TRACE_HPP
-#define PGCN_TELEMETRY_TRACE_HPP
+#ifndef PGCN_TELEM_TRACE_HPP
+#define PGCN_TELEM_TRACE_HPP
 
 #include <cstdint>
 #include <iosfwd>
@@ -132,4 +132,4 @@ class TraceWriter
 
 } // namespace pgcn::telemetry
 
-#endif // PGCN_TELEMETRY_TRACE_HPP
+#endif // PGCN_TELEM_TRACE_HPP

@@ -112,34 +112,6 @@ denseMmBlocked(const DenseMatrix &a, const DenseMatrix &b, DenseMatrix &out,
 }
 
 void
-denseMmBlockedScalar(const DenseMatrix &a, const DenseMatrix &b,
-                     DenseMatrix &out, uint64_t block)
-{
-    checkGemmShapes(a, b);
-    PGCN_ASSERT(block > 0, "gemm block must be positive");
-    const uint64_t m = a.rows();
-    const uint64_t kk = a.cols();
-    const uint64_t n = b.cols();
-    out.resize(m, n);
-
-    for (uint64_t i0 = 0; i0 < m; i0 += block) {
-        const uint64_t i1 = std::min(i0 + block, m);
-        for (uint64_t k0 = 0; k0 < kk; k0 += block) {
-            const uint64_t k1 = std::min(k0 + block, kk);
-            for (uint64_t i = i0; i < i1; ++i) {
-                auto orow = out.row(i);
-                for (uint64_t k = k0; k < k1; ++k) {
-                    const float aik = a.at(i, k);
-                    const auto brow = b.row(k);
-                    for (uint64_t j = 0; j < n; ++j)
-                        orow[j] += aik * brow[j];
-                }
-            }
-        }
-    }
-}
-
-void
 reluInPlace(DenseMatrix &m, parallel::ThreadPool *pool)
 {
     const auto &ops = kernels::simd::ops();

@@ -6,9 +6,8 @@
  * The production GEMM is a packed, register-tiled kernel dispatched
  * through the runtime SIMD layer (kernels/simd.hpp): B is packed into
  * NR-column panels and the inner microkernel computes a ~6 x 16
- * register tile of C with FMA. The previous cache-blocked scalar loop
- * is kept as denseMmBlockedScalar for A/B benchmarking and as a
- * second correctness oracle.
+ * register tile of C with FMA. Its scalar baseline is the same
+ * kernel under PGCN_SIMD=scalar.
  */
 #ifndef PGCN_TENSOR_DENSE_MM_HPP
 #define PGCN_TENSOR_DENSE_MM_HPP
@@ -48,14 +47,6 @@ void denseMmReference(const DenseMatrix &a, const DenseMatrix &b,
  */
 void denseMmBlocked(const DenseMatrix &a, const DenseMatrix &b,
                     DenseMatrix &out, parallel::ThreadPool *pool = nullptr);
-
-/**
- * The previous cache-blocked scalar GEMM (i-k-j inner ordering).
- * Kept as a comparison baseline for the packed kernel's speedup and
- * as an independent oracle in tests.
- */
-void denseMmBlockedScalar(const DenseMatrix &a, const DenseMatrix &b,
-                          DenseMatrix &out, uint64_t block = 64);
 
 /**
  * In-place ReLU: x = max(x, 0). Vectorized via the SIMD layer; row

@@ -131,22 +131,6 @@ TEST_F(GcnInference, MatchesManualLayerComposition)
         << "max diff " << maxAbsDiff(out, h2);
 }
 
-TEST_F(GcnInference, EdgeParallelAgreesWithVertexParallel)
-{
-    GcnModelConfig cfg;
-    cfg.inputDim = 32;
-    cfg.hiddenDim = 8;
-    cfg.outputDim = 8;
-    GcnModel model(cfg);
-    parallel::ThreadPool pool(4);
-    const auto a =
-        model.infer(*adjacency_, features_, pool,
-                    CpuSpmmKind::VertexParallel);
-    const auto b = model.infer(*adjacency_, features_, pool,
-                               CpuSpmmKind::EdgeParallel);
-    EXPECT_TRUE(allClose(a, b, 1e-3f, 1e-4f));
-}
-
 TEST_F(GcnInference, AllSpmmKindsAgreeInBothLayerOrders)
 {
     GcnModelConfig cfg;
@@ -161,16 +145,11 @@ TEST_F(GcnInference, AllSpmmKindsAgreeInBothLayerOrders)
         const auto ref =
             model.infer(*adjacency_, features_, pool,
                         CpuSpmmKind::VertexParallel);
-        for (const auto kind :
-             {CpuSpmmKind::EdgeParallel, CpuSpmmKind::NnzBalanced,
-              CpuSpmmKind::Fused}) {
-            const auto out =
-                model.infer(*adjacency_, features_, pool, kind);
-            EXPECT_TRUE(allClose(ref, out, 1e-3f, 1e-4f))
-                << "kind " << static_cast<int>(kind) << ", order "
-                << static_cast<int>(order) << ", max diff "
-                << maxAbsDiff(ref, out);
-        }
+        const auto out = model.infer(*adjacency_, features_, pool,
+                                     CpuSpmmKind::EdgeParallel);
+        EXPECT_TRUE(allClose(ref, out, 1e-3f, 1e-4f))
+            << "order " << static_cast<int>(order) << ", max diff "
+            << maxAbsDiff(ref, out);
     }
 }
 
@@ -198,21 +177,6 @@ TEST_F(GcnInference, PoolSizeDoesNotChangeLogits)
                 << static_cast<int>(order);
         }
     }
-}
-
-TEST_F(GcnInference, FusedBreakdownSplitsAcrossSpmmAndDense)
-{
-    GcnModelConfig cfg;
-    cfg.inputDim = 32;
-    cfg.hiddenDim = 16;
-    cfg.outputDim = 4;
-    cfg.order = LayerOrder::AggregateThenTransform;
-    GcnModel model(cfg);
-    parallel::ThreadPool pool(2);
-    KernelBreakdown bd;
-    model.infer(*adjacency_, features_, pool, CpuSpmmKind::Fused, &bd);
-    EXPECT_GT(bd.spmmNs, 0.0);
-    EXPECT_GT(bd.denseNs, 0.0);
 }
 
 TEST_F(GcnInference, BreakdownCoversAllCategories)

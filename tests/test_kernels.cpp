@@ -282,7 +282,6 @@ TEST(TiledSpmm, RejectsMismatchedWidth)
 // regime — each repeated with dispatch pinned to every tier this host
 // offers (so the force-scalar path is always exercised explicitly).
 
-#include "kernels/fused_gcn.hpp"
 #include "kernels/simd.hpp"
 #include "tensor/dense_mm.hpp"
 
@@ -308,6 +307,39 @@ adversarialGraph()
         coo.addEdge(u, u + 3, -0.5f);
     }
     return Csr(coo);
+}
+
+/**
+ * The cache-blocked scalar GEMM (i-k-j inner ordering) that the packed
+ * kernel replaced: an oracle independent of both the packing and the
+ * reference's loop order.
+ */
+void
+denseMmBlockedScalar(const DenseMatrix &a, const DenseMatrix &b,
+                     DenseMatrix &out, uint64_t block)
+{
+    PGCN_ASSERT(a.cols() == b.rows(), "gemm shape mismatch");
+    PGCN_ASSERT(block > 0, "gemm block must be positive");
+    const uint64_t m = a.rows();
+    const uint64_t kk = a.cols();
+    const uint64_t n = b.cols();
+    out.resize(m, n);
+
+    for (uint64_t i0 = 0; i0 < m; i0 += block) {
+        const uint64_t i1 = std::min(i0 + block, m);
+        for (uint64_t k0 = 0; k0 < kk; k0 += block) {
+            const uint64_t k1 = std::min(k0 + block, kk);
+            for (uint64_t i = i0; i < i1; ++i) {
+                auto orow = out.row(i);
+                for (uint64_t k = k0; k < k1; ++k) {
+                    const float aik = a.at(i, k);
+                    const auto brow = b.row(k);
+                    for (uint64_t j = 0; j < n; ++j)
+                        orow[j] += aik * brow[j];
+                }
+            }
+        }
+    }
 }
 
 /** Dispatch pinned to a tier for the test's lifetime. */
@@ -353,6 +385,12 @@ class SpmmVariantProperty
         EXPECT_TRUE(allClose(ref, out, 1e-4f, 1e-5f))
             << "nnz-balanced, max diff " << maxAbsDiff(ref, out);
 
+        kernels::spmmNnzBalanced(a, h, out, pool,
+                                 graph::uniformIslands(a.numVertices(), 4));
+        EXPECT_TRUE(allClose(ref, out, 1e-4f, 1e-5f))
+            << "island-aligned nnz-balanced, max diff "
+            << maxAbsDiff(ref, out);
+
         if (k() > 0) {
             kernels::TiledSpmm tiled(a, k(),
                                      /*cache_budget=*/8.0 * k() * 4);
@@ -395,34 +433,6 @@ TEST_P(SpmmVariantProperty, OneVertexSelfLoop)
     expectAllVariantsMatch(Csr(coo), 3);
 }
 
-TEST_P(SpmmVariantProperty, FusedLayerMatchesUnfusedPipeline)
-{
-    const Csr a = adversarialGraph();
-    const uint64_t k_out = 19; // odd: exercises GEMM panel tails
-    DenseMatrix h(a.numVertices(), k());
-    h.fillRandom(17);
-    DenseMatrix w(k(), k_out);
-    w.fillRandom(18);
-
-    DenseMatrix ah, ref;
-    kernels::spmmReference(a, h, ah);
-    tensor::denseMmReference(ah, w, ref);
-
-    parallel::ThreadPool pool(4);
-    DenseMatrix out;
-    for (bool relu : {false, true}) {
-        DenseMatrix want = ref;
-        if (relu)
-            tensor::reluInPlace(want);
-        // tile_rows=5 forces many partial tiles on a 33-row graph.
-        kernels::fusedSpmmGemm(a, h, w, out, pool, relu,
-                               /*tile_rows=*/5);
-        EXPECT_TRUE(allClose(want, out, 1e-3f, 1e-4f))
-            << "fused relu=" << relu << ", max diff "
-            << maxAbsDiff(want, out);
-    }
-}
-
 TEST_P(SpmmVariantProperty, PackedGemmMatchesBothScalarOracles)
 {
     // m x kk x n with every dimension off the blocking grid.
@@ -432,7 +442,7 @@ TEST_P(SpmmVariantProperty, PackedGemmMatchesBothScalarOracles)
     b.fillRandom(20);
     DenseMatrix ref, blocked_scalar, packed;
     tensor::denseMmReference(a, b, ref);
-    tensor::denseMmBlockedScalar(a, b, blocked_scalar, 16);
+    denseMmBlockedScalar(a, b, blocked_scalar, 16);
     tensor::denseMmBlocked(a, b, packed);
     EXPECT_TRUE(allClose(ref, blocked_scalar, 1e-4f, 1e-5f));
     EXPECT_TRUE(allClose(ref, packed, 1e-4f, 1e-5f))

@@ -281,13 +281,11 @@ TEST(MonitorBitIdentity, DmaGoldenUnchangedWithMonitorAttached)
     EXPECT_EQ(monitored.stallNetworkNs, plain.stallNetworkNs);
     EXPECT_EQ(monitored.criticalPathEvents, plain.criticalPathEvents);
 
-#ifndef PGCN_NO_TELEMETRY
     // Only the monitor-derived metrics may differ (off = -1 sentinel).
     EXPECT_GE(monitored.latencyHidingEffectiveness, 0.0);
     EXPECT_LE(monitored.latencyHidingEffectiveness, 1.0);
     EXPECT_GE(monitored.exposedStallNs, 0.0);
     EXPECT_DOUBLE_EQ(plain.latencyHidingEffectiveness, -1.0);
-#endif
 }
 
 TEST(MonitorBitIdentity, LoopUnrolledGoldenUnchangedWithMonitor)

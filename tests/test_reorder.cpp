@@ -343,7 +343,7 @@ TEST(IslandKernels, IslandBalancedSpmmMatchesReference)
 
     parallel::ThreadPool pool(4);
     DenseMatrix got;
-    kernels::spmmIslandBalanced(islandized, isl.boundaries, h, got, pool);
+    kernels::spmmNnzBalanced(islandized, h, got, pool, isl.boundaries);
     EXPECT_TRUE(tensor::allClose(got, expected));
 }
 

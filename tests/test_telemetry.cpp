@@ -519,9 +519,6 @@ TEST(SpmmTelemetry, RecordingDoesNotPerturbTheSimulation)
 
 TEST(SpmmTelemetry, CountersMatchReturnedRunStats)
 {
-#ifdef PGCN_NO_TELEMETRY
-    GTEST_SKIP() << "hooks compiled out (PGCN_TELEMETRY=OFF)";
-#endif
     Session session(detailedOptions());
     const auto stats = piuma::simulateSpmm(tinyGraph(), 16, twoCores(),
                                            piuma::SpmmAlgorithm::Dma,
@@ -547,9 +544,6 @@ TEST(SpmmTelemetry, CountersMatchReturnedRunStats)
 
 TEST(SpmmTelemetry, TraceIsStructurallyValid)
 {
-#ifdef PGCN_NO_TELEMETRY
-    GTEST_SKIP() << "hooks compiled out (PGCN_TELEMETRY=OFF)";
-#endif
     Session session(detailedOptions());
     piuma::simulateSpmm(tinyGraph(), 16, twoCores(),
                         piuma::SpmmAlgorithm::Dma, &session);
@@ -579,9 +573,6 @@ TEST(SpmmTelemetry, TraceIsBitReproducible)
 
 TEST(SpmmTelemetry, MetricsCsvHasSeriesCountersAndSummaries)
 {
-#ifdef PGCN_NO_TELEMETRY
-    GTEST_SKIP() << "hooks compiled out (PGCN_TELEMETRY=OFF)";
-#endif
     Session session(detailedOptions());
     piuma::simulateSpmm(tinyGraph(), 16, twoCores(),
                         piuma::SpmmAlgorithm::Dma, &session);
