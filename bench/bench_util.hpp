@@ -686,9 +686,12 @@ class SweepDriver
                       << "\n  (point skipped; sweep continues)\n";
         // One bad point is quarantined and skipped, but a sweep whose
         // every point failed on its configuration has no result at
-        // all: that is the run's error, not a point's.
+        // all: that is the run's error, not a point's. Points a resume
+        // skips as quarantined count too, so resuming such a sweep
+        // fails the same way.
         const bool all_config_errors =
-            runner_.size() > 0 && outcome_.failed == runner_.size() &&
+            runner_.size() > 0 &&
+            outcome_.errors.size() == runner_.size() &&
             std::all_of(outcome_.errors.begin(), outcome_.errors.end(),
                         [](const parallel::SweepRunner::PointError &e) {
                             return e.configError;

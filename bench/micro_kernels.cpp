@@ -2,7 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks for the functional host kernels:
  * SpMM variants (reference / vertex / edge / NNZ-balanced / tiled),
- * the packed SIMD dense GEMM, graph generation and normalisation.
+ * the packed SIMD dense GEMM, a whole GcnModel::infer pass, graph
+ * generation and normalisation.
  * Run under PGCN_SIMD=scalar for the scalar baselines. These measure
  * real wall-clock throughput of the library's executable kernels on
  * this machine (as opposed to the modelled platforms of the figure
@@ -23,6 +24,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "core/gcn.hpp"
 #include "graph/generators.hpp"
 #include "graph/normalize.hpp"
 #include "kernels/simd.hpp"
@@ -232,6 +234,36 @@ BENCHMARK(BM_DenseMmBlocked)->Arg(64)->Arg(256);
 // BM_DenseMmBlocked/256 serial row keeps its name. Wall-clock rates:
 // CPU time would count the calling thread's share only.
 BENCHMARK_CAPTURE(BM_DenseMmBlocked, pool4, 4u)->Arg(256)->UseRealTime();
+
+/**
+ * One steady-state GcnModel::infer pass, end to end: the host row the
+ * kernel rows above add up to. The warm-up pass before the loop pays
+ * the one-time first-touch of the calling thread's layer buffers.
+ */
+void
+BM_GcnInfer(benchmark::State &state)
+{
+    const auto csr = benchGraph(14);
+    core::GcnModelConfig cfg;
+    cfg.inputDim = 100;
+    cfg.hiddenDim = 128;
+    cfg.outputDim = 47;
+    cfg.numLayers = 3;
+    cfg.order = core::LayerOrder::TransformThenAggregate;
+    const core::GcnModel model(cfg);
+    tensor::DenseMatrix features(csr.numVertices(), cfg.inputDim);
+    features.fillRandom(1);
+    parallel::ThreadPool pool(4);
+    model.infer(csr, features, pool);
+    for (auto _ : state) {
+        auto logits = model.infer(csr, features, pool);
+        benchmark::DoNotOptimize(logits.data());
+        benchmark::ClobberMemory();
+    }
+}
+// Real time, as for the pooled GEMM row: CPU time would count only the
+// calling thread's share.
+BENCHMARK(BM_GcnInfer)->Name("BM_GcnInfer/pool4")->UseRealTime();
 
 void
 BM_RmatGeneration(benchmark::State &state)

@@ -57,16 +57,18 @@ escapeJson(const std::string &s)
  * Parse one checkpoint line of the restricted grammar this class
  * writes: {"key":"...","name":number,...} for completed points, or
  * {"key":"...","quarantined":"message"} for poisoned ones (in which
- * case @p quarantined is set and @p values left empty). Returns false
+ * case @p quarantined is set and @p values left empty), optionally
+ * followed by "config_error":true (sets @p config_error). Returns false
  * on any malformed content (most commonly the truncated last line of
  * a crashed run) so the caller can skip it.
  */
 bool
 parseLine(const std::string &line, std::string &key,
           JsonlCheckpoint::Values &values,
-          std::optional<std::string> &quarantined)
+          std::optional<std::string> &quarantined, bool &config_error)
 {
     quarantined.reset();
+    config_error = false;
     const char *p = line.c_str();
     auto skipWs = [&] {
         while (*p == ' ' || *p == '\t')
@@ -141,6 +143,16 @@ parseLine(const std::string &line, std::string &key,
             skipWs();
             continue;
         }
+        if (quarantined && name == "config_error") {
+            // The only boolean field: it follows a quarantine message
+            // and is written only as true.
+            if (std::strncmp(p, "true", 4) != 0)
+                return false;
+            p += 4;
+            config_error = true;
+            skipWs();
+            continue;
+        }
         char *end = nullptr;
         const double v = std::strtod(p, &end);
         if (end == p)
@@ -172,14 +184,17 @@ JsonlCheckpoint::JsonlCheckpoint(const std::string &path, bool resume)
                 std::string key;
                 Values values;
                 std::optional<std::string> quarantined;
-                if (parseLine(line, key, values, quarantined)) {
+                bool config_error = false;
+                if (parseLine(line, key, values, quarantined,
+                              config_error)) {
                     if (quarantined) {
                         // Poisoned point: remember the failure so a
                         // resume never re-runs it. Last line wins, so
                         // a quarantine supersedes an (impossible in
                         // practice) earlier success and vice versa.
                         points_.erase(key);
-                        failures_[key] = std::move(*quarantined);
+                        failures_[key] =
+                            Failure{std::move(*quarantined), config_error};
                     } else {
                         failures_.erase(key);
                         points_[key] = std::move(values);
@@ -220,17 +235,22 @@ JsonlCheckpoint::record(const std::string &key, const Values &values)
 
 void
 JsonlCheckpoint::quarantine(const std::string &key,
-                            const std::string &message)
+                            const std::string &message, bool config_error)
 {
     if (!enabled())
         return;
     out_ << "{\"key\":\"" << escapeJson(key) << "\",\"quarantined\":\""
-         << escapeJson(message) << "\"}\n";
+         << escapeJson(message) << "\"";
+    // Only a ConfigError adds the flag: every other quarantine line
+    // keeps the bytes it always had.
+    if (config_error)
+        out_ << ",\"config_error\":true";
+    out_ << "}\n";
     out_.flush();
     if (!out_)
         PGCN_THROW(IoError, "I/O error writing checkpoint: " << path_);
     points_.erase(key);
-    failures_[key] = message;
+    failures_[key] = Failure{message, config_error};
 }
 
 void
@@ -263,12 +283,12 @@ JsonlCheckpoint::writeFinalJson(const std::string &path) const
         // produced values and why.
         out << ",\n  \"quarantined\": {\n";
         bool first = true;
-        for (const auto &[key, message] : failures_) {
+        for (const auto &[key, failure] : failures_) {
             if (!first)
                 out << ",\n";
             first = false;
             out << "    \"" << escapeJson(key) << "\": \""
-                << escapeJson(message) << "\"";
+                << escapeJson(failure.message) << "\"";
         }
         out << "\n  }";
     }
@@ -307,13 +327,13 @@ OrderedCheckpointWriter::skip(size_t index)
 
 void
 OrderedCheckpointWriter::fail(size_t index, const std::string &key,
-                              std::string message)
+                              std::string message, bool config_error)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     PGCN_ASSERT(index >= next_ && !pending_.count(index),
                 "sweep point resolved twice");
-    pending_[index] =
-        Pending{Pending::Kind::Quarantine, key, {}, std::move(message)};
+    pending_[index] = Pending{Pending::Kind::Quarantine, key, {},
+                              std::move(message), config_error};
     flushLocked();
 }
 
@@ -341,7 +361,8 @@ OrderedCheckpointWriter::flushLocked()
             ckpt_.record(it->second.key, it->second.values);
             break;
         case Pending::Kind::Quarantine:
-            ckpt_.quarantine(it->second.key, it->second.message);
+            ckpt_.quarantine(it->second.key, it->second.message,
+                             it->second.configError);
             break;
         case Pending::Kind::Skip:
             break;

@@ -20,6 +20,9 @@
  * Poisoned points — configurations whose run fails permanently (e.g.
  * an unrecoverable injected fault) — are *quarantined* instead:
  *   {"key":"middle/cores=4","quarantined":"error message"}
+ * A point that failed on a ConfigError also carries
+ * "config_error":true, so a resume can tell a sweep whose every point
+ * was misconfigured from one that merely lost some points.
  * A --resume run sees the quarantine record and never re-executes the
  * point, so one poisoned configuration cannot wedge every subsequent
  * resume. A later successful record() for the same key supersedes the
@@ -79,7 +82,15 @@ class JsonlCheckpoint
     findFailure(const std::string &key) const
     {
         const auto it = failures_.find(key);
-        return it == failures_.end() ? nullptr : &it->second;
+        return it == failures_.end() ? nullptr : &it->second.message;
+    }
+
+    /** True when point @p key is quarantined for a ConfigError. */
+    bool
+    failedOnConfigError(const std::string &key) const
+    {
+        const auto it = failures_.find(key);
+        return it != failures_.end() && it->second.configError;
     }
 
     /** Quarantined points loaded or recorded so far. */
@@ -97,11 +108,13 @@ class JsonlCheckpoint
     /**
      * Quarantine a permanently failing point: appends one flushed
      * {"key":...,"quarantined":"message"} line so a --resume run skips
-     * the point instead of re-running it into the same failure. No-op
+     * the point instead of re-running it into the same failure. With
+     * @p config_error the line also carries "config_error":true. No-op
      * on a disabled checkpoint. record()ing the same key later lifts
      * the quarantine.
      */
-    void quarantine(const std::string &key, const std::string &message);
+    void quarantine(const std::string &key, const std::string &message,
+                    bool config_error = false);
 
     /**
      * Write every completed point as one consolidated JSON document,
@@ -114,11 +127,18 @@ class JsonlCheckpoint
     void writeFinalJson(const std::string &path) const;
 
   private:
+    /// Why a point was quarantined.
+    struct Failure
+    {
+        std::string message;
+        bool configError = false;
+    };
+
     std::string path_;
     std::map<std::string, Values> points_;
-    /// Quarantined point -> error message (kept out of points_ so
+    /// Quarantined point -> its failure (kept out of points_ so
     /// size()/find() keep meaning "completed").
-    std::map<std::string, std::string> failures_;
+    std::map<std::string, Failure> failures_;
     std::ofstream out_;
 };
 
@@ -160,9 +180,11 @@ class OrderedCheckpointWriter
     void skip(size_t index);
 
     /** Resolve point @p index as permanently failed: a quarantine
-     *  record is appended (in order) so --resume never re-runs it.
-     *  Safe to call from any thread. */
-    void fail(size_t index, const std::string &key, std::string message);
+     *  record is appended (in order) so --resume never re-runs it;
+     *  @p config_error marks a ConfigError. Safe to call from any
+     *  thread. */
+    void fail(size_t index, const std::string &key, std::string message,
+              bool config_error = false);
 
     /** Points flushed to the checkpoint or skipped so far. */
     size_t resolved() const;
@@ -184,6 +206,7 @@ class OrderedCheckpointWriter
         std::string key;
         JsonlCheckpoint::Values values;
         std::string message;
+        bool configError = false;
     };
 
     /// Drain the contiguous resolved prefix starting at next_.

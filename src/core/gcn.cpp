@@ -82,38 +82,42 @@ GcnModel::infer(const graph::Csr &adjacency, const DenseMatrix &features,
         tensor::denseMmBlocked(in, w, out, &pool);
         breakdown.denseNs += nowNs() - t0;
     };
-    // Ping-pong buffers hoisted out of the layer loop: each layer
-    // reshapes into existing capacity instead of allocating afresh.
-    // Layer 0 reads the caller's features in place through `in`; from
-    // layer 1 on it points at h, the previous layer's output.
-    DenseMatrix h;
-    DenseMatrix mid;
-    DenseMatrix result;
+    // Per-thread layer buffers, kept across passes like the GEMM pack
+    // scratch: `mid` joins the GEMM and the SpMM of a layer, `act`
+    // carries the activations to the next layer. Reshaping them into
+    // existing capacity means a steady-state pass faults in no fresh
+    // pages; only the logits, written by the last layer, are new.
+    // One buffer pair serves every layer: each layer reads `act` into
+    // `mid` before it writes `act` again.
+    thread_local DenseMatrix mid;
+    thread_local DenseMatrix act;
+    DenseMatrix logits;
     const DenseMatrix *in = &features;
     for (size_t l = 0; l < weights_.size(); ++l) {
+        const bool last = l + 1 == weights_.size();
+        DenseMatrix &out = last ? logits : act;
         if (config_.order == LayerOrder::TransformThenAggregate) {
             // A (H W): update first, aggregate at K_out.
             run_dense(*in, weights_[l], mid);
-            run_spmm(mid, result);
+            run_spmm(mid, out);
         } else {
             // (A H) W: the paper's Eq. 1 order, aggregate at K_in.
             run_spmm(*in, mid);
-            run_dense(mid, weights_[l], result);
+            run_dense(mid, weights_[l], out);
         }
 
         // Glue: activation between layers (none after the last).
         const double t0 = nowNs();
-        if (l + 1 < weights_.size())
-            tensor::reluInPlace(result, &pool);
+        if (!last)
+            tensor::reluInPlace(out, &pool);
         breakdown.glueNs += nowNs() - t0;
 
-        std::swap(h, result);
-        in = &h;
+        in = &act;
     }
 
     if (breakdown_out != nullptr)
         *breakdown_out = breakdown;
-    return h;
+    return logits;
 }
 
 } // namespace pgcn::core

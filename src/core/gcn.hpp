@@ -55,6 +55,12 @@ class GcnModel
     /**
      * Run inference: features -> logits.
      *
+     * The intermediate layers run in two |V| x max-layer-width
+     * buffers owned by the calling thread. They keep their capacity
+     * until that thread exits, so a repeated call allocates nothing
+     * but the returned logits. Concurrent calls from different
+     * threads are safe: each thread has its own buffers.
+     *
      * @param adjacency Normalised adjacency A~ (|V| x |V|).
      * @param features Input features (|V| x inputDim).
      * @param pool Thread pool for the parallel kernels.

@@ -91,6 +91,8 @@ SweepRunner::run(JsonlCheckpoint &ckpt)
         } else if (const std::string *cause =
                        ckpt.findFailure(points_[i].key)) {
             point_failed[i] = 1;
+            point_config_error[i] =
+                ckpt.failedOnConfigError(points_[i].key);
             point_errors[i] = "quarantined: " + *cause;
             writer.skip(i);
             todo[i] = 0;
@@ -185,7 +187,8 @@ SweepRunner::run(JsonlCheckpoint &ckpt)
                             // checkpoint, a later resume may succeed.
                             writer.skip(i);
                         } else {
-                            writer.fail(i, points_[i].key, e.what());
+                            writer.fail(i, points_[i].key, e.what(),
+                                        point_config_error[i] != 0);
                         }
                         break;
                     } catch (const std::exception &e) {

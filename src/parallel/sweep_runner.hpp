@@ -114,7 +114,9 @@ class SweepRunner
     {
         std::string key;     ///< the failed point's key
         std::string message; ///< the typed error's what()
-        bool configError = false; ///< failed on a pgcn::ConfigError
+        /// Failed on a pgcn::ConfigError, this run or (for a point a
+        /// resume skips as quarantined) the run that quarantined it.
+        bool configError = false;
     };
 
     /** What happened to each point of one run() invocation. */

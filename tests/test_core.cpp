@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "core/breakdown.hpp"
 #include "core/gcn.hpp"
@@ -177,6 +179,107 @@ TEST_F(GcnInference, PoolSizeDoesNotChangeLogits)
                 << static_cast<int>(order);
         }
     }
+}
+
+/** infer() on a fresh thread, whose layer buffers start empty. */
+tensor::DenseMatrix
+inferOnFreshThread(const GcnModel &model, const graph::Csr &adjacency,
+                   const tensor::DenseMatrix &features,
+                   parallel::ThreadPool &pool, CpuSpmmKind kind)
+{
+    tensor::DenseMatrix out;
+    std::thread([&] {
+        out = model.infer(adjacency, features, pool, kind);
+    }).join();
+    return out;
+}
+
+bool
+sameBits(const tensor::DenseMatrix &a, const tensor::DenseMatrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.bytes()) == 0;
+}
+
+TEST_F(GcnInference, ReusedLayerBuffersDoNotChangeLogits)
+{
+    // The calling thread's layer buffers outlive each call. Going
+    // large -> small with other widths -> large reshapes them into
+    // stale contents of another stride; every result must still match
+    // a call whose buffers start empty, bit for bit.
+    const graph::Csr big_adj = graph::normalizedAdjacency(
+        graph::generateRmat(11, 16000, graph::rmatSkewed(), 23));
+    tensor::DenseMatrix big_x(big_adj.numVertices(), 40);
+    big_x.fillRandom(9, 0.5f);
+    GcnModelConfig big_cfg;
+    big_cfg.inputDim = 40;
+    big_cfg.hiddenDim = 24;
+    big_cfg.outputDim = 7;
+    GcnModelConfig small_cfg;
+    small_cfg.inputDim = 32;
+    small_cfg.hiddenDim = 96;
+    small_cfg.outputDim = 5;
+    small_cfg.numLayers = 2;
+
+    // Two threads: an EdgeParallel row is then split at most once, and
+    // its two atomic partial sums add the same in either order.
+    parallel::ThreadPool pool(2);
+    for (const auto order : {LayerOrder::TransformThenAggregate,
+                             LayerOrder::AggregateThenTransform}) {
+        big_cfg.order = order;
+        small_cfg.order = order;
+        const GcnModel big(big_cfg);
+        const GcnModel small(small_cfg);
+        for (const auto kind :
+             {CpuSpmmKind::VertexParallel, CpuSpmmKind::EdgeParallel}) {
+            SCOPED_TRACE(testing::Message()
+                         << "order " << static_cast<int>(order)
+                         << ", kind " << static_cast<int>(kind));
+            const auto big_want =
+                inferOnFreshThread(big, big_adj, big_x, pool, kind);
+            const auto small_want = inferOnFreshThread(
+                small, *adjacency_, features_, pool, kind);
+            EXPECT_TRUE(sameBits(big.infer(big_adj, big_x, pool, kind),
+                                 big_want));
+            EXPECT_TRUE(sameBits(
+                small.infer(*adjacency_, features_, pool, kind),
+                small_want));
+            EXPECT_TRUE(sameBits(big.infer(big_adj, big_x, pool, kind),
+                                 big_want));
+        }
+    }
+}
+
+TEST_F(GcnInference, ConcurrentCallersGetIdenticalLogits)
+{
+    // Each calling thread owns its layer buffers, so two threads
+    // running one model at once cannot see each other's activations.
+    GcnModelConfig cfg;
+    cfg.inputDim = 32;
+    cfg.hiddenDim = 47;
+    cfg.outputDim = 7;
+    const GcnModel model(cfg);
+    parallel::ThreadPool serial(1);
+    const auto want = model.infer(*adjacency_, features_, serial);
+
+    constexpr int kPasses = 20;
+    tensor::DenseMatrix got[2];
+    int mismatches[2] = {0, 0};
+    std::vector<std::thread> callers;
+    for (int t = 0; t < 2; ++t) {
+        callers.emplace_back([&, t] {
+            parallel::ThreadPool pool(2);
+            for (int pass = 0; pass < kPasses; ++pass) {
+                got[t] = model.infer(*adjacency_, features_, pool);
+                mismatches[t] += sameBits(got[t], want) ? 0 : 1;
+            }
+        });
+    }
+    for (auto &caller : callers)
+        caller.join();
+    EXPECT_EQ(mismatches[0], 0);
+    EXPECT_EQ(mismatches[1], 0);
+    EXPECT_TRUE(sameBits(got[0], got[1]));
 }
 
 TEST_F(GcnInference, BreakdownCoversAllCategories)

@@ -481,6 +481,55 @@ TEST(SweepRunner, QuarantineJsonlSurvivesRoundTripWithEscapes)
     EXPECT_EQ(lifted.quarantinedCount(), 0u);
 }
 
+TEST(SweepRunner, ConfigErrorQuarantineSurvivesResume)
+{
+    const std::string path = pgcn_test::testPath("qconfig.jsonl");
+    const auto addPoints = [](SweepRunner &runner) {
+        runner.add("misconfigured",
+                   [](const SweepContext &) -> JsonlCheckpoint::Values {
+                       throw ConfigError("timeout leaves no lookahead");
+                   });
+        runner.add("faulted",
+                   [](const SweepContext &) -> JsonlCheckpoint::Values {
+                       throw SimError("unrecoverable fault");
+                   });
+    };
+    {
+        SweepRunner runner(SweepOptions{});
+        addPoints(runner);
+        JsonlCheckpoint ckpt(path, /*resume=*/false);
+        const auto outcome = runner.run(ckpt);
+        ASSERT_EQ(outcome.errors.size(), 2u);
+        EXPECT_TRUE(outcome.errors[0].configError);
+        EXPECT_FALSE(outcome.errors[1].configError);
+    }
+    // Only the ConfigError line carries the flag; the other quarantine
+    // line keeps its old bytes.
+    const std::string text = slurp(path);
+    EXPECT_NE(text.find("{\"key\":\"misconfigured\",\"quarantined\":"
+                        "\"timeout leaves no lookahead\","
+                        "\"config_error\":true}\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("{\"key\":\"faulted\",\"quarantined\":"
+                        "\"unrecoverable fault\"}\n"),
+              std::string::npos);
+
+    JsonlCheckpoint back(path, /*resume=*/true);
+    EXPECT_EQ(back.quarantinedCount(), 2u);
+    EXPECT_TRUE(back.failedOnConfigError("misconfigured"));
+    EXPECT_FALSE(back.failedOnConfigError("faulted"));
+    EXPECT_FALSE(back.failedOnConfigError("absent"));
+
+    // A resume reports the skipped points with their recorded cause.
+    SweepRunner runner(SweepOptions{});
+    addPoints(runner);
+    const auto outcome = runner.run(back);
+    EXPECT_EQ(outcome.quarantined, 2u);
+    ASSERT_EQ(outcome.errors.size(), 2u);
+    EXPECT_TRUE(outcome.errors[0].configError);
+    EXPECT_FALSE(outcome.errors[1].configError);
+}
+
 TEST(SweepRunner, QuarantineSectionInFinalJsonOnlyWhenPresent)
 {
     const std::string clean_json = pgcn_test::testPath("qclean.json");
