@@ -26,7 +26,6 @@ int
 benchMain(int argc, char **argv)
 {
     const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
-    const std::string &csv = args.csvPath;
     bench::SweepDriver driver(args);
 
     piuma::PiumaConfig cfg;
@@ -69,7 +68,7 @@ benchMain(int argc, char **argv)
             .cell(p->at("mem_util"), 2)
             .cell(p->at("issue_util"), 2);
     }
-    bench::emit(table, csv);
+    table.print(std::cout);
     std::cout << "Reading: at K>=32 the scalar pipelines saturate "
                  "(issue util -> 1) while the memory system idles — "
                  "the paper's explanation for PIUMA losing ground to "

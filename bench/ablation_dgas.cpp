@@ -29,7 +29,6 @@ int
 benchMain(int argc, char **argv)
 {
     const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
-    const std::string &csv = args.csvPath;
     bench::SweepDriver driver(args);
 
     // Both proxies built once on the calling thread; workers share
@@ -100,7 +99,7 @@ benchMain(int argc, char **argv)
             .cell(v->at("max_slice_util"), 2)
             .cell(v->at("makespan_ns") / base, 2);
     }
-    bench::emit(table, csv);
+    table.print(std::cout);
     driver.finish();
     return 0;
 }

@@ -28,7 +28,6 @@ int
 benchMain(int argc, char **argv)
 {
     const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
-    const std::string &csv = args.csvPath;
     bench::SweepDriver driver(args);
     const graph::Csr csr = bench::desProxy(13);
     std::cout << "proxy: |V|=" << csr.numVertices()
@@ -91,7 +90,7 @@ benchMain(int argc, char **argv)
             .cell(v->at("mem_util"), 2)
             .cell(v->at("gflops") / base, 2);
     }
-    bench::emit(inflight, csv.empty() ? csv : "inflight_" + csv);
+    inflight.print(std::cout);
 
     Table queue("Ablation: DMA descriptor queue depth "
                 "(8 cores, K=8, 4x DRAM latency)",
@@ -112,7 +111,7 @@ benchMain(int argc, char **argv)
                   2)
             .cell(v->at("gflops") / base, 2);
     }
-    bench::emit(queue, csv.empty() ? csv : "queue_" + csv);
+    queue.print(std::cout);
     driver.finish();
     return 0;
 }

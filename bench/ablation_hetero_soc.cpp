@@ -25,7 +25,6 @@ int
 benchMain(int argc, char **argv)
 {
     const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
-    const std::string &csv = args.csvPath;
     bench::SweepDriver driver(args);
 
     struct HeteroPoint
@@ -107,7 +106,7 @@ benchMain(int argc, char **argv)
             .cell(100.0 * v->at("dense_fraction"), 1)
             .cell(base / v->at("total_ns"), 2);
     }
-    bench::emit(hetero, csv.empty() ? csv : "hetero_" + csv);
+    hetero.print(std::cout);
 
     Table fusion("Graphite-style layer fusion on a PIUMA node",
                  {"dataset", "K", "unfused (ms)", "fused (ms)",
@@ -125,7 +124,7 @@ benchMain(int argc, char **argv)
             .cell(tb / 1e6, 2)
             .cell(ta / tb, 2);
     }
-    bench::emit(fusion, csv.empty() ? csv : "fusion_" + csv);
+    fusion.print(std::cout);
     std::cout << "Reading: Graphite [9] reported ~1.3x from fusion on "
                  "SpMM-bound workloads; on PIUMA the benefit "
                  "concentrates at small K where aggregation traffic "

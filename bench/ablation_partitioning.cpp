@@ -29,7 +29,6 @@ int
 benchMain(int argc, char **argv)
 {
     const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
-    const std::string &csv = args.csvPath;
     bench::SweepDriver driver(args);
     const graph::Csr csr = bench::desProxy(14);
     constexpr uint64_t kDim = 128;
@@ -225,7 +224,7 @@ benchMain(int argc, char **argv)
             .cell(ghost_bytes / feature_matrix_bytes, 2)
             .cell(exchange_ns / 1e3, 1);
     }
-    bench::emit(table, csv);
+    table.print(std::cout);
     std::cout << "Reading: by 16 parts >90% of edges are cut on the "
                  "skewed proxy and every layer ships >5x the entire "
                  "feature matrix between nodes as ghost copies — "
@@ -247,7 +246,7 @@ benchMain(int argc, char **argv)
             .cell(v->at("replication_factor"), 2)
             .cell(v->at("max_load_imbalance"), 2);
     }
-    bench::emit(grid_table, std::string{});
+    grid_table.print(std::cout);
     std::cout << "Reading: hash partitioning is order-blind (cut "
                  "identical across orderings); range partitioning "
                  "inherits whatever locality the relabeling built, so "
@@ -268,7 +267,7 @@ benchMain(int argc, char **argv)
             .cell(v->at("max_slice_bytes_fraction"), 2)
             .cell(v->at("makespan_ns") / 1e3, 1);
     }
-    bench::emit(sim_table, std::string{});
+    sim_table.print(std::cout);
     std::cout << "Reading: with hashed placement the remote-access "
                  "fraction is flat across orderings — the DGAS "
                  "trade-off the paper describes. Blocked placement "

@@ -1,27 +1,26 @@
 /**
  * @file
- * Shared helpers for the figure/table bench binaries: proxy-graph
- * construction at DES-friendly scale, sweep-model construction,
- * optional CSV output (pass an output path as argv[1]), a
- * simulator-throughput report (pass a JSON path as argv[2]) so perf
- * regressions in the discrete-event core show up in bench output, and
- * the shared telemetry flags (--trace=<path>, --metrics=<path>,
- * --sample-ns=<ns>, --trace-detail) that turn a figure run into a
- * Perfetto-loadable trace plus a metrics time series, the sweep
- * robustness flags (--checkpoint=<jsonl>, --resume,
- * --sweep-json=<path>) that make long sweeps restartable after a
- * crash with only the missing points recomputed, the parallel
- * sweep driver (--jobs N) that spreads independent sweep points
- * across worker threads while keeping the checkpoint and consolidated
- * JSON byte-identical to a serial run (see parallel/sweep_runner.hpp),
- * the shared fault-injection spec (--faults=dram_drop=1e-5,... — one
- * parser for every sweep driver, see parseFaultSpec) with
- * --retries=N bounding in-process self-healing of transient failures,
- * and run provenance (--history=<jsonl>) that appends one RunManifest
- * line per bench invocation — git SHA, build flags, SIMD tier, NUMA
- * topology, config/graph digests, per-point metrics — which
- * tools/pgcn_report.py turns into scalability reports and regression
- * gates.
+ * Shared helpers for the figure/table bench binaries: proxy-graph and
+ * sweep-model construction, and the one command line every sweep bench
+ * takes. A bench prints its tables and a simulator-throughput line to
+ * stdout, and writes only the files its flags name:
+ *  - telemetry: --trace=<path>, --metrics=<path>, --sample-ns=<ns>,
+ *    --trace-detail (a Perfetto-loadable trace plus a metrics time
+ *    series);
+ *  - sweep robustness: --checkpoint=<jsonl>, --resume,
+ *    --sweep-json=<path> (a killed sweep recomputes only the missing
+ *    points);
+ *  - execution: --jobs N points wide and --domains/--domain-mode
+ *    within a point, byte-identical to a serial run (see
+ *    parallel/sweep_runner.hpp);
+ *  - faults: --faults=dram_drop=1e-5,... (parseFaultSpec) and
+ *    --retries=N in-process attempts for transient failures;
+ *  - provenance: --history=<jsonl> appends one RunManifest line (git
+ *    SHA, build flags, SIMD tier, NUMA topology, config/graph digests,
+ *    per-point metrics) for tools/pgcn_report.py.
+ * A bench declares its own flags to the same parser (LocalFlag); any
+ * other argument is a ConfigError. Benches that run no sweep take no
+ * arguments at all (runFixedBenchMain).
  */
 #ifndef PGCN_BENCH_BENCH_UTIL_HPP
 #define PGCN_BENCH_BENCH_UTIL_HPP
@@ -29,7 +28,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <exception>
-#include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -59,43 +58,10 @@
 
 namespace pgcn::bench {
 
-/**
- * Emit a finished table: aligned text to stdout, and CSV to
- * @p csv_path when non-empty.
- */
-inline void
-emit(const Table &table, const std::string &csv_path)
-{
-    table.print(std::cout);
-    if (!csv_path.empty()) {
-        table.writeCsv(csv_path);
-        std::cout << "(csv written to " << csv_path << ")\n\n";
-    }
-}
-
-/** argv[1] as CSV path, or empty. */
-inline std::string
-csvPathFromArgs(int argc, char **argv)
-{
-    return argc > 1 ? argv[1] : std::string{};
-}
-
-/** argv[2] as throughput-JSON path, or empty. */
-inline std::string
-jsonPathFromArgs(int argc, char **argv)
-{
-    return argc > 2 ? argv[2] : std::string{};
-}
-
-/**
- * Parsed bench command line: the two positional outputs (table CSV,
- * throughput JSON) plus the shared telemetry flags.
- */
+/** Parsed bench command line: the shared flags every sweep bench takes. */
 struct BenchArgs
 {
     std::string benchName;   ///< basename of argv[0] (manifest key)
-    std::string csvPath;     ///< positional 1: table CSV
-    std::string jsonPath;    ///< positional 2: throughput JSON
     std::string tracePath;   ///< --trace=: Chrome-trace JSON
     std::string metricsPath; ///< --metrics=: time-series CSV
     double samplePeriodNs = 1000.0; ///< --sample-ns=: gauge period
@@ -145,6 +111,27 @@ struct BenchArgs
 };
 
 /**
+ * Parse the number @p value of @p flag.
+ * @throws ConfigError unless the whole value is a number.
+ */
+inline double
+parseNumber(const std::string &flag, const std::string &value)
+{
+    size_t used = 0;
+    double v = 0.0;
+    try {
+        v = std::stod(value, &used);
+    } catch (const std::exception &) {
+        used = 0;
+    }
+    if (used != value.size() || value.empty()) {
+        PGCN_THROW(ConfigError,
+                   flag << ": '" << value << "' is not a number");
+    }
+    return v;
+}
+
+/**
  * Parse a --faults= specification: comma-separated key=value pairs,
  * e.g. "dram_drop=1e-5,net_drop=1e-4,timeout_ns=500,max_retries=8".
  * One implementation shared by every sweep driver so the vocabulary
@@ -176,18 +163,7 @@ parseFaultSpec(const std::string &spec)
                                         << item << "' is not key=value");
         }
         const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        size_t used = 0;
-        double v = 0.0;
-        try {
-            v = std::stod(value, &used);
-        } catch (const std::exception &) {
-            used = 0;
-        }
-        if (used != value.size() || value.empty()) {
-            PGCN_THROW(ConfigError, "--faults " << key << ": '" << value
-                                                << "' is not a number");
-        }
+        const double v = parseNumber("--faults " + key, item.substr(eq + 1));
         if (key == "seed")
             cfg.seed = static_cast<uint64_t>(v);
         else if (key == "dram_jitter")
@@ -291,13 +267,29 @@ domainModeName(sim::DomainMode mode)
 }
 
 /**
- * Parse positionals + telemetry flags.
+ * A flag one bench adds to the shared set. A @p name ending in '='
+ * takes a value ("--mega="); any other name is a bare switch
+ * ("--small"). @p apply receives the value, empty for a switch, and
+ * throws ConfigError on a malformed one.
+ */
+struct LocalFlag
+{
+    std::string name;
+    std::function<void(const std::string &)> apply;
+};
+
+/**
+ * Parse the shared flags plus the bench's own @p local ones.
  * @throws ConfigError on an unknown --flag (a typo such as
  *         --domain-mod=parallel would otherwise run a different
- *         configuration than asked) or a malformed count.
+ *         configuration than asked), a positional argument (a flag
+ *         typed without its "--" would otherwise run the default
+ *         sweep), a malformed value, or a flag that needs another
+ *         one it was not given.
  */
 inline BenchArgs
-parseBenchArgs(int argc, char **argv)
+parseBenchArgs(int argc, char **argv,
+               const std::vector<LocalFlag> &local = {})
 {
     BenchArgs args;
     if (argc > 0 && argv[0] != nullptr) {
@@ -306,7 +298,6 @@ parseBenchArgs(int argc, char **argv)
         args.benchName =
             slash == std::string::npos ? self : self.substr(slash + 1);
     }
-    int positional = 0;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--trace=", 0) == 0) {
@@ -314,7 +305,8 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg.rfind("--metrics=", 0) == 0) {
             args.metricsPath = arg.substr(10);
         } else if (arg.rfind("--sample-ns=", 0) == 0) {
-            args.samplePeriodNs = std::stod(arg.substr(12));
+            args.samplePeriodNs =
+                parseNumber("--sample-ns", arg.substr(12));
         } else if (arg == "--trace-detail") {
             args.traceDetail = true;
         } else if (arg.rfind("--checkpoint=", 0) == 0) {
@@ -348,15 +340,18 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg.rfind("--retries=", 0) == 0) {
             args.pointAttempts = parseCount("--retries", arg.substr(10));
         } else if (arg.rfind("--", 0) == 0) {
-            PGCN_THROW(ConfigError, "unknown flag: " << arg);
-        } else if (positional == 0) {
-            args.csvPath = arg;
-            ++positional;
-        } else if (positional == 1) {
-            args.jsonPath = arg;
-            ++positional;
+            const auto flag = std::find_if(
+                local.begin(), local.end(), [&](const LocalFlag &f) {
+                    return f.name.back() == '=' ? arg.rfind(f.name, 0) == 0
+                                                : arg == f.name;
+                });
+            if (flag == local.end())
+                PGCN_THROW(ConfigError, "unknown flag: " << arg);
+            flag->apply(arg.substr(flag->name.size()));
         } else {
-            std::cerr << "extra positional ignored: " << arg << "\n";
+            PGCN_THROW(ConfigError, "unexpected positional argument '"
+                                        << arg
+                                        << "' (benches take --flags only)");
         }
     }
     // Caught here rather than per sweep point, where the run would
@@ -367,6 +362,11 @@ parseBenchArgs(int argc, char **argv)
                                                 "parallel or auto: "
                                                 "sequenced runs one engine");
     }
+    // Both act on the checkpoint; without one they would do nothing.
+    if (args.checkpointPath.empty() && args.resume)
+        PGCN_THROW(ConfigError, "--resume needs --checkpoint=");
+    if (args.checkpointPath.empty() && !args.sweepJsonPath.empty())
+        PGCN_THROW(ConfigError, "--sweep-json= needs --checkpoint=");
     return args;
 }
 
@@ -378,11 +378,8 @@ parseBenchArgs(int argc, char **argv)
 inline JsonlCheckpoint
 makeCheckpoint(const BenchArgs &args)
 {
-    if (args.checkpointPath.empty()) {
-        if (args.resume)
-            std::cerr << "--resume ignored: no --checkpoint= given\n";
+    if (args.checkpointPath.empty())
         return {};
-    }
     JsonlCheckpoint ckpt(args.checkpointPath, args.resume);
     if (args.resume)
         std::cout << "(resuming from " << args.checkpointPath << ": "
@@ -396,10 +393,6 @@ finishSweep(const JsonlCheckpoint &ckpt, const BenchArgs &args)
 {
     if (args.sweepJsonPath.empty())
         return;
-    if (!ckpt.enabled()) {
-        std::cerr << "--sweep-json ignored: no --checkpoint= given\n";
-        return;
-    }
     ckpt.writeFinalJson(args.sweepJsonPath);
     std::cout << "(sweep json written to " << args.sweepJsonPath << ", "
               << ckpt.size() << " points)\n";
@@ -428,6 +421,24 @@ runBenchMain(Fn &&body)
         std::cerr << "fatal (unexpected): " << e.what() << "\n";
         return 1;
     }
+}
+
+/**
+ * runBenchMain for a bench that runs no sweep: it has no flag to take,
+ * so any argument is a ConfigError rather than silently ignored.
+ */
+template <typename Fn>
+inline int
+runFixedBenchMain(int argc, char **argv, Fn &&body)
+{
+    return runBenchMain([&] {
+        if (argc > 1) {
+            PGCN_THROW(ConfigError, "unexpected argument '"
+                                        << argv[1]
+                                        << "' (this bench takes none)");
+        }
+        return body();
+    });
 }
 
 /**
@@ -464,7 +475,7 @@ finishSession(const telemetry::Session &session, const BenchArgs &args)
 /**
  * Accumulates simulator (host) throughput over the DES runs a bench
  * binary performs. Feed it every run's stats with add(); print() a
- * one-line summary, and writeJson() the aggregate for CI tracking.
+ * one-line summary.
  */
 class SimThroughput
 {
@@ -511,21 +522,6 @@ class SimThroughput
            << events_ << " events, " << wallSeconds_ << " s, "
            << runs_ << " runs, peak queue depth "
            << peakQueueDepth_ << ")\n";
-    }
-
-    /** Write the aggregate as a flat JSON object to @p path. */
-    void
-    writeJson(const std::string &path) const
-    {
-        std::ofstream out(path);
-        out << "{\n"
-            << "  \"events\": " << events_ << ",\n"
-            << "  \"wall_seconds\": " << wallSeconds_ << ",\n"
-            << "  \"events_per_sec\": " << eventsPerSec() << ",\n"
-            << "  \"peak_queue_depth\": " << peakQueueDepth_ << ",\n"
-            << "  \"runs\": " << runs_ << "\n"
-            << "}\n";
-        std::cout << "(throughput json written to " << path << ")\n";
     }
 
     /** Fold another accumulator in (per-worker totals -> grand total). */
@@ -715,9 +711,9 @@ class SweepDriver
     size_t failed() const { return outcome_.failed; }
 
     /**
-     * Wrap up after rendering: print/write aggregate simulator
-     * throughput (when any DES ran), the consolidated sweep JSON, and
-     * the merged trace/metrics outputs.
+     * Wrap up after rendering: print aggregate simulator throughput
+     * (when any DES ran), then write the consolidated sweep JSON, the
+     * merged trace/metrics outputs and the run manifest.
      */
     void
     finish()
@@ -727,8 +723,6 @@ class SweepDriver
             total.merge(t);
         if (total.runs() > 0)
             total.print(std::cout);
-        if (!args_.jsonPath.empty())
-            total.writeJson(args_.jsonPath);
         finishSweep(ckpt_, args_);
         if (session_) {
             runner_.mergeTelemetryInto(*session_);

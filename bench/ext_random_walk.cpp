@@ -15,10 +15,11 @@
 
 using namespace pgcn;
 
+namespace {
+
 int
-main(int argc, char **argv)
+benchMain()
 {
-    const std::string csv = bench::csvPathFromArgs(argc, argv);
     const graph::Csr csr = bench::desProxy(13);
     std::cout << "proxy: |V|=" << csr.numVertices()
               << " |E|=" << csr.numEdges() << "\n\n";
@@ -55,11 +56,19 @@ main(int argc, char **argv)
             }
         }
     }
-    bench::emit(table, csv);
+    table.print(std::cout);
     std::cout << "Reading: an 8-core PIUMA slice of a node already "
                  "rivals the 80-core Xeon on this latency-bound "
                  "kernel; a full node (32x more cores) leaves it far "
                  "behind — the Section VI argument for sampling-based "
                  "GNNs on PIUMA.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runFixedBenchMain(argc, argv, benchMain);
 }

@@ -75,25 +75,12 @@ struct Rate
 int
 benchMain(int argc, char **argv)
 {
-    // Campaign-specific flags are filtered out before the shared
-    // parser sees (and warns about) them.
     bool small = false;
     bool poison = false;
-    std::vector<char *> filtered;
-    for (int i = 0; i < argc; ++i) {
-        const std::string a = argv[i] != nullptr ? argv[i] : "";
-        if (a == "--small") {
-            small = true;
-            continue;
-        }
-        if (a == "--poison") {
-            poison = true;
-            continue;
-        }
-        filtered.push_back(argv[i]);
-    }
     const bench::BenchArgs args = bench::parseBenchArgs(
-        static_cast<int>(filtered.size()), filtered.data());
+        argc, argv,
+        {{"--small", [&](const std::string &) { small = true; }},
+         {"--poison", [&](const std::string &) { poison = true; }}});
     bench::SweepDriver driver(args);
 
     // Base fault config: --faults= may add jitters or override the
@@ -326,9 +313,7 @@ benchMain(int argc, char **argv)
                           << "): not reached in swept range\n";
         }
         std::cout << "\n";
-        bench::emit(table, args.csvPath.empty()
-                               ? args.csvPath
-                               : graphs[gi].name + "_" + args.csvPath);
+        table.print(std::cout);
     }
 
     if (poison) {

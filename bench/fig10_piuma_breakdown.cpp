@@ -45,12 +45,9 @@ struct ModelCounters
     }
 };
 
-} // namespace
-
 int
-main(int argc, char **argv)
+benchMain()
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
     core::PiumaPlatform piuma_node;
 
     telemetry::Registry registry;
@@ -80,7 +77,7 @@ main(int argc, char **argv)
         }
     }
     piuma::setNodeModelTelemetry(nullptr);
-    bench::emit(table, args.csvPath);
+    table.print(std::cout);
     std::cout << "(breakdown sourced from the telemetry counter "
                  "registry: piuma.model.{spmm,dense,glue}_ns, "
               << registry.counterValue("piuma.model.spmm_calls") +
@@ -88,4 +85,12 @@ main(int argc, char **argv)
                      registry.counterValue("piuma.model.glue_calls")
               << " model evaluations)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runFixedBenchMain(argc, argv, benchMain);
 }

@@ -45,7 +45,6 @@ int
 benchMain(int argc, char **argv)
 {
     const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
-    const std::string &csv = args.csvPath;
     bench::SweepDriver driver(args);
     const auto cfg = xeon::XeonConfig::platinum8380();
 
@@ -122,7 +121,7 @@ benchMain(int argc, char **argv)
             grid.cell(v->at("pct_spmm"), 1);
         }
     }
-    bench::emit(grid, csv);
+    grid.print(std::cout);
 
     Table annot("OGB dataset coordinates on the Fig 2 plane",
                 {"name", "|V|", "density", "%SpMM (K=256 layer)"});

@@ -17,10 +17,11 @@
 
 using namespace pgcn;
 
+namespace {
+
 int
-main(int argc, char **argv)
+benchMain()
 {
-    const std::string csv = bench::csvPathFromArgs(argc, argv);
     core::XeonPlatform cpu;
 
     Table table("Fig 3: CPU (dual-socket Xeon 8380) GCN breakdown",
@@ -40,6 +41,14 @@ main(int argc, char **argv)
                 .cell(bd.totalNs() / 1e6, 2);
         }
     }
-    bench::emit(table, csv);
+    table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runFixedBenchMain(argc, argv, benchMain);
 }

@@ -14,10 +14,11 @@
 
 using namespace pgcn;
 
+namespace {
+
 int
-main(int argc, char **argv)
+benchMain()
 {
-    const std::string csv = bench::csvPathFromArgs(argc, argv);
     core::GpuPlatform gpu;
 
     Table table("Fig 4: GPU (A100-40GB) GCN breakdown",
@@ -39,6 +40,14 @@ main(int argc, char **argv)
                 .cell(bd.totalNs() / 1e6, 2);
         }
     }
-    bench::emit(table, csv);
+    table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runFixedBenchMain(argc, argv, benchMain);
 }

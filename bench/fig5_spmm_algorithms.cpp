@@ -10,7 +10,6 @@
  * remote latency lands on the stall-on-use pipelines. Trends hold for
  * K = 8, 64 and 256 (the paper highlights 256).
  */
-#include <cstdlib>
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -20,17 +19,14 @@
 using namespace pgcn;
 using piuma::SpmmAlgorithm;
 
-int
-main(int argc, char **argv)
-{
-    const std::string csv = bench::csvPathFromArgs(argc, argv);
+namespace {
 
+int
+benchMain()
+{
     // Down-scaled proxy (methodology of [18]): 2^14 vertices, avg
-    // degree 16 -> ~440k non-zeros after normalisation. argv[2]
-    // overrides the scale for quicker runs.
-    const uint32_t scale =
-        argc > 2 ? static_cast<uint32_t>(std::atoi(argv[2])) : 14;
-    const graph::Csr csr = bench::desProxy(scale);
+    // degree 16 -> ~440k non-zeros after normalisation.
+    const graph::Csr csr = bench::desProxy(14);
     std::cout << "proxy: |V|=" << csr.numVertices()
               << " |E|=" << csr.numEdges() << "\n\n";
 
@@ -67,6 +63,14 @@ main(int argc, char **argv)
                 .cell(est.timeNs / lu.makespanNs, 2);
         }
     }
-    bench::emit(table, csv);
+    table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runFixedBenchMain(argc, argv, benchMain);
 }

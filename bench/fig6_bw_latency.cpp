@@ -16,10 +16,11 @@
 using namespace pgcn;
 using piuma::SpmmAlgorithm;
 
+namespace {
+
 int
-main(int argc, char **argv)
+benchMain()
 {
-    const std::string csv = bench::csvPathFromArgs(argc, argv);
     const graph::Csr csr = bench::desProxy(12);
     std::cout << "proxy: |V|=" << csr.numVertices()
               << " |E|=" << csr.numEdges() << "\n\n";
@@ -45,7 +46,7 @@ main(int argc, char **argv)
             }
         }
     }
-    bench::emit(top, csv.empty() ? csv : "top_" + csv);
+    top.print(std::cout);
 
     Table bottom("Fig 6 (bottom): DRAM latency sweep, DMA SpMM GFLOP/s",
                  {"K", "cores", "latency ns", "GF/s",
@@ -70,6 +71,14 @@ main(int argc, char **argv)
             }
         }
     }
-    bench::emit(bottom, csv.empty() ? csv : "bottom_" + csv);
+    bottom.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runFixedBenchMain(argc, argv, benchMain);
 }

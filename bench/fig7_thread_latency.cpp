@@ -36,7 +36,6 @@ int
 benchMain(int argc, char **argv)
 {
     const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
-    const std::string &csv = args.csvPath;
     bench::SweepDriver driver(args);
     const graph::Csr csr = bench::desProxy(12);
     std::cout << "proxy: |V|=" << csr.numVertices()
@@ -136,7 +135,7 @@ benchMain(int argc, char **argv)
             .cell(gflops, 2)
             .cell(gflops / base, 3);
     }
-    bench::emit(top, csv.empty() ? csv : "top_" + csv);
+    top.print(std::cout);
 
     Table bottom("Fig 7 (bottom): K=8 thread-time breakdown, 8-core "
                  "PIUMA (per-thread averages)",
@@ -159,7 +158,7 @@ benchMain(int argc, char **argv)
             .cell(point->at("row_offset_stall_ns") / t / 1e3, 2)
             .cell(point->at("makespan_ns") / 1e3, 2);
     }
-    bench::emit(bottom, csv.empty() ? csv : "bottom_" + csv);
+    bottom.print(std::cout);
 
     std::cout << "Reading: at 1 thread/MTP the NNZ stall grows with "
                  "latency and starves the DMA engine; at 16 threads "

@@ -41,6 +41,7 @@
  */
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,25 +59,15 @@ namespace {
 int
 benchMain(int argc, char **argv)
 {
-    // Filter the fig8-specific --mega=<cores> flag before the shared
-    // parser (same pattern as fault_envelope's --small/--poison).
-    unsigned mega_cores = 0;
-    std::vector<char *> filtered;
-    for (int i = 0; i < argc; ++i) {
-        const std::string a = argv[i] != nullptr ? argv[i] : "";
-        if (a.rfind("--mega=", 0) == 0) {
-            mega_cores = static_cast<unsigned>(std::stoul(a.substr(7)));
-            continue;
-        }
-        filtered.push_back(argv[i]);
-    }
+    std::optional<unsigned> mega_cores;
     const bench::BenchArgs args = bench::parseBenchArgs(
-        static_cast<int>(filtered.size()), filtered.data());
-    const std::string &csv = args.csvPath;
+        argc, argv, {{"--mega=", [&](const std::string &v) {
+                          mega_cores = bench::parseCount("--mega", v);
+                      }}});
     bench::SweepDriver driver(args);
     const auto xeon_cfg = xeon::XeonConfig::platinum8380();
 
-    if (mega_cores != 0) {
+    if (mega_cores) {
         // One fig8-style point at full-machine scale. The graph is the
         // scale-14 RMAT proxy every big-machine measurement in
         // EXPERIMENTS.md uses, so numbers stay comparable across runs.
@@ -85,14 +76,15 @@ benchMain(int argc, char **argv)
         const graph::Csr big = graph::normalizedAdjacency(
             graph::generateRmat(14, 1u << 18, graph::rmatSkewed(), 99));
         std::cout << "mega proxy: |V|=" << big.numVertices()
-                  << " |E|=" << big.numEdges() << " cores=" << mega_cores
+                  << " |E|=" << big.numEdges() << " cores=" << *mega_cores
                   << "\n\n";
         driver.noteGraph(big);
         driver.add(
-            "mega/cores=" + std::to_string(mega_cores),
-            [&driver, &big, mega_cores](const parallel::SweepContext &ctx) {
+            "mega/cores=" + std::to_string(*mega_cores),
+            [&driver, &big, cores = *mega_cores](
+                const parallel::SweepContext &ctx) {
                 piuma::PiumaConfig pcfg;
-                pcfg.numCores = mega_cores;
+                pcfg.numCores = cores;
                 const auto sim =
                     simulateSpmm(big, 16, pcfg, SpmmAlgorithm::Dma,
                                  ctx.session, ctx.controls);
@@ -124,7 +116,7 @@ benchMain(int argc, char **argv)
             .cell(xeon::streamBandwidth(xeon_cfg, cores), 1)
             .cell(pcfg.aggregateBandwidth(), 1);
     }
-    bench::emit(left, csv.empty() ? csv : "left_" + csv);
+    left.print(std::cout);
 
     const auto &products = graph::datasetByName("products");
     const auto proxy = graph::buildProxy(products, 1u << 18);
@@ -271,7 +263,7 @@ benchMain(int argc, char **argv)
         row.cell(get("cp_parallelism", 0.0), 1)
             .cell(piuma::scalingBoundName(bound_stats, pcfg.totalThreads()));
     }
-    bench::emit(middle, csv.empty() ? csv : "middle_" + csv);
+    middle.print(std::cout);
 
     // ---- Right: 16-core PIUMA breakdown across K.
     Table right("Fig 8 (right): 16-core PIUMA DMA SpMM traffic & stall "
@@ -302,7 +294,7 @@ benchMain(int argc, char **argv)
             .cell(point->at("dma_queue_stall_ns") / threads / 1e3, 2)
             .cell(est.timeNs / point->at("makespan_ns"), 2);
     }
-    bench::emit(right, csv.empty() ? csv : "right_" + csv);
+    right.print(std::cout);
 
     // ---- Raw occupancy timelines (one row per non-empty bucket per
     // resource, prefixed with the owning sweep point).

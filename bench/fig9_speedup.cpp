@@ -35,7 +35,6 @@ int
 benchMain(int argc, char **argv)
 {
     const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
-    const std::string &csv = args.csvPath;
     bench::SweepDriver driver(args);
 
     // Calibrate the node model against the DES on an 8-core die.
@@ -110,7 +109,7 @@ benchMain(int argc, char **argv)
             .cell(v->at("gpu_spmm_x"), 2)
             .cell(v->at("gpu_fits") != 0.0 ? "yes" : "NO");
     }
-    bench::emit(table, csv);
+    table.print(std::cout);
     driver.finish();
     return 0;
 }

@@ -12,11 +12,11 @@
 
 using namespace pgcn;
 
-int
-main(int argc, char **argv)
-{
-    const std::string csv = bench::csvPathFromArgs(argc, argv);
+namespace {
 
+int
+benchMain()
+{
     Table published("Table I: OGB dataset descriptions",
                     {"name", "|V|", "|E|", "avg deg", "input dim",
                      "classes", "profile"});
@@ -33,7 +33,7 @@ main(int argc, char **argv)
             .cell(d.profile == graph::DegreeProfile::Skewed ? "skewed"
                                                             : "uniform");
     }
-    bench::emit(published, csv);
+    published.print(std::cout);
 
     Table proxies("Down-scaled proxies (functional kernels / DES)",
                   {"name", "proxy |V|", "proxy |E|", "scale factor",
@@ -52,4 +52,12 @@ main(int argc, char **argv)
     }
     proxies.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runFixedBenchMain(argc, argv, benchMain);
 }

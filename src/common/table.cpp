@@ -1,11 +1,9 @@
 #include "table.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 
-#include "error.hpp"
 #include "logging.hpp"
 
 namespace pgcn {
@@ -91,52 +89,6 @@ Table::print(std::ostream &os) const
     for (const auto &row : rows_)
         emit_row(row);
     os << "\n";
-}
-
-namespace {
-
-std::string
-csvEscape(const std::string &cell)
-{
-    if (cell.find_first_of(",\"\n") == std::string::npos)
-        return cell;
-    std::string out = "\"";
-    for (char ch : cell) {
-        if (ch == '"')
-            out += '"';
-        out += ch;
-    }
-    out += '"';
-    return out;
-}
-
-} // namespace
-
-void
-Table::printCsv(std::ostream &os) const
-{
-    auto emit_row = [&](const std::vector<std::string> &cells) {
-        for (size_t c = 0; c < cells.size(); ++c) {
-            if (c)
-                os << ',';
-            os << csvEscape(cells[c]);
-        }
-        os << '\n';
-    };
-    emit_row(headers_);
-    for (const auto &row : rows_)
-        emit_row(row);
-}
-
-void
-Table::writeCsv(const std::string &path) const
-{
-    std::ofstream out(path);
-    if (!out)
-        PGCN_THROW(IoError, "cannot open CSV output file: " << path);
-    printCsv(out);
-    if (!out)
-        PGCN_THROW(IoError, "I/O error writing CSV output file: " << path);
 }
 
 std::string

@@ -1,10 +1,9 @@
 /**
  * @file
- * Aligned-text and CSV table emitters.
+ * Aligned-text table emitter.
  *
- * Every bench binary reports its figure/table data through these so
- * that output is uniform: a human-readable aligned table on stdout,
- * and optionally a machine-readable CSV file for plotting.
+ * Every bench binary reports its figure/table data through this so
+ * that output is uniform: a human-readable aligned table on stdout.
  */
 #ifndef PGCN_COMMON_TABLE_HPP
 #define PGCN_COMMON_TABLE_HPP
@@ -64,20 +63,6 @@ class Table
      * @param os Destination stream.
      */
     void print(std::ostream &os) const;
-
-    /**
-     * Render as CSV (RFC-4180-ish: cells containing commas or quotes
-     * are quoted).
-     *
-     * @param os Destination stream.
-     */
-    void printCsv(std::ostream &os) const;
-
-    /**
-     * Write the CSV rendering to @p path, creating/truncating the file.
-     * Fatal on I/O failure.
-     */
-    void writeCsv(const std::string &path) const;
 
   private:
     std::string title_;

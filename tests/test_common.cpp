@@ -258,15 +258,6 @@ TEST(Table, AlignedOutputContainsCells)
     EXPECT_NE(s.find("3.14"), std::string::npos);
 }
 
-TEST(Table, CsvEscapesCommas)
-{
-    Table t("csv", {"a"});
-    t.row().cell("x,y");
-    std::ostringstream oss;
-    t.printCsv(oss);
-    EXPECT_NE(oss.str().find("\"x,y\""), std::string::npos);
-}
-
 TEST(Table, RowCount)
 {
     Table t("rows", {"a", "b"});

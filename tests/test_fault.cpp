@@ -11,9 +11,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <random>
 
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "graph/normalize.hpp"
 #include "piuma/config.hpp"
@@ -397,6 +400,54 @@ TEST(HardFault, NoDropScheduleDeadlocks)
             } catch (const sim::SimDeadlockError &e) {
                 FAIL() << "drop schedule deadlocked: " << e.what();
             }
+        }
+    }
+}
+
+TEST(HardFault, SmallEnvelopeReachesTheKnee)
+{
+    // The fault_envelope --small campaign point for point: arxiv
+    // proxy, 4 cores, K=32, DMA SpMM, the "eager" policy, every fault
+    // class at the swept rate, seeded base + point index as the bench
+    // seeds it. Faults off must mean faults off, injection must be
+    // live at every rate > 0, retries must conserve bytes, and the top
+    // rate must inflate the makespan past the 2x envelope knee.
+    const graph::Csr csr =
+        graph::buildProxy(graph::datasetByName("arxiv"), 1u << 15)
+            .adjacency;
+    PiumaConfig cfg;
+    cfg.numCores = 4;
+    const double rates[] = {0.0, 1e-2, 1e-1};
+    double base_makespan = 0.0;
+    for (size_t i = 0; i < std::size(rates); ++i) {
+        FaultConfig fc;
+        fc.seed += i;
+        fc.dramDropRate = rates[i];
+        fc.netDropRate = rates[i];
+        fc.dmaDropRate = rates[i];
+        fc.stuckCoreRate = rates[i];
+        fc.timeoutNs = 300.0;
+        fc.backoffNs = 50.0;
+        fc.maxRetries = 12;
+        FaultInjector faults(fc);
+        SimControls controls;
+        controls.faults = &faults;
+        SCOPED_TRACE("rate " + std::to_string(rates[i]));
+        const SpmmRunStats s = simulateSpmm(csr, 32, cfg,
+                                            SpmmAlgorithm::Dma, nullptr,
+                                            &controls);
+        EXPECT_NEAR(s.bytesServed, s.goodputBytes + s.retriedBytes,
+                    1e-6 * std::max(s.bytesServed, 1.0));
+        if (rates[i] == 0.0) {
+            EXPECT_GT(s.goodputBytes, 0.0);
+            EXPECT_EQ(s.timeoutsFired, 0u);
+            EXPECT_EQ(s.retries, 0u);
+            base_makespan = s.makespanNs;
+        } else {
+            EXPECT_GT(s.retries, 0u);
+        }
+        if (rates[i] == 1e-1) {
+            EXPECT_GT(s.makespanNs, 2.0 * base_makespan);
         }
     }
 }

@@ -504,8 +504,8 @@ TEST(DgasAblation, RemoteFractionCountersAreConsistent)
 TEST(DgasAblation, BlockedPlacementRewardsIslandizedOrder)
 {
     // The locality story of the reorder sweeps, end to end on the DES:
-    // with blocked row placement and interleave off, an islandized
-    // relabeling keeps neighbourhoods on their home slice and the
+    // with blocked row placement and interleave off, an islandized or
+    // RCM relabeling keeps neighbourhoods on their home slice and the
     // remote-access fraction drops well below a shuffled relabeling of
     // the same graph. Hashed placement (the default) must stay
     // order-blind.
@@ -516,6 +516,7 @@ TEST(DgasAblation, BlockedPlacementRewardsIslandizedOrder)
     const graph::Csr islandized =
         graph::islandOrder(base, base.numVertices() / 8)
             .perm.applyToCsr(base);
+    const graph::Csr rcm = graph::rcmOrder(shuffled).applyToCsr(shuffled);
 
     PiumaConfig cfg;
     cfg.numCores = 8;
@@ -525,14 +526,16 @@ TEST(DgasAblation, BlockedPlacementRewardsIslandizedOrder)
         simulateSpmm(shuffled, 32, cfg, SpmmAlgorithm::Dma);
     const auto isl =
         simulateSpmm(islandized, 32, cfg, SpmmAlgorithm::Dma);
+    const auto r = simulateSpmm(rcm, 32, cfg, SpmmAlgorithm::Dma);
     // RMAT is expander-like, so most islands still have many cut
     // edges; the drop is real but modest. Real-world graphs with
     // community structure separate further.
     EXPECT_LT(isl.remoteAccessFraction,
               shuf.remoteAccessFraction * 0.95);
+    EXPECT_LT(r.remoteAccessFraction, shuf.remoteAccessFraction * 0.95);
 
     // Hashed placement scatters rows independent of their ids, so the
-    // two relabelings look statistically identical to it.
+    // relabelings all look statistically identical to it.
     PiumaConfig hashed;
     hashed.numCores = 8;
     hashed.dgasFineInterleave = false;
@@ -541,6 +544,9 @@ TEST(DgasAblation, BlockedPlacementRewardsIslandizedOrder)
     const auto h_isl =
         simulateSpmm(islandized, 32, hashed, SpmmAlgorithm::Dma);
     EXPECT_NEAR(h_isl.remoteAccessFraction,
+                h_shuf.remoteAccessFraction, 0.05);
+    const auto h_rcm = simulateSpmm(rcm, 32, hashed, SpmmAlgorithm::Dma);
+    EXPECT_NEAR(h_rcm.remoteAccessFraction,
                 h_shuf.remoteAccessFraction, 0.05);
 }
 
