@@ -236,6 +236,36 @@ BENCHMARK(BM_DenseMmBlocked)->Arg(64)->Arg(256);
 BENCHMARK_CAPTURE(BM_DenseMmBlocked, pool4, 4u)->Arg(256)->UseRealTime();
 
 /**
+ * The tall m x k . k x n GEMM of host inference's last layer on a
+ * 4-thread pool: 65,536 rows, 128 -> 47. On AVX-512 its last panel is
+ * 15 columns, no wider than one register.
+ */
+void
+BM_DenseMmTall(benchmark::State &state)
+{
+    const auto m = static_cast<uint64_t>(state.range(0));
+    const auto k = static_cast<uint64_t>(state.range(1));
+    const auto n = static_cast<uint64_t>(state.range(2));
+    tensor::DenseMatrix a(m, k), b(k, n), out;
+    a.fillRandom(1);
+    b.fillRandom(2);
+    parallel::ThreadPool pool(4);
+    for (auto _ : state) {
+        tensor::denseMmBlocked(a, b, out, &pool);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    setFlopsCounters(state,
+                     2.0 * static_cast<double>(m) * static_cast<double>(k) *
+                         static_cast<double>(n),
+                     xeon::denseMmTimeNs(hostRoofline(), m, k, n, 1));
+}
+BENCHMARK(BM_DenseMmTall)
+    ->Name("BM_DenseMmTall/pool4")
+    ->Args({65536, 128, 47})
+    ->UseRealTime();
+
+/**
  * One steady-state GcnModel::infer pass, end to end: the host row the
  * kernel rows above add up to. The warm-up pass before the loop pays
  * the one-time first-touch of the calling thread's layer buffers.

@@ -55,18 +55,32 @@ class GcnModel
     /**
      * Run inference: features -> logits.
      *
-     * The intermediate layers run in two |V| x max-layer-width
-     * buffers owned by the calling thread. They keep their capacity
-     * until that thread exits, so a repeated call allocates nothing
-     * but the returned logits. Concurrent calls from different
-     * threads are safe: each thread has its own buffers.
+     * The layers run as pool passes that break only where a SpMM
+     * must gather from a complete matrix: transform-then-aggregate is
+     * [G0] [S0 R G1] ... [S(L-1)] and aggregate-then-transform is
+     * [S0 G0 R] ... [S(L-1) G(L-1)]. Inside a pass each worker takes
+     * 96-row tiles and runs the pass's SpMM, ReLU and GEMM on one
+     * tile while it is in cache. EdgeParallel's atomic SpMM needs the
+     * whole matrix, so it runs first and the tiles start from its
+     * output. Every element keeps its summation order, so the logits
+     * are bit-identical to the unfused chain of denseMmBlocked, the
+     * SpMM kernel and reluInPlace, and to any pool size.
+     *
+     * The passes ping-pong between two |V| x max-layer-width buffers
+     * owned by the calling thread. They keep their capacity until
+     * that thread exits, so a repeated call allocates nothing but the
+     * returned logits. Concurrent calls from different threads are
+     * safe: each thread has its own buffers.
      *
      * @param adjacency Normalised adjacency A~ (|V| x |V|).
      * @param features Input features (|V| x inputDim).
      * @param pool Thread pool for the parallel kernels.
      * @param spmm_kind Which SpMM implementation to use.
      * @param breakdown_out If non-null, receives the measured
-     *        wall-clock breakdown (SpMM / Dense MM / Glue).
+     *        wall-clock breakdown (SpMM / Dense MM / Glue): each
+     *        pass's wall time, split in proportion to the thread time
+     *        its workers spent in each step. When null, no clock is
+     *        read inside a tile.
      * @return Output logits (|V| x outputDim).
      */
     tensor::DenseMatrix infer(const graph::Csr &adjacency,

@@ -21,8 +21,9 @@
  *  - gemmPackB / gemmPrepacked: BLIS-style packed GEMM. B is packed
  *    into NR-column panels (NR = two vector registers); the
  *    microkernel computes an MR x NR register tile (MR = kGemmMr)
- *    with KC-blocked accumulation over the inner dimension, and a
- *    partial last panel stores through the mask.
+ *    with KC-blocked accumulation over the inner dimension; a partial
+ *    last panel stores through the mask, and one no wider than a
+ *    register computes only that register.
  *
  * Every element is summed in the same order whichever block, tile or
  * mask computes it, so a caller that splits rows across threads gets
@@ -243,38 +244,43 @@ template <class P> struct Backend
     }
 
     /**
-     * MR_ x NR register-tile microkernel over packed-B panel rows
-     * [p0, p1). Writes the jw (<= NR) valid columns of C; beta_one
-     * accumulates into the existing C values.
+     * MR_ x (NV * W) register-tile microkernel over packed-B panel
+     * rows [p0, p1). Writes the jw (<= NV * W) valid columns of C;
+     * beta_one accumulates into the existing C values. A last panel
+     * no wider than one register (NV = 1) loads and FMAs only its
+     * first register, whose lanes run the same FMAs as in a two-
+     * register tile.
      */
-    template <int MR_>
+    template <int MR_, int NV>
     static void
     micro(const float *a, uint64_t lda, const float *panel, float *c,
           uint64_t ldc, uint64_t p0, uint64_t p1, bool beta_one,
           uint64_t jw)
     {
-        V acc[MR_][2];
+        V acc[MR_][NV];
         for (int r = 0; r < MR_; ++r) {
-            acc[r][0] = P::zero();
-            acc[r][1] = P::zero();
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = P::zero();
         }
         for (uint64_t p = p0; p < p1; ++p) {
-            const V b0 = P::load(panel + p * NR);
-            const V b1 = P::load(panel + p * NR + W);
+            V b[NV];
+            for (int v = 0; v < NV; ++v)
+                b[v] = P::load(panel + p * NR +
+                               static_cast<uint64_t>(v) * W);
             for (int r = 0; r < MR_; ++r) {
                 const V va = P::set1(a[static_cast<uint64_t>(r) * lda + p]);
-                acc[r][0] = P::fma(va, b0, acc[r][0]);
-                acc[r][1] = P::fma(va, b1, acc[r][1]);
+                for (int v = 0; v < NV; ++v)
+                    acc[r][v] = P::fma(va, b[v], acc[r][v]);
             }
         }
         // A partial last panel (jw < NR) stores its valid columns
         // through the mask; the padded lanes never touch C.
         const uint64_t w0 = std::min(jw, W);
-        const uint64_t w1 = jw - w0;
         for (int r = 0; r < MR_; ++r) {
             float *crow = c + static_cast<uint64_t>(r) * ldc;
             storePart(crow, acc[r][0], w0, beta_one);
-            storePart(crow + W, acc[r][1], w1, beta_one);
+            if constexpr (NV == 2)
+                storePart(crow + W, acc[r][1], jw - w0, beta_one);
         }
     }
 
@@ -289,19 +295,30 @@ template <class P> struct Backend
         }
     }
 
+    /** micro<mr, NV> for mr in 1..kGemmMr. */
+    template <int NV, class... Args>
+    static void
+    microRows(int mr, Args... args)
+    {
+        switch (mr) {
+        case 6: micro<6, NV>(args...); break;
+        case 5: micro<5, NV>(args...); break;
+        case 4: micro<4, NV>(args...); break;
+        case 3: micro<3, NV>(args...); break;
+        case 2: micro<2, NV>(args...); break;
+        default: micro<1, NV>(args...);
+        }
+    }
+
     static void
     microDispatch(int mr, const float *a, uint64_t lda, const float *panel,
                   float *c, uint64_t ldc, uint64_t p0, uint64_t p1,
                   bool beta_one, uint64_t jw)
     {
-        switch (mr) {
-        case 6: micro<6>(a, lda, panel, c, ldc, p0, p1, beta_one, jw); break;
-        case 5: micro<5>(a, lda, panel, c, ldc, p0, p1, beta_one, jw); break;
-        case 4: micro<4>(a, lda, panel, c, ldc, p0, p1, beta_one, jw); break;
-        case 3: micro<3>(a, lda, panel, c, ldc, p0, p1, beta_one, jw); break;
-        case 2: micro<2>(a, lda, panel, c, ldc, p0, p1, beta_one, jw); break;
-        default: micro<1>(a, lda, panel, c, ldc, p0, p1, beta_one, jw);
-        }
+        if (jw <= W)
+            microRows<1>(mr, a, lda, panel, c, ldc, p0, p1, beta_one, jw);
+        else
+            microRows<2>(mr, a, lda, panel, c, ldc, p0, p1, beta_one, jw);
     }
 
     static void

@@ -1,7 +1,6 @@
 #include "tensor/dense_mm.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "kernels/simd.hpp"
 #include "parallel/thread_pool.hpp"
@@ -12,30 +11,6 @@ namespace {
 
 /** GEMM row panels (kGemmMr rows each) per pool work item. */
 constexpr uint64_t kGemmPanelsPerChunk = 16;
-/** Floats per ReLU work item, rounded to whole rows. */
-constexpr uint64_t kReluChunkFloats = uint64_t{1} << 13;
-
-/**
- * body(begin, end) over [0, count) in chunks of @p chunk taken from
- * the pool, or as one inline range when there is no pool or no more
- * than one chunk of work. Callers only split independent rows, so
- * the result does not depend on which thread ran which range.
- */
-void
-forChunks(parallel::ThreadPool *pool, uint64_t count, uint64_t chunk,
-          const std::function<void(uint64_t, uint64_t)> &body)
-{
-    if (count == 0)
-        return;
-    if (pool == nullptr || count <= chunk) {
-        body(0, count);
-        return;
-    }
-    pool->parallelFor(count, parallel::Schedule::Dynamic, chunk,
-                      [&](unsigned, uint64_t begin, uint64_t end) {
-                          body(begin, end);
-                      });
-}
 
 void
 checkGemmShapes(const DenseMatrix &a, const DenseMatrix &b)
@@ -44,22 +19,6 @@ checkGemmShapes(const DenseMatrix &a, const DenseMatrix &b)
                 "gemm shape mismatch: " << a.rows() << "x" << a.cols()
                                         << " * " << b.rows() << "x"
                                         << b.cols());
-}
-
-/**
- * Per-thread pack scratch, reused across GEMM calls so repeated
- * layer updates do not re-allocate (and re-fault) panel storage.
- */
-float *
-packScratch(uint64_t elems)
-{
-    thread_local kernels::simd::AlignedBuffer buf;
-    thread_local uint64_t buf_elems = 0;
-    if (elems > buf_elems) {
-        buf = kernels::simd::makeAlignedBuffer(elems);
-        buf_elems = elems;
-    }
-    return buf.get();
 }
 
 } // namespace
@@ -83,6 +42,22 @@ denseMmReference(const DenseMatrix &a, const DenseMatrix &b,
     }
 }
 
+const float *
+packForGemm(const DenseMatrix &b)
+{
+    thread_local kernels::simd::AlignedBuffer buf;
+    thread_local uint64_t buf_elems = 0;
+    const uint64_t elems =
+        kernels::simd::gemmPackBufferElems(b.cols(), b.rows());
+    if (elems > buf_elems) {
+        buf = kernels::simd::makeAlignedBuffer(elems);
+        buf_elems = elems;
+    }
+    kernels::simd::ops().gemmPackB(b.data(), b.cols(), b.cols(), b.rows(),
+                                   buf.get());
+    return buf.get();
+}
+
 void
 denseMmBlocked(const DenseMatrix &a, const DenseMatrix &b, DenseMatrix &out,
                parallel::ThreadPool *pool)
@@ -98,30 +73,31 @@ denseMmBlocked(const DenseMatrix &a, const DenseMatrix &b, DenseMatrix &out,
     const auto &ops = kernels::simd::ops();
     // B is packed once, on the calling thread; the row panels then
     // read it concurrently. Each panel is kGemmMr rows of A and C.
-    float *pack = packScratch(kernels::simd::gemmPackBufferElems(n, kk));
-    ops.gemmPackB(b.data(), n, n, kk, pack);
+    const float *pack = packForGemm(b);
     const uint64_t mr = kernels::simd::kGemmMr;
-    forChunks(pool, (m + mr - 1) / mr, kGemmPanelsPerChunk,
-              [&](uint64_t p0, uint64_t p1) {
-                  const uint64_t r0 = p0 * mr;
-                  const uint64_t r1 = std::min(p1 * mr, m);
-                  ops.gemmPrepacked(a.data() + r0 * kk, kk, pack,
-                                    out.data() + r0 * n, n, r1 - r0, n, kk,
-                                    /*accumulate=*/false);
-              });
+    const uint64_t panels = (m + mr - 1) / mr;
+    const auto run = [&](uint64_t p0, uint64_t p1) {
+        const uint64_t r0 = p0 * mr;
+        const uint64_t r1 = std::min(p1 * mr, m);
+        ops.gemmPrepacked(a.data() + r0 * kk, kk, pack, out.data() + r0 * n,
+                          n, r1 - r0, n, kk, /*accumulate=*/false);
+    };
+    // Rows are independent, so the split does not change the result.
+    if (pool == nullptr || panels <= kGemmPanelsPerChunk) {
+        run(0, panels);
+        return;
+    }
+    pool->parallelFor(panels, parallel::Schedule::Dynamic,
+                      kGemmPanelsPerChunk,
+                      [&](unsigned, uint64_t p0, uint64_t p1) {
+                          run(p0, p1);
+                      });
 }
 
 void
-reluInPlace(DenseMatrix &m, parallel::ThreadPool *pool)
+reluInPlace(DenseMatrix &m)
 {
-    const auto &ops = kernels::simd::ops();
-    const uint64_t cols = m.cols();
-    const uint64_t rows_per_chunk =
-        std::max<uint64_t>(kReluChunkFloats / std::max<uint64_t>(cols, 1), 1);
-    forChunks(pool, m.rows(), rows_per_chunk,
-              [&](uint64_t r0, uint64_t r1) {
-                  ops.relu(m.data() + r0 * cols, (r1 - r0) * cols);
-              });
+    kernels::simd::ops().relu(m.data(), m.size());
 }
 
 void

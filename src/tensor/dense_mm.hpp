@@ -32,10 +32,19 @@ void denseMmReference(const DenseMatrix &a, const DenseMatrix &b,
                       DenseMatrix &out);
 
 /**
+ * Pack @p b (k x n) into the GEMM panel layout of the active SIMD tier
+ * (kernels::simd::Ops::gemmPackB), ready for gemmPrepacked. The panels
+ * live in scratch owned by the calling thread and reused across calls,
+ * so repeated layer updates neither allocate nor re-fault them; they
+ * stay valid until that thread packs again.
+ */
+const float *packForGemm(const DenseMatrix &b);
+
+/**
  * Production dense-update GEMM: packed, register-tiled, SIMD-
  * dispatched (AVX-512 / AVX2 / scalar chosen at runtime). B is
- * packed once per call, on the calling thread, into panel scratch
- * reused across calls on that thread; the rows of A then run in
+ * packed once per call, on the calling thread, by packForGemm; the
+ * rows of A then run in
  * kGemmMr-row panels on @p pool (inline without one). A row split
  * never reorders any element's sum, so the result is bit-identical
  * for every pool size, a null pool included.
@@ -49,11 +58,11 @@ void denseMmBlocked(const DenseMatrix &a, const DenseMatrix &b,
                     DenseMatrix &out, parallel::ThreadPool *pool = nullptr);
 
 /**
- * In-place ReLU: x = max(x, 0). Vectorized via the SIMD layer; row
- * chunks run on @p pool when one is given (inline otherwise), with
- * bit-identical results either way.
+ * In-place ReLU: x = max(x, 0), vectorized via the SIMD layer. Host
+ * inference applies its ReLU inside the pass tiles (core/gcn.cpp);
+ * this whole-matrix form serves references and replays.
  */
-void reluInPlace(DenseMatrix &m, parallel::ThreadPool *pool = nullptr);
+void reluInPlace(DenseMatrix &m);
 
 /**
  * In-place row-wise bias add: m[r, :] += bias. Vectorized via the

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -110,6 +111,48 @@ TEST_F(GcnInference, OutputShapeMatchesConfig)
     EXPECT_EQ(out.cols(), 4u);
 }
 
+/**
+ * The unfused public-kernel chain infer's passes must reproduce bit
+ * for bit: per layer denseMmBlocked and the SpMM kernel in the
+ * model's order, each over the whole matrix, then reluInPlace.
+ */
+tensor::DenseMatrix
+unfusedChain(const GcnModel &model, const graph::Csr &adjacency,
+             const tensor::DenseMatrix &features,
+             parallel::ThreadPool &pool, CpuSpmmKind kind)
+{
+    const auto spmm = [&](const tensor::DenseMatrix &in,
+                          tensor::DenseMatrix &out) {
+        if (kind == CpuSpmmKind::EdgeParallel)
+            kernels::spmmEdgeParallel(adjacency, in, out, pool);
+        else
+            kernels::spmmVertexParallel(adjacency, in, out, pool);
+    };
+    const unsigned layers = model.config().numLayers;
+    tensor::DenseMatrix h = features;
+    for (unsigned l = 0; l < layers; ++l) {
+        tensor::DenseMatrix mid, next;
+        if (model.config().order == LayerOrder::TransformThenAggregate) {
+            tensor::denseMmBlocked(h, model.weights(l), mid, &pool);
+            spmm(mid, next);
+        } else {
+            spmm(h, mid);
+            tensor::denseMmBlocked(mid, model.weights(l), next, &pool);
+        }
+        if (l + 1 < layers)
+            tensor::reluInPlace(next);
+        h = std::move(next);
+    }
+    return h;
+}
+
+bool
+sameBits(const tensor::DenseMatrix &a, const tensor::DenseMatrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.bytes()) == 0;
+}
+
 TEST_F(GcnInference, MatchesManualLayerComposition)
 {
     GcnModelConfig cfg;
@@ -131,6 +174,41 @@ TEST_F(GcnInference, MatchesManualLayerComposition)
 
     EXPECT_TRUE(allClose(out, h2, 1e-3f, 1e-4f))
         << "max diff " << maxAbsDiff(out, h2);
+
+    // The fused passes keep every element's summation order, so they
+    // match the unfused kernel chain exactly. The 256-vertex fixture
+    // ends in a partial 64-row tile; hidden widths 47 and 1 send the
+    // SpMM, ReLU and GEMM through their masked and one-register tails.
+    // EdgeParallel splits a row at most once on 2 threads, and its two
+    // atomic partial sums add the same in either order.
+    ASSERT_EQ(adjacency_->numVertices(), 256u);
+    cfg.numLayers = 3;
+    cfg.outputDim = 7;
+    for (const auto order : {LayerOrder::TransformThenAggregate,
+                             LayerOrder::AggregateThenTransform}) {
+        for (const uint64_t hidden : {47u, 1u}) {
+            cfg.order = order;
+            cfg.hiddenDim = hidden;
+            const GcnModel fused(cfg);
+            for (const unsigned threads : {1u, 2u, 4u}) {
+                parallel::ThreadPool p(threads);
+                for (const auto kind : {CpuSpmmKind::VertexParallel,
+                                        CpuSpmmKind::EdgeParallel}) {
+                    if (kind == CpuSpmmKind::EdgeParallel && threads > 2)
+                        continue;
+                    SCOPED_TRACE(testing::Message()
+                                 << "order " << static_cast<int>(order)
+                                 << ", hidden " << hidden << ", "
+                                 << threads << " threads, kind "
+                                 << static_cast<int>(kind));
+                    EXPECT_TRUE(sameBits(
+                        fused.infer(*adjacency_, features_, p, kind),
+                        unfusedChain(fused, *adjacency_, features_, p,
+                                     kind)));
+                }
+            }
+        }
+    }
 }
 
 TEST_F(GcnInference, AllSpmmKindsAgreeInBothLayerOrders)
@@ -192,13 +270,6 @@ inferOnFreshThread(const GcnModel &model, const graph::Csr &adjacency,
         out = model.infer(adjacency, features, pool, kind);
     }).join();
     return out;
-}
-
-bool
-sameBits(const tensor::DenseMatrix &a, const tensor::DenseMatrix &b)
-{
-    return a.rows() == b.rows() && a.cols() == b.cols() &&
-           std::memcmp(a.data(), b.data(), a.bytes()) == 0;
 }
 
 TEST_F(GcnInference, ReusedLayerBuffersDoNotChangeLogits)
@@ -288,15 +359,33 @@ TEST_F(GcnInference, BreakdownCoversAllCategories)
     cfg.inputDim = 32;
     cfg.hiddenDim = 16;
     cfg.outputDim = 4;
-    GcnModel model(cfg);
     parallel::ThreadPool pool(2);
-    KernelBreakdown bd;
-    model.infer(*adjacency_, features_, pool,
-                CpuSpmmKind::VertexParallel, &bd);
-    EXPECT_GT(bd.spmmNs, 0.0);
-    EXPECT_GT(bd.denseNs, 0.0);
-    EXPECT_EQ(bd.offloadNs, 0.0);
-    EXPECT_EQ(bd.samplingNs, 0.0);
+    // Each pass's wall time is split across the steps its workers ran,
+    // so the categories never add up to more than the call took.
+    for (const auto order : {LayerOrder::TransformThenAggregate,
+                             LayerOrder::AggregateThenTransform}) {
+        for (const auto kind :
+             {CpuSpmmKind::VertexParallel, CpuSpmmKind::EdgeParallel}) {
+            SCOPED_TRACE(testing::Message()
+                         << "order " << static_cast<int>(order)
+                         << ", kind " << static_cast<int>(kind));
+            cfg.order = order;
+            GcnModel model(cfg);
+            KernelBreakdown bd;
+            const auto t0 = std::chrono::steady_clock::now();
+            model.infer(*adjacency_, features_, pool, kind, &bd);
+            const double wall_ns =
+                std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+            EXPECT_GT(bd.spmmNs, 0.0);
+            EXPECT_GT(bd.denseNs, 0.0);
+            EXPECT_GT(bd.glueNs, 0.0);
+            EXPECT_EQ(bd.offloadNs, 0.0);
+            EXPECT_EQ(bd.samplingNs, 0.0);
+            EXPECT_LE(bd.totalNs(), wall_ns);
+        }
+    }
 }
 
 TEST_F(GcnInference, DeterministicWeights)

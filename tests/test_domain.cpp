@@ -40,7 +40,6 @@
 #include <fstream>
 #include <thread>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <random>
 #include <string>
@@ -693,21 +692,22 @@ runPlan(const MessagePlan &plan)
     DomainSet set(opts);
 
     std::vector<std::vector<double>> times(opts.domains);
-    auto fire = std::make_shared<std::function<void(unsigned, unsigned)>>();
-    *fire = [&set, &plan, &times, fire](unsigned c, unsigned hop) {
-        const unsigned cur = plan.dom[c][hop];
-        times[cur].push_back(set.engine(cur).now());
-        if (hop + 1 < plan.dom[c].size()) {
-            const unsigned nxt = plan.dom[c][hop + 1];
-            set.post(cur, nxt,
-                     set.engine(cur).now() + plan.delay[c][hop],
-                     [fire, c, hop] { (*fire)(c, hop + 1); });
-        }
-    };
+    // A local the events reach by reference: a shared_ptr captured
+    // in its own target would form a cycle and never be freed.
+    std::function<void(unsigned, unsigned)> fire =
+        [&set, &plan, &times, &fire](unsigned c, unsigned hop) {
+            const unsigned cur = plan.dom[c][hop];
+            times[cur].push_back(set.engine(cur).now());
+            if (hop + 1 < plan.dom[c].size()) {
+                const unsigned nxt = plan.dom[c][hop + 1];
+                set.post(cur, nxt,
+                         set.engine(cur).now() + plan.delay[c][hop],
+                         [&fire, c, hop] { fire(c, hop + 1); });
+            }
+        };
     for (unsigned c = 0; c < opts.domains; ++c) {
         set.engine(plan.dom[c][0])
-            .schedule(plan.startNs[c],
-                      [fire, c] { (*fire)(c, 0u); });
+            .schedule(plan.startNs[c], [&fire, c] { fire(c, 0u); });
     }
     set.run();
     return times;
@@ -771,16 +771,16 @@ TEST(DomainParallel, LookaheadBoundaryPingPong)
     DomainSet set(opts);
 
     std::vector<std::vector<double>> times(2);
-    auto fire = std::make_shared<std::function<void(unsigned, unsigned)>>();
-    *fire = [&set, &times, fire](unsigned cur, unsigned hop) {
-        times[cur].push_back(set.engine(cur).now());
-        if (hop < 100) {
-            set.post(cur, 1 - cur,
-                     set.engine(cur).now() + kLookahead,
-                     [fire, cur, hop] { (*fire)(1 - cur, hop + 1); });
-        }
-    };
-    set.engine(0).schedule(kLookahead, [fire] { (*fire)(0u, 0u); });
+    std::function<void(unsigned, unsigned)> fire =
+        [&set, &times, &fire](unsigned cur, unsigned hop) {
+            times[cur].push_back(set.engine(cur).now());
+            if (hop < 100) {
+                set.post(cur, 1 - cur,
+                         set.engine(cur).now() + kLookahead,
+                         [&fire, cur, hop] { fire(1 - cur, hop + 1); });
+            }
+        };
+    set.engine(0).schedule(kLookahead, [&fire] { fire(0u, 0u); });
     const SimTime end = set.run();
     EXPECT_DOUBLE_EQ(end, 101.0 * kLookahead);
     ASSERT_EQ(times[0].size(), 51u);
@@ -804,16 +804,15 @@ TEST(DomainParallel, IdleNeighborDoesNotDeadlock)
 
     // Domain 1 finishes at t=3; domain 2 never has any work at all.
     unsigned busy_fired = 0;
-    auto chain = std::make_shared<std::function<void(unsigned)>>();
-    *chain = [&set, &busy_fired, chain](unsigned remaining) {
-        ++busy_fired;
-        if (remaining > 0) {
-            set.engine(0).schedule(7.0, [chain, remaining] {
-                (*chain)(remaining - 1);
-            });
-        }
-    };
-    set.engine(0).schedule(7.0, [chain] { (*chain)(49u); });
+    std::function<void(unsigned)> chain =
+        [&set, &busy_fired, &chain](unsigned remaining) {
+            ++busy_fired;
+            if (remaining > 0) {
+                set.engine(0).schedule(
+                    7.0, [&chain, remaining] { chain(remaining - 1); });
+            }
+        };
+    set.engine(0).schedule(7.0, [&chain] { chain(49u); });
     bool short_fired = false;
     set.engine(1).schedule(3.0, [&short_fired] { short_fired = true; });
 
@@ -881,15 +880,13 @@ TEST(DomainParallel, WorkerExceptionPropagates)
     opts.lookaheadNs = 1.0;
     DomainSet set(opts);
 
-    auto chain = std::make_shared<std::function<void(unsigned)>>();
-    *chain = [&set, chain](unsigned remaining) {
+    std::function<void(unsigned)> chain = [&set, &chain](unsigned remaining) {
         if (remaining > 0) {
-            set.engine(0).schedule(2.0, [chain, remaining] {
-                (*chain)(remaining - 1);
-            });
+            set.engine(0).schedule(
+                2.0, [&chain, remaining] { chain(remaining - 1); });
         }
     };
-    set.engine(0).schedule(2.0, [chain] { (*chain)(200u); });
+    set.engine(0).schedule(2.0, [&chain] { chain(200u); });
     set.engine(1).schedule(5.0,
                            [] { throw std::runtime_error("boom"); });
     EXPECT_THROW(set.run(), std::runtime_error);

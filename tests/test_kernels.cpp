@@ -435,18 +435,24 @@ TEST_P(SpmmVariantProperty, OneVertexSelfLoop)
 
 TEST_P(SpmmVariantProperty, PackedGemmMatchesBothScalarOracles)
 {
-    // m x kk x n with every dimension off the blocking grid.
-    const uint64_t m = 23, kk = k() > 0 ? k() : 1, n = 21;
-    DenseMatrix a(m, kk), b(kk, n);
-    a.fillRandom(19);
-    b.fillRandom(20);
-    DenseMatrix ref, blocked_scalar, packed;
-    tensor::denseMmReference(a, b, ref);
-    denseMmBlockedScalar(a, b, blocked_scalar, 16);
-    tensor::denseMmBlocked(a, b, packed);
-    EXPECT_TRUE(allClose(ref, blocked_scalar, 1e-4f, 1e-5f));
-    EXPECT_TRUE(allClose(ref, packed, 1e-4f, 1e-5f))
-        << "packed GEMM, max diff " << maxAbsDiff(ref, packed);
+    // m x kk x n with m and kk off the blocking grid; the widths put
+    // the last panel at 1 column, just under, at and over one register
+    // on each tier, and between two and three.
+    const uint64_t m = 23, kk = k() > 0 ? k() : 1;
+    for (uint64_t n : {21u, 1u, 15u, 16u, 17u, 33u, 47u}) {
+        DenseMatrix a(m, kk), b(kk, n);
+        a.fillRandom(19);
+        b.fillRandom(20);
+        DenseMatrix ref, blocked_scalar, packed;
+        tensor::denseMmReference(a, b, ref);
+        denseMmBlockedScalar(a, b, blocked_scalar, 16);
+        tensor::denseMmBlocked(a, b, packed);
+        EXPECT_TRUE(allClose(ref, blocked_scalar, 1e-4f, 1e-5f))
+            << "n = " << n;
+        EXPECT_TRUE(allClose(ref, packed, 1e-4f, 1e-5f))
+            << "n = " << n << ", packed GEMM, max diff "
+            << maxAbsDiff(ref, packed);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
