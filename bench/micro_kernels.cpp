@@ -7,7 +7,9 @@
  * Run under PGCN_SIMD=scalar for the scalar baselines. These measure
  * real wall-clock throughput of the library's executable kernels on
  * this machine (as opposed to the modelled platforms of the figure
- * benches).
+ * benches). One row, BM_SimulateSpmm, instead times the simulator
+ * itself: the host cost of one discrete-event PIUMA SpMM point, most
+ * of it the memory protocol's request and response events.
  *
  * Every compute bench reports FLOPS (measured) next to roofline_FLOPS
  * — the src/xeon analytical model evaluated for a single core of THIS
@@ -25,11 +27,13 @@
 #include <memory>
 
 #include "core/gcn.hpp"
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "graph/normalize.hpp"
 #include "kernels/simd.hpp"
 #include "kernels/spmm.hpp"
 #include "kernels/tiled_spmm.hpp"
+#include "piuma/spmm_programs.hpp"
 #include "tensor/dense_mm.hpp"
 #include "xeon/config.hpp"
 #include "xeon/timing.hpp"
@@ -294,6 +298,36 @@ BM_GcnInfer(benchmark::State &state)
 // Real time, as for the pooled GEMM row: CPU time would count only the
 // calling thread's share.
 BENCHMARK(BM_GcnInfer)->Name("BM_GcnInfer/pool4")->UseRealTime();
+
+/**
+ * Host time of one simulated PIUMA point: DMA SpMM with K = 256 on 16
+ * cores over a 2^14-edge products proxy, serial engine. Nearly all of
+ * its events are memory-protocol requests and responses, so this row
+ * tracks the event engine and the DGAS model outside perfbench;
+ * events_per_s is the simulator's dispatch rate.
+ */
+void
+BM_SimulateSpmm(benchmark::State &state)
+{
+    const graph::Csr csr =
+        graph::buildProxy(graph::datasetByName("products"),
+                          graph::EdgeId{1} << 14)
+            .adjacency;
+    piuma::PiumaConfig cfg;
+    cfg.numCores = 16;
+    uint64_t events = 0;
+    for (auto _ : state) {
+        const piuma::SpmmRunStats s = piuma::simulateSpmm(
+            csr, 256, cfg, piuma::SpmmAlgorithm::Dma);
+        events += s.simEvents;
+        benchmark::DoNotOptimize(s.makespanNs);
+    }
+    state.counters["events_per_s"] = benchmark::Counter(
+        static_cast<double>(events), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SimulateSpmm)
+    ->Name("BM_SimulateSpmm/products14/dma/cores16/k256")
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_RmatGeneration(benchmark::State &state)

@@ -31,6 +31,9 @@ MemorySystem::MemorySystem(sim::DomainSet &domains, const PiumaConfig &cfg)
     }
     issueShards_.resize(cfg.numCores);
     sliceShards_.resize(cfg.numCores);
+    parked_.reserve(domainCount_);
+    for (unsigned d = 0; d < domainCount_; ++d)
+        parked_.push_back(std::make_unique<ParkedWaiters>(domains_.engine(d)));
     dramLatencyNs_ = cfg.effectiveDramLatencyNs();
     sliceRate_ = cfg.effectiveSliceBandwidth();
     portRate_ = cfg.netPortBandwidthGBps;
@@ -177,28 +180,21 @@ MemorySystem::issueChunk(unsigned requester_core, unsigned slice,
 
     // Event path: the request bears the (jittered) one-way hop and
     // arbitrates at the slice in arrival order.
-    const double net_base =
-        remote ? (dieOf_[requester_core] == dieOf_[slice]
-                      ? cfg_.netSameDieNs
-                      : cfg_.netCrossDieNs)
-               : 0.0;
+    const double net_base = netBase(requester_core, slice);
     double net_in = net_base;
     if (faults_ != nullptr && net_base > 0.0) [[unlikely]]
         net_in = coreStreams_[requester_core].networkLatency(net_base);
 
     sim::Engine &e = engineOf(requester_core);
-    Request r{pa,
-              requester_core,
-              slice,
-              bytes,
-              slice_dur,
-              port_dur,
-              pipelined,
-              net_base,
-              net_in,
-              sim::makeKeyedSeq(sim::kSeqBandRequest, requester_core,
-                                shard.requestStamp++),
-              e.now()};
+    const Request r{pa,
+                    requester_core,
+                    slice,
+                    bytes,
+                    net_in,
+                    sim::makeKeyedSeq(sim::kSeqBandRequest, requester_core,
+                                      shard.requestStamp++),
+                    e.now(),
+                    pipelined};
     if (pa != nullptr)
         ++pa->remaining;
     domains_.postKeyed(domainOf(requester_core), domainOf(slice),
@@ -212,15 +208,19 @@ MemorySystem::arrive(Request r)
     // Jitters are drawn once per access, at first arrival, from the
     // slice's own stream — dispatch order in the slice's domain is
     // deterministic and identical across modes and domain counts, so
-    // so is the stream.
-    Timing t{r.sliceDur, r.portDur, dramLatencyNs_, r.netBase};
+    // so is the stream. The unjittered inputs are recomputed here
+    // exactly as the issue side computed them.
+    const double net_base = netBase(r.core, r.slice);
+    const sim::SimTime slice_dur = r.bytes / sliceRate_;
+    const sim::SimTime port_dur = r.bytes / portRate_;
+    Timing t{slice_dur, port_dur, dramLatencyNs_, net_base};
     if (faults_ != nullptr) [[unlikely]] {
         sim::FaultStream &s = sliceStreams_[r.slice];
-        t.sliceDur = s.serviceDuration(r.sliceDur);
-        t.portDur = s.serviceDuration(r.portDur);
+        t.sliceDur = s.serviceDuration(slice_dur);
+        t.portDur = s.serviceDuration(port_dur);
         t.dram = s.dramLatency(t.dram);
-        if (r.netBase > 0.0)
-            t.netRet = s.networkLatency(r.netBase);
+        if (net_base > 0.0)
+            t.netRet = s.networkLatency(net_base);
     }
     attempt(r, t, 0, r.issue, MemoryAccess{0.0, 0.0});
 }
@@ -281,13 +281,31 @@ MemorySystem::attempt(Request r, Timing t, uint32_t n, sim::SimTime issue,
     // fresher requests arriving at the same instant. Re-arrival
     // reuses the access's request-hop draw (the old synchronous
     // chain reused its one network draw the same way), which also
-    // guarantees re-arrival - now = timeout + backoff >= 0.
+    // guarantees re-arrival - now = timeout + backoff >= 0. The
+    // retry state waits in the shard's table; the event names it.
     const sim::SimTime re_issue = detect + backoff;
+    const PendingRetry pending{r, t, chunk, re_issue, n + 1};
+    uint32_t id;
+    if (!shard.freeRetries.empty()) {
+        id = shard.freeRetries.back();
+        shard.freeRetries.pop_back();
+        shard.retryTable[id] = pending;
+    } else {
+        id = static_cast<uint32_t>(shard.retryTable.size());
+        shard.retryTable.push_back(pending);
+    }
     const unsigned dom = domainOf(r.slice);
     domains_.postKeyed(dom, dom, re_issue + r.netIn, r.seq,
-                       [this, r, t, n, re_issue, chunk] {
-                           attempt(r, t, n + 1, re_issue, chunk);
-                       });
+                       [this, slice = r.slice, id] { retry(slice, id); });
+}
+
+void
+MemorySystem::retry(unsigned slice, uint32_t id)
+{
+    SliceShard &shard = sliceShards_[slice];
+    const PendingRetry p = shard.retryTable[id];
+    shard.freeRetries.push_back(id);
+    attempt(p.r, p.t, p.n, p.issue, p.chunk);
 }
 
 void
@@ -323,8 +341,7 @@ MemorySystem::completeChunk(PendingAccess &pa, const MemoryAccess &chunk)
         noteLatency(pa);
     if (!pa.waiter)
         return;
-    const std::coroutine_handle<> h = pa.waiter;
-    pa.waiter = {};
+    const std::coroutine_handle<> h = ParkedWaiters::unpark(pa);
     sim::Engine &e = engineOf(pa.core);
     const sim::SimTime d = pa.acc.responseAt - e.now();
     if (d > 0.0) {
@@ -336,6 +353,20 @@ MemorySystem::completeChunk(PendingAccess &pa, const MemoryAccess &chunk)
         // This response *is* the completion: resume inline, exactly
         // as the response event's continuation.
         h.resume();
+    }
+}
+
+void
+MemorySystem::ParkedWaiters::appendBlocked(
+    std::vector<sim::BlockedAgent> &out) const
+{
+    for (const ParkLink *l = head_.next; l != &head_; l = l->next) {
+        const auto &pa = static_cast<const PendingAccess &>(*l);
+        out.push_back(sim::BlockedAgent{
+            engine_.agentName(pa.waiter.address()),
+            "memory response (core " + std::to_string(pa.core) + ", " +
+                std::to_string(pa.remaining) + " chunk(s) outstanding)",
+            pa.issuedAt});
     }
 }
 

@@ -20,11 +20,15 @@
  *     arbitration — jitters and transaction-drop draws come from the
  *     slice's own forked fault stream, and retry/backoff chains
  *     re-arm as slice-domain self-events carrying the original
- *     request key;
+ *     request key (the retry's state waits in the slice's retry
+ *     table);
  *  3. response (requester's domain): a response event keyed
  *     kSeqBandResponse | (slice, per-slice stamp) merges the chunk's
  *     timing into the caller's PendingAccess and resumes the parked
  *     coroutine.
+ *
+ * Every event of the protocol is a sim::Callback whose closure fits
+ * its 64 inline bytes, so the protocol never allocates per event.
  *
  * Because the carried keys decide equal-timestamp dispatch order at
  * any domain count, a threaded multi-domain run is bit-identical to
@@ -42,6 +46,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -95,14 +100,23 @@ struct MemoryAccess
     bool failed = false;
 };
 
+/** Intrusive list link of a parked PendingAccess (see ParkedWaiters). */
+struct ParkLink
+{
+    ParkLink *prev = nullptr;
+    ParkLink *next = nullptr;
+};
+
 /**
  * An in-flight (possibly striped) access: the join point where chunk
  * responses merge and the awaiting coroutine parks. The address must
  * stay stable from issue until the await resumes — it lives either
  * inside the caller's coroutine frame (the co_await sugar) or in a
- * caller-owned slot vector (the DMA engine).
+ * caller-owned slot vector (the DMA engine). Only the coroutine that
+ * owns it awaits it. While that coroutine is parked here, the
+ * ParkLink base chains the access into its domain's ParkedWaiters.
  */
-struct PendingAccess
+struct PendingAccess : ParkLink
 {
     MemoryAccess acc{0.0, 0.0};
     sim::SimTime issuedAt = 0.0;
@@ -306,7 +320,7 @@ class MemorySystem
             await_suspend(std::coroutine_handle<> h)
             {
                 if (pa.remaining != 0) {
-                    pa.waiter = h;
+                    mem.parked_[mem.domainOf(pa.core)]->park(pa, h);
                     return;
                 }
                 mem.domains_.wakeAt(mem.domainOf(pa.core),
@@ -628,6 +642,52 @@ class MemorySystem
     };
 
     /**
+     * One request's immutable issue-side description: everything the
+     * slice needs that it cannot derive itself. Service times
+     * (bytes / rate) and the unjittered hop (from the two dies) are
+     * recomputed at arrival, bit for bit as issueChunk's callers
+     * compute them, so the arrival closure — this plus the
+     * MemorySystem pointer — fits one sim::Callback.
+     */
+    struct Request
+    {
+        PendingAccess *pa; ///< null for posted (request-only) traffic
+        unsigned core;
+        unsigned slice;
+        double bytes;
+        double netIn;   ///< jittered request-hop latency
+        uint64_t seq;   ///< carried kSeqBandRequest key (all attempts)
+        sim::SimTime issue; ///< first-attempt issue time
+        bool pipelined;
+    };
+    static_assert(sizeof(Request) + sizeof(void *) <=
+                      sim::Callback::kCapacity,
+                  "the arrival closure must fit one Callback");
+
+    /** Jitters drawn once per access at first arrival (slice side). */
+    struct Timing
+    {
+        sim::SimTime sliceDur;
+        sim::SimTime portDur;
+        double dram;
+        double netRet; ///< jittered return-hop latency
+    };
+
+    /**
+     * A dropped request waiting out its timeout and backoff. Too big
+     * for a Callback, it waits in its slice shard's retry table; the
+     * retry event carries only (slice, table index).
+     */
+    struct PendingRetry
+    {
+        Request r;
+        Timing t;
+        MemoryAccess chunk; ///< outcome accumulated over the attempts
+        sim::SimTime issue; ///< re-issue time of the next attempt
+        uint32_t n;         ///< number of the next attempt
+    };
+
+    /**
      * Per-slice response-side accounting: the retry protocol runs in
      * the slice's domain, so it owns these. Same single-writer and
      * fixed-order-reduction rules as IssueShard.
@@ -640,31 +700,83 @@ class MemorySystem
         double postedRecoveryNs = 0.0;
         uint64_t responseStamp = 0; ///< per-slice kSeqBandResponse counter
         PostedFault postedFault{};
+        /// Retries in flight, by index. A fired slot is reused, so the
+        /// table holds the peak in-flight count, and an aborted run's
+        /// records are freed with the shard.
+        std::vector<PendingRetry> retryTable;
+        std::vector<uint32_t> freeRetries; ///< reusable retryTable slots
     };
 
-    /** One request's immutable issue-side description. */
-    struct Request
+    /**
+     * The callers of one domain parked in await() on an access whose
+     * chunks are still in flight: a circular intrusive list through
+     * PendingAccess's ParkLink, registered with the domain's engine
+     * as a Waitable. Such a coroutine sits in no event arena (only a
+     * response closure points at its PendingAccess), so this list is
+     * what names it in deadlock reports and snapshots and what
+     * destroys its frame when an aborted run is torn down. After a
+     * clean run the list is empty.
+     */
+    class ParkedWaiters : public sim::Engine::Waitable
     {
-        PendingAccess *pa; ///< null for posted (request-only) traffic
-        unsigned core;
-        unsigned slice;
-        double bytes;
-        sim::SimTime sliceDur; ///< unjittered controller service time
-        sim::SimTime portDur;  ///< unjittered port service time
-        bool pipelined;
-        double netBase; ///< unjittered one-way latency (0 = local)
-        double netIn;   ///< jittered request-hop latency
-        uint64_t seq;   ///< carried kSeqBandRequest key (all attempts)
-        sim::SimTime issue; ///< first-attempt issue time
-    };
+      public:
+        explicit ParkedWaiters(sim::Engine &engine) : engine_(engine)
+        {
+            head_.prev = &head_;
+            head_.next = &head_;
+            engine_.registerWaitable(this);
+        }
 
-    /** Jitters drawn once per access at first arrival (slice side). */
-    struct Timing
-    {
-        sim::SimTime sliceDur;
-        sim::SimTime portDur;
-        double dram;
-        double netRet; ///< jittered return-hop latency
+        ParkedWaiters(const ParkedWaiters &) = delete;
+        ParkedWaiters &operator=(const ParkedWaiters &) = delete;
+
+        /** Destroy each parked frame once (the access dies with it). */
+        ~ParkedWaiters() override
+        {
+            while (head_.next != &head_)
+                unpark(static_cast<PendingAccess &>(*head_.next)).destroy();
+            engine_.unregisterWaitable(this);
+        }
+
+        /** Suspend @p h on @p pa (called from its domain's thread). */
+        void
+        park(PendingAccess &pa, std::coroutine_handle<> h)
+        {
+            pa.waiter = h;
+            pa.prev = head_.prev;
+            pa.next = &head_;
+            head_.prev->next = &pa;
+            head_.prev = &pa;
+        }
+
+        /** Unlink @p pa and hand back its parked coroutine. */
+        static std::coroutine_handle<>
+        unpark(PendingAccess &pa)
+        {
+            pa.prev->next = pa.next;
+            pa.next->prev = pa.prev;
+            pa.prev = nullptr;
+            pa.next = nullptr;
+            const std::coroutine_handle<> h = pa.waiter;
+            pa.waiter = {};
+            return h;
+        }
+
+        size_t
+        blockedCount() const override
+        {
+            size_t n = 0;
+            for (const ParkLink *l = head_.next; l != &head_; l = l->next)
+                ++n;
+            return n;
+        }
+
+        void
+        appendBlocked(std::vector<sim::BlockedAgent> &out) const override;
+
+      private:
+        sim::Engine &engine_;
+        ParkLink head_; ///< sentinel: the list is empty when it links itself
     };
 
     /** Reset @p pa for a fresh access from @p core. */
@@ -727,6 +839,19 @@ class MemorySystem
 
     /** First arrival of a request: draw jitters, run attempt 0. */
     void arrive(Request r);
+
+    /** Unjittered one-way network latency core -> slice (0 = local). */
+    double
+    netBase(unsigned core, unsigned slice) const
+    {
+        if (core == slice)
+            return 0.0;
+        return dieOf_[core] == dieOf_[slice] ? cfg_.netSameDieNs
+                                             : cfg_.netCrossDieNs;
+    }
+
+    /** Fire retry-table entry @p id of @p slice: its next attempt. */
+    void retry(unsigned slice, uint32_t id);
 
     /**
      * One arbitration attempt, dispatched in the slice's domain in
@@ -798,6 +923,9 @@ class MemorySystem
     /// Cached "any transaction-drop class enabled" test so the hot
     /// path pays one predictable branch, not three config loads.
     bool dropsEnabled_ = false;
+    /// Per-domain parked callers. Declared last so teardown destroys
+    /// their frames while the rest of the system is still alive.
+    std::vector<std::unique_ptr<ParkedWaiters>> parked_;
 };
 
 /// Fork-salt classes for the model's per-entity fault streams (the

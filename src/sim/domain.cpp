@@ -120,13 +120,12 @@ DomainSet::postWake(unsigned src, unsigned dst, SimTime when,
 
 void
 DomainSet::post(unsigned src_domain, unsigned dst_domain, SimTime when,
-                std::function<void()> fn)
+                Callback fn)
 {
     if (src_domain == dst_domain) {
         Engine &e = engine(dst_domain);
         PGCN_ASSERT(when >= e.now(), "post into the past");
-        e.injectAbsolute(when, e.internCallback(std::move(fn)),
-                         e.curDepth_ + 1);
+        e.injectAbsolute(when, e.internCallback(fn), e.curDepth_ + 1);
         return;
     }
     // Cross-domain: must be issued from src's worker thread
@@ -140,21 +139,20 @@ DomainSet::post(unsigned src_domain, unsigned dst_domain, SimTime when,
                     << " (src clock t=" << src.now() << ")");
     const unsigned d = domains();
     boxes_[static_cast<size_t>(src_domain) * d + dst_domain].push(
-        Msg{when, src_domain, postSeq_[src_domain]++, src.curDepth_ + 1, 0,
-            std::move(fn)});
+        Msg{when, postSeq_[src_domain]++, 0, src_domain, src.curDepth_ + 1,
+            fn});
     ++crossPosts_[src_domain];
 }
 
 void
 DomainSet::postKeyed(unsigned src_domain, unsigned dst_domain,
-                     SimTime when, uint64_t keyed_seq,
-                     std::function<void()> fn)
+                     SimTime when, uint64_t keyed_seq, Callback fn)
 {
     PGCN_ASSERT(keyed_seq >= kSeqBandRequest,
                 "keyed post without a band bit (seq=" << keyed_seq << ")");
     if (src_domain == dst_domain) {
         Engine &e = engine(dst_domain);
-        e.injectKeyed(when, e.internCallback(std::move(fn)), keyed_seq,
+        e.injectKeyed(when, e.internCallback(fn), keyed_seq,
                       e.curDepth_ + 1);
         return;
     }
@@ -165,8 +163,8 @@ DomainSet::postKeyed(unsigned src_domain, unsigned dst_domain,
                     << " (src clock t=" << src.now() << ")");
     const unsigned d = domains();
     boxes_[static_cast<size_t>(src_domain) * d + dst_domain].push(
-        Msg{when, src_domain, postSeq_[src_domain]++, src.curDepth_ + 1,
-            keyed_seq, std::move(fn)});
+        Msg{when, postSeq_[src_domain]++, keyed_seq, src_domain,
+            src.curDepth_ + 1, fn});
     ++crossPosts_[src_domain];
 }
 
@@ -191,17 +189,16 @@ DomainSet::drainInbox(unsigned dst, std::vector<Msg> &scratch)
                   return a.srcSeq < b.srcSeq;
               });
     Engine &e = engine(dst);
-    for (Msg &m : scratch) {
+    for (const Msg &m : scratch) {
         // A keyed message carries its own (band, entity, stamp) sort
         // key; an unkeyed one takes a fresh engine sequence number, so
         // its injection order here (the sort above) is its dispatch
         // tiebreak.
         if (m.keyedSeq != 0) {
-            e.injectKeyed(m.when, e.internCallback(std::move(m.fn)),
-                          m.keyedSeq, m.depth);
+            e.injectKeyed(m.when, e.internCallback(m.fn), m.keyedSeq,
+                          m.depth);
         } else {
-            e.injectAbsolute(m.when, e.internCallback(std::move(m.fn)),
-                             m.depth);
+            e.injectAbsolute(m.when, e.internCallback(m.fn), m.depth);
         }
     }
 }

@@ -46,10 +46,10 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
+#include "sim/callback.hpp"
 #include "sim/engine.hpp"
 
 namespace pgcn::sim {
@@ -202,13 +202,13 @@ class DomainSet
     /**
      * Deliver @p fn to domain @p dst_domain at absolute time @p when,
      * sent by domain @p src_domain. A same-domain post files the
-     * event directly; a cross-domain post enqueues into the (src, dst)
-     * mailbox —
+     * event directly; a cross-domain post copies the closure into the
+     * (src, dst) mailbox —
      * it must be called from src's worker thread, and @p when must
      * respect the lookahead: when >= src clock + lookaheadNs.
      */
     void post(unsigned src_domain, unsigned dst_domain, SimTime when,
-              std::function<void()> fn);
+              Callback fn);
 
     /**
      * Deliver @p fn to domain @p dst_domain at absolute time @p when
@@ -220,7 +220,7 @@ class DomainSet
      * thread/lookahead rules as post().
      */
     void postKeyed(unsigned src_domain, unsigned dst_domain, SimTime when,
-                   uint64_t keyed_seq, std::function<void()> fn);
+                   uint64_t keyed_seq, Callback fn);
 
     /**
      * File a delayUntil-replica wake for @p h in domain @p dom at
@@ -278,15 +278,19 @@ class DomainSet
     uint64_t crossDomainPosts() const;
 
   private:
-    /** A cross-domain message parked in a mailbox. */
+    /**
+     * A cross-domain message parked in a mailbox: the closure travels
+     * by value (a Callback is trivially copyable), so posting across
+     * domains allocates nothing outside the mailbox's own storage.
+     */
     struct Msg
     {
         SimTime when;
-        unsigned srcDomain;
         uint64_t srcSeq; ///< per-source post counter: the merge tiebreak
-        uint32_t depth;
         uint64_t keyedSeq; ///< carried sequence key; 0 = unkeyed post
-        std::function<void()> fn;
+        unsigned srcDomain;
+        uint32_t depth;
+        Callback fn;
     };
 
     /**
@@ -302,13 +306,13 @@ class DomainSet
     {
       public:
         void
-        push(Msg m)
+        push(const Msg &m)
         {
             if (size_ < kCapacity) {
-                ring_[(head_ + size_) % kCapacity] = std::move(m);
+                ring_[(head_ + size_) % kCapacity] = m;
                 ++size_;
             } else {
-                spill_.push_back(std::move(m));
+                spill_.push_back(m);
             }
         }
 
@@ -316,11 +320,10 @@ class DomainSet
         drainTo(std::vector<Msg> &out)
         {
             for (size_t i = 0; i < size_; ++i)
-                out.push_back(std::move(ring_[(head_ + i) % kCapacity]));
+                out.push_back(ring_[(head_ + i) % kCapacity]);
             head_ = 0;
             size_ = 0;
-            for (Msg &m : spill_)
-                out.push_back(std::move(m));
+            out.insert(out.end(), spill_.begin(), spill_.end());
             spill_.clear();
         }
 

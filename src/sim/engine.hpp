@@ -9,11 +9,15 @@
  * and fully deterministic: events at equal timestamps fire in
  * schedule order.
  *
- * The hot path is allocation-free. An event is a 24-byte POD: a
- * (when, seq) sort key plus a one-word payload that is either a
- * coroutine frame address or (tagged in the low bit) an index into a
- * reusable slab of the rare type-erased callbacks (tests, ad-hoc
- * hooks). Two arenas back the event queue:
+ * Between arena growths (counted by arenaGrowths()) the hot path is
+ * allocation-free. An event is a 24-byte POD: a (when, seq) sort key
+ * plus a one-word payload that is either a coroutine frame address or
+ * (tagged in the low bit) an index into the callback slab. Callbacks carry the memory protocol's request,
+ * retry and response events (most events of a PIUMA run) plus test
+ * and ad-hoc hooks; each is a sim::Callback, a trivially copyable
+ * closure stored inline, so posting one never allocates. The slab
+ * grows in fixed blocks that never move, and its free slots are
+ * reused. Three arenas back the event queue:
  *
  *  - the "now queue": a FIFO of zero-delay events. Resumptions
  *    scheduled at the current timestamp (BoundedQueue hand-offs,
@@ -76,7 +80,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -84,6 +88,7 @@
 #include <vector>
 
 #include "common/logging.hpp"
+#include "sim/callback.hpp"
 #include "sim/diagnostics.hpp"
 #include "sim/ring.hpp"
 
@@ -115,7 +120,7 @@ struct Process
 
 /**
  * The event-driven simulation engine: a time-ordered queue of
- * coroutine resumptions (and rare callbacks) with a deterministic
+ * coroutine resumptions and inline callbacks with a deterministic
  * FIFO tie-break at equal timestamps.
  */
 class Engine
@@ -350,10 +355,12 @@ class Engine
     uint64_t callbackEvents() const { return callbackEvents_; }
 
     /**
-     * Times any event arena (now queue, far-calendar slab and bottom,
-     * callback slab) had to grow its backing storage. Stays
-     * O(log events) from cold and zero after reserveEvents() sized the
-     * arenas — the per-event hot path itself never allocates.
+     * Times any event arena had to grow its backing storage: the now
+     * queue, the far-calendar slab and bottom (O(log events) from
+     * cold, zero after reserveEvents() sized them), and each new
+     * callback-slab block (one per kCallbackBlock concurrently
+     * pending callbacks at the peak). Between growths the per-event
+     * hot path never allocates.
      */
     uint64_t arenaGrowths() const { return arenaGrowths_; }
 
@@ -405,14 +412,16 @@ class Engine
     }
 
     /**
-     * Schedule @p fn to run @p delay ns from now. The type-erased
-     * payload parks in the callback slab (reused across events); use
-     * the coroutine overload on hot paths.
+     * Schedule @p fn to run @p delay ns from now. The closure is
+     * copied into a callback-slab slot (reused across events), so it
+     * must fit Callback::kCapacity and capture only trivially
+     * copyable values (a closure that reschedules itself captures
+     * its own name by reference).
      */
     void
-    schedule(SimTime delay, std::function<void()> fn)
+    schedule(SimTime delay, Callback fn)
     {
-        push(delay, internCallback(std::move(fn)));
+        push(delay, internCallback(fn));
     }
 
     /**
@@ -660,20 +669,42 @@ class Engine
 
     /** Park @p fn in the callback slab; returns its tagged payload. */
     Payload
-    internCallback(std::function<void()> fn)
+    internCallback(const Callback &fn)
     {
-        uintptr_t slot;
-        if (!freeCallbackSlots_.empty()) {
-            slot = freeCallbackSlots_.back();
-            freeCallbackSlots_.pop_back();
-            callbackSlab_[slot] = std::move(fn);
-        } else {
-            slot = callbackSlab_.size();
-            if (callbackSlab_.size() == callbackSlab_.capacity())
-                ++arenaGrowths_;
-            callbackSlab_.push_back(std::move(fn));
-        }
+        if (freeCallbackSlots_.empty()) [[unlikely]]
+            growCallbackSlab();
+        const uintptr_t slot = freeCallbackSlots_.back();
+        freeCallbackSlots_.pop_back();
+        callbackAt(slot) = fn;
         return (slot << 2) | kCallbackTag;
+    }
+
+    /** Callback-slab entry @p slot; blocks never move once allocated. */
+    Callback &
+    callbackAt(size_t slot)
+    {
+        return callbackBlocks_[slot / kCallbackBlock][slot % kCallbackBlock];
+    }
+
+    /**
+     * Add one kCallbackBlock-entry block to the callback slab and put
+     * its slots on the free list, lowest slot on top. The free list's
+     * capacity always covers every slot, so recycling a slot at
+     * dispatch never allocates.
+     */
+    void
+    growCallbackSlab()
+    {
+        ++arenaGrowths_;
+        const size_t base = callbackBlocks_.size() * kCallbackBlock;
+        callbackBlocks_.push_back(
+            std::make_unique<Callback[]>(kCallbackBlock));
+        const size_t slots = base + kCallbackBlock;
+        if (freeCallbackSlots_.capacity() < slots)
+            freeCallbackSlots_.reserve(
+                std::max(slots, 2 * freeCallbackSlots_.capacity()));
+        for (size_t i = kCallbackBlock; i-- > 0;)
+            freeCallbackSlots_.push_back(static_cast<uint32_t>(base + i));
     }
 
     void
@@ -843,12 +874,11 @@ class Engine
             curDepth_ = ev.depth;
             maxDepth_ = std::max<uint64_t>(maxDepth_, ev.depth);
             const size_t slot = ev.payload >> 2;
-            // Move out before invoking: the callback may schedule
-            // further events and recycle slab slots.
-            std::function<void()> fn = std::move(callbackSlab_[slot]);
-            callbackSlab_[slot] = nullptr;
-            freeCallbackSlots_.push_back(slot);
-            fn();
+            // Run in place: slab blocks never move, and the slot stays
+            // taken until the call returns, so events the callback
+            // schedules land in other slots.
+            callbackAt(slot)();
+            freeCallbackSlots_.push_back(static_cast<uint32_t>(slot));
         }
     }
 
@@ -1107,6 +1137,8 @@ class Engine
     };
 
     static constexpr size_t kInitialSlots = 1024;
+    /// Callback-slab entries per block (72 B each: 18 KiB per block).
+    static constexpr size_t kCallbackBlock = 256;
     /// Target events per bucket: keeps empty buckets rare and the
     /// bottom heap a few entries deep.
     static constexpr double kBucketEvents = 4.0;
@@ -1131,8 +1163,9 @@ class Engine
     SimTime lastFarWhen_ = 0.0;
     std::vector<Event> nowQ_;           ///< FIFO of zero-delay events
     size_t nowHead_ = 0;                ///< dispatch cursor into nowQ_
-    std::vector<std::function<void()>> callbackSlab_;
-    std::vector<size_t> freeCallbackSlots_;
+    /// Callback slab: fixed-size blocks, never relocated.
+    std::vector<std::unique_ptr<Callback[]>> callbackBlocks_;
+    std::vector<uint32_t> freeCallbackSlots_; ///< LIFO of free slots
     std::vector<Stream> streams_;       ///< completion streams
     std::vector<Waitable *> waitables_; ///< deadlock-report registry
     std::unordered_map<void *, std::string> agentNames_;

@@ -35,6 +35,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -1017,6 +1018,238 @@ TEST(DomainClock, SameDomainWakeNotCountedAsCrossPost)
     EXPECT_EQ(set.crossDomainPosts(), 0u);
     EXPECT_EQ(set.eventsProcessed(), 1u);
     EXPECT_DOUBLE_EQ(set.now(), 4.0);
+}
+
+// ---------------------------------------------------------------------------
+// 6. Callback integrity: closures at Callback's full capacity survive
+//    the slab's block growth and the mailboxes byte for byte, and fire
+//    in (when, seq) order.
+
+/** Payload word @p i of the closure stamped @p ticket. */
+uint64_t
+probeWord(uint64_t ticket, unsigned i)
+{
+    return (ticket + 1) * 0x9E3779B97F4A7C15ull ^
+           (uint64_t{i} * 0xC2B2AE3D27D4EB4Full);
+}
+
+/**
+ * Self-checking probes. Each closure captures the probe pointer plus
+ * seven payload words, 64 bytes in all; words[0] is the closure's
+ * order key and the rest derive from it, so a relocated, aliased or
+ * torn slot fails the check. Every record is written only by the
+ * thread of the domain it belongs to.
+ */
+struct Probe
+{
+    using Words = std::array<uint64_t, 7>;
+
+    struct Domain
+    {
+        SimTime lastWhen = -1.0;
+        uint64_t lastKey = 0;
+        uint64_t fired = 0;
+        uint64_t posted = 0;
+        uint64_t corrupt = 0;
+        uint64_t misordered = 0;
+        uint64_t nextStamp = 0; ///< keyed stamps for self posts
+        uint64_t nextCross = 0; ///< keyed stamps for cross posts
+    };
+
+    /** A full-capacity closure carrying order key @p key. */
+    Callback
+    closure(uint64_t key)
+    {
+        Words words{};
+        words[0] = key;
+        for (unsigned i = 1; i < words.size(); ++i)
+            words[i] = probeWord(key, i);
+        Probe *self = this;
+        const auto fn = [self, words] { self->fire(words); };
+        static_assert(sizeof(fn) == Callback::kCapacity,
+                      "the probe must fill the callback storage");
+        return fn;
+    }
+
+    /**
+     * Check that @p words still belong to the closure that fired with
+     * key @p key, and that (now, key) follows the domain's last
+     * firing.
+     */
+    void
+    check(unsigned dom, SimTime now, uint64_t key, const Words &words)
+    {
+        Domain &d = doms[dom];
+        d.corrupt += words[0] != key;
+        for (unsigned i = 1; i < words.size(); ++i)
+            d.corrupt += words[i] != probeWord(key, i);
+        const bool after =
+            now > d.lastWhen || (now == d.lastWhen && key > d.lastKey);
+        d.misordered += !after;
+        d.lastWhen = now;
+        d.lastKey = key;
+        ++d.fired;
+    }
+
+    virtual void fire(const Words &words) = 0;
+    virtual ~Probe() = default;
+
+    std::vector<Domain> doms;
+};
+
+// One engine: a root closure schedules a wide burst from inside
+// dispatch, so the slab grows several blocks while a callback runs
+// from it; every probe then reschedules one more until the budget is
+// spent. Keys are schedule tickets, which is engine seq order.
+struct EngineProbe : Probe
+{
+    static constexpr uint64_t kBurst = 1500;
+    static constexpr uint64_t kTotal = 6000;
+
+    Engine engine;
+    uint64_t nextTicket = 0;
+
+    EngineProbe() { doms.resize(1); }
+
+    void
+    spawn()
+    {
+        const uint64_t ticket = nextTicket++;
+        // Few distinct delays, zero included: many equal timestamps
+        // in both the now queue and the far calendar.
+        engine.schedule(0.5 * static_cast<double>(ticket * 7919 % 5),
+                        closure(ticket));
+        ++doms[0].posted;
+    }
+
+    void
+    fire(const Words &words) override
+    {
+        // Spawn first, check after: a slot recycled or moved while
+        // its closure runs shows up as corrupt words.
+        const uint64_t ticket = words[0];
+        if (ticket == 0) {
+            for (uint64_t i = 0; i < kBurst; ++i)
+                spawn();
+        } else if (nextTicket < kTotal) {
+            spawn();
+        }
+        check(0, engine.now(), ticket, words);
+    }
+};
+
+TEST(CallbackIntegrity, FullCapacityClosuresSurviveSlabGrowth)
+{
+    EngineProbe probe;
+    // Pre-size the calendar arenas, so the growths counted below are
+    // the callback slab's own blocks.
+    probe.engine.reserveEvents(4 * EngineProbe::kTotal,
+                               4 * EngineProbe::kTotal);
+    probe.spawn();
+    probe.engine.run();
+    const Probe::Domain &d = probe.doms[0];
+    EXPECT_EQ(d.fired, EngineProbe::kTotal);
+    EXPECT_EQ(d.posted, EngineProbe::kTotal);
+    EXPECT_EQ(d.corrupt, 0u);
+    EXPECT_EQ(d.misordered, 0u);
+    EXPECT_EQ(probe.engine.callbackEvents(), EngineProbe::kTotal);
+    const uint64_t growths = probe.engine.arenaGrowths();
+    EXPECT_GT(growths, 1u); // the burst outgrew more than one block
+
+    // A second wave of the same shape reuses the freed slots: the
+    // slab does not grow again.
+    probe.nextTicket = 0;
+    probe.doms[0] = Probe::Domain{};
+    probe.spawn();
+    probe.engine.run();
+    EXPECT_EQ(probe.doms[0].corrupt, 0u);
+    EXPECT_EQ(probe.doms[0].misordered, 0u);
+    EXPECT_EQ(probe.engine.arenaGrowths(), growths);
+}
+
+// Two Parallel domains, each running kChains keyed self-post chains.
+// Every link also posts a burst of three keyed closures to the other
+// domain, at one shared timestamp and in descending key order.
+// Carried keys decide the dispatch order, so each domain must fire in
+// strictly increasing (when, key) order, with every closure intact
+// after the slab and the mailbox.
+struct DomainProbe : Probe
+{
+    static constexpr uint64_t kChains = 300;  ///< self chains per domain
+    static constexpr uint64_t kBudget = 6000; ///< self posts per domain
+
+    DomainSet set;
+
+    explicit DomainProbe(double lookahead)
+        : set(DomainSet::Options{2, lookahead})
+    {
+        doms.resize(2);
+    }
+
+    /** Keyed sequence number @p stamp of entity @p entity. */
+    static uint64_t
+    key(unsigned entity, uint64_t stamp)
+    {
+        return makeKeyedSeq(kSeqBandRequest, entity, stamp);
+    }
+
+    /** Post the next self link of @p dom at @p when. */
+    void
+    postSelf(unsigned dom, SimTime when)
+    {
+        const uint64_t k = key(2 + dom, doms[dom].nextStamp++);
+        set.postKeyed(dom, dom, when, k, closure(k));
+        ++doms[dom].posted;
+    }
+
+    void
+    fire(const Words &words) override
+    {
+        // Entities 0/1 carry cross posts from domain 0/1, entities 2/3
+        // self posts in domain 0/1.
+        const uint64_t own = words[0];
+        const unsigned entity = static_cast<unsigned>(
+            (own >> kSeqEntityShift) & ((1u << (62 - kSeqEntityShift)) - 1));
+        const unsigned dom = entity >= 2 ? entity - 2 : 1 - entity;
+        const SimTime now = set.engine(dom).now();
+        Domain &d = doms[dom];
+        if (entity >= 2 && d.nextStamp < kBudget) {
+            postSelf(dom, now + 0.25);
+            const SimTime when = now + set.lookaheadNs() +
+                                 0.5 * static_cast<double>(d.nextStamp % 3);
+            const uint64_t base = d.nextCross;
+            d.nextCross += 3;
+            for (uint64_t i = 3; i-- > 0;) {
+                const uint64_t k = key(dom, base + i);
+                set.postKeyed(dom, 1 - dom, when, k, closure(k));
+            }
+            d.posted += 3;
+        }
+        check(dom, now, own, words);
+    }
+};
+
+TEST(CallbackIntegrity, FullCapacityClosuresCrossParallelMailboxes)
+{
+    DomainProbe probe(1.0);
+    for (unsigned dom = 0; dom < 2; ++dom)
+        for (uint64_t c = 0; c < DomainProbe::kChains; ++c)
+            probe.postSelf(dom, 0.0);
+    probe.set.run();
+    uint64_t posted = 0;
+    uint64_t fired = 0;
+    for (unsigned dom = 0; dom < 2; ++dom) {
+        SCOPED_TRACE("domain " + std::to_string(dom));
+        const Probe::Domain &d = probe.doms[dom];
+        EXPECT_EQ(d.corrupt, 0u);
+        EXPECT_EQ(d.misordered, 0u);
+        EXPECT_GT(probe.set.engine(dom).arenaGrowths(), 1u);
+        posted += d.posted;
+        fired += d.fired;
+    }
+    EXPECT_EQ(fired, posted);
+    EXPECT_EQ(probe.set.crossDomainPosts(),
+              2 * 3 * (DomainProbe::kBudget - DomainProbe::kChains));
 }
 
 } // namespace

@@ -218,6 +218,34 @@ TEST(FaultSoak, RunLimitsThroughControlsAbortCleanly)
     EXPECT_THROW(simulateSpmm(csr, 16, cfg, SpmmAlgorithm::Dma, nullptr,
                               &controls),
                  sim::SimLimitError);
+
+    // Drops armed on four Parallel domains: half the full run's events
+    // stops it with retry records, cross-domain responses and parked
+    // memory waiters all live. Teardown must release every one of
+    // them (the sanitizer build checks that nothing leaks).
+    FaultConfig fc;
+    fc.seed = 17;
+    fc.dramLatencyJitter = 0.2;
+    fc.serviceRateJitter = 0.1;
+    fc.networkLatencyJitter = 0.2;
+    fc.dmaOverheadJitter = 0.1;
+    fc.dramDropRate = 0.02;
+    fc.dmaDropRate = 0.01;
+    cfg.numCores = 8;
+    SimControls dropping;
+    dropping.domains = 4;
+    dropping.domainMode = sim::DomainMode::Parallel;
+    FaultInjector full_faults(fc);
+    dropping.faults = &full_faults;
+    const SpmmRunStats full = simulateSpmm(csr, 16, cfg, SpmmAlgorithm::Dma,
+                                           nullptr, &dropping);
+    ASSERT_GT(full.retries, 0u);
+    FaultInjector aborted_faults(fc);
+    dropping.faults = &aborted_faults;
+    dropping.limits.maxEvents = full.simEvents / 2;
+    EXPECT_THROW(simulateSpmm(csr, 16, cfg, SpmmAlgorithm::Dma, nullptr,
+                              &dropping),
+                 sim::SimLimitError);
 }
 
 // ------------------------------------------------------------------

@@ -191,6 +191,38 @@ TEST(Memory, ArbitrationFollowsArrivalNotIssueOrder)
                      same_die.serviceDoneAt + transfer);
 }
 
+TEST(Memory, AbortedRunNamesAndReleasesParkedWaiters)
+{
+    // A caller parked on a remote response sits in no event arena:
+    // the memory system's per-domain waiter list is what names it
+    // when a budget stops the run, and what destroys its frame at
+    // teardown (the sanitizer build checks that it does).
+    sim::DomainSet domains{1u};
+    PiumaConfig cfg = smallConfig(2);
+    MemorySystem mem(domains, cfg);
+    MemoryAccess acc{0.0, 0.0};
+    [](sim::Engine &eng, MemorySystem &m,
+       MemoryAccess &out) -> sim::Process {
+        co_await eng.announce("reader");
+        out = co_await m.read(0, 1, 64.0);
+    }(domains.engine(0), mem, acc);
+    EXPECT_EQ(domains.engine(0).blockedWaiters(), 1u);
+    sim::Engine::RunLimits limits;
+    limits.maxEvents = 1; // the request arrives; the response never runs
+    domains.setRunLimits(limits);
+    try {
+        domains.run();
+        FAIL() << "expected SimLimitError";
+    } catch (const sim::SimLimitError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "'reader' on 'memory response (core 0, 1 chunk(s) "
+                      "outstanding)'"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(domains.engine(0).blockedWaiters(), 1u);
+}
+
 TEST(SpmmSim, TrafficMatchesAnalyticalEquations)
 {
     // DRAM reads must cover the CSR and feature traffic of Eqs. 1-2;

@@ -162,8 +162,10 @@ checkBreachSnapshot(const SimLimitError &e, const char *budget_name)
 TEST(RunLimits, MaxEventsBreachThrowsWithSnapshot)
 {
     Engine engine;
-    std::function<void()> tick = [&] { engine.schedule(1.0, tick); };
-    engine.schedule(1.0, tick);
+    std::function<void()> tick = [&] {
+        engine.schedule(1.0, [&tick] { tick(); });
+    };
+    engine.schedule(1.0, [&tick] { tick(); });
     Engine::RunLimits limits;
     limits.maxEvents = 100;
     engine.setRunLimits(limits);
@@ -178,8 +180,10 @@ TEST(RunLimits, MaxEventsBreachThrowsWithSnapshot)
 TEST(RunLimits, MaxSimTimeBreachThrowsWithSnapshot)
 {
     Engine engine;
-    std::function<void()> tick = [&] { engine.schedule(10.0, tick); };
-    engine.schedule(10.0, tick);
+    std::function<void()> tick = [&] {
+        engine.schedule(10.0, [&tick] { tick(); });
+    };
+    engine.schedule(10.0, [&tick] { tick(); });
     Engine::RunLimits limits;
     limits.maxSimTimeNs = 55.0;
     engine.setRunLimits(limits);
@@ -198,8 +202,10 @@ TEST(RunLimits, MaxWallSecondsBreachThrowsWithSnapshot)
     // ever-ticking agent guarantees the check is eventually reached;
     // the 1 ns budget is breached by the first sample.
     Engine engine;
-    std::function<void()> tick = [&] { engine.schedule(1.0, tick); };
-    engine.schedule(1.0, tick);
+    std::function<void()> tick = [&] {
+        engine.schedule(1.0, [&tick] { tick(); });
+    };
+    engine.schedule(1.0, [&tick] { tick(); });
     Engine::RunLimits limits;
     limits.maxWallSeconds = 1e-9;
     engine.setRunLimits(limits);
