@@ -101,6 +101,10 @@ struct BenchArgs
     /// --retries=: in-process attempts per sweep point for transient
     /// failures (SweepOptions::pointAttempts).
     unsigned pointAttempts = 3;
+    /// The arguments, as typed, that change a point's values:
+    /// --faults=, --model-only, --no-monitors and every bench-local
+    /// flag. The checkpoint stamp covers them (checkpointStamp).
+    std::vector<std::string> valueFlags;
 
     /** True when any telemetry output was asked for. */
     bool
@@ -329,14 +333,17 @@ parseBenchArgs(int argc, char **argv,
             args.domainMode = parseDomainMode(argv[++i]);
         } else if (arg == "--model-only") {
             args.modelOnly = true;
+            args.valueFlags.push_back(arg);
         } else if (arg.rfind("--history=", 0) == 0) {
             args.historyPath = arg.substr(10);
         } else if (arg.rfind("--occupancy=", 0) == 0) {
             args.occupancyPath = arg.substr(12);
         } else if (arg == "--no-monitors") {
             args.monitors = false;
+            args.valueFlags.push_back(arg);
         } else if (arg.rfind("--faults=", 0) == 0) {
             args.faults = parseFaultSpec(arg.substr(9));
+            args.valueFlags.push_back(arg);
         } else if (arg.rfind("--retries=", 0) == 0) {
             args.pointAttempts = parseCount("--retries", arg.substr(10));
         } else if (arg.rfind("--", 0) == 0) {
@@ -348,6 +355,7 @@ parseBenchArgs(int argc, char **argv,
             if (flag == local.end())
                 PGCN_THROW(ConfigError, "unknown flag: " << arg);
             flag->apply(arg.substr(flag->name.size()));
+            args.valueFlags.push_back(arg);
         } else {
             PGCN_THROW(ConfigError, "unexpected positional argument '"
                                         << arg
@@ -371,16 +379,39 @@ parseBenchArgs(int argc, char **argv,
 }
 
 /**
+ * The configuration stamp of a bench's checkpoint: a digest of the
+ * bench name, the code (git SHA and dirty flag) and the flags that
+ * change a point's values (BenchArgs::valueFlags, in any order).
+ * Flags that shape only execution or output (--jobs, --domains,
+ * --domain-mode, --retries, output paths, telemetry) are left out,
+ * so a sweep may resume with a different --jobs or --domains.
+ */
+inline std::string
+checkpointStamp(const BenchArgs &args)
+{
+    uint64_t h = fnv1a64(args.benchName);
+    h = fnv1a64(std::string(version::kGitSha), h);
+    h = fnv1a64(uint64_t{version::kGitDirty}, h);
+    std::vector<std::string> flags = args.valueFlags;
+    std::sort(flags.begin(), flags.end());
+    for (const std::string &flag : flags)
+        h = fnv1a64(flag, h);
+    return hashHex(h);
+}
+
+/**
  * The sweep checkpoint per the parsed flags: a live JsonlCheckpoint
  * when --checkpoint= was given (loading completed points under
- * --resume), a disabled one otherwise.
+ * --resume, which must match checkpointStamp), a disabled one
+ * otherwise.
  */
 inline JsonlCheckpoint
 makeCheckpoint(const BenchArgs &args)
 {
     if (args.checkpointPath.empty())
         return {};
-    JsonlCheckpoint ckpt(args.checkpointPath, args.resume);
+    JsonlCheckpoint ckpt(args.checkpointPath, args.resume,
+                         checkpointStamp(args));
     if (args.resume)
         std::cout << "(resuming from " << args.checkpointPath << ": "
                   << ckpt.size() << " points already completed)\n";

@@ -167,11 +167,20 @@ parseLine(const std::string &line, std::string &key,
     return *p == '\0';
 }
 
+/** The first line of a checkpoint bound to @p stamp. */
+std::string
+stampLine(const std::string &stamp)
+{
+    return "{\"stamp\":\"" + stamp + "\"}";
+}
+
 } // namespace
 
-JsonlCheckpoint::JsonlCheckpoint(const std::string &path, bool resume)
+JsonlCheckpoint::JsonlCheckpoint(const std::string &path, bool resume,
+                                 const std::string &stamp)
     : path_(path)
 {
+    bool empty = true;
     if (resume) {
         std::ifstream in(path);
         if (in) {
@@ -181,6 +190,19 @@ JsonlCheckpoint::JsonlCheckpoint(const std::string &path, bool resume)
                 ++line_no;
                 if (line.empty())
                     continue;
+                if (empty) {
+                    empty = false;
+                    if (!stamp.empty() && line != stampLine(stamp)) {
+                        PGCN_THROW(ConfigError,
+                                   "cannot resume checkpoint "
+                                       << path << ": its first line is not "
+                                       << stampLine(stamp)
+                                       << " (other faults, flags or code);"
+                                          " rerun without --resume");
+                    }
+                    if (line.rfind("{\"stamp\":", 0) == 0)
+                        continue; // the stamp is not a point
+                }
                 std::string key;
                 Values values;
                 std::optional<std::string> quarantined;
@@ -213,6 +235,12 @@ JsonlCheckpoint::JsonlCheckpoint(const std::string &path, bool resume)
                            : (std::ios::out | std::ios::trunc));
     if (!out_)
         PGCN_THROW(IoError, "cannot open checkpoint file: " << path);
+    if (!stamp.empty() && empty) {
+        out_ << stampLine(stamp) << "\n";
+        out_.flush();
+        if (!out_)
+            PGCN_THROW(IoError, "I/O error writing checkpoint: " << path_);
+    }
 }
 
 void

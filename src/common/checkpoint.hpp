@@ -17,6 +17,11 @@
  * A truncated final line (the crash happened mid-write) is skipped
  * with a warning; that point is simply recomputed.
  *
+ * A checkpoint opened with a configuration stamp starts with one more
+ * line, {"stamp":"<hex digest>"}, which is not a point. Resuming it
+ * under a different stamp is a ConfigError: points computed under
+ * other faults, flags or code would otherwise be reused silently.
+ *
  * Poisoned points — configurations whose run fails permanently (e.g.
  * an unrecoverable injected fault) — are *quarantined* instead:
  *   {"key":"middle/cores=4","quarantined":"error message"}
@@ -55,11 +60,17 @@ class JsonlCheckpoint
      * Open @p path for appending. With @p resume true, previously
      * completed points are loaded first (a missing file is an empty
      * checkpoint); with @p resume false any existing file is
-     * truncated and the sweep starts over.
+     * truncated and the sweep starts over. A non-empty @p stamp (a
+     * digest of everything that changes a point's values) binds the
+     * file to one configuration: a fresh file, or a resumed one that
+     * is missing or empty, starts with the stamp line.
      *
+     * @throws ConfigError on resume with a @p stamp when the file's
+     *         first line is not that stamp's line.
      * @throws IoError when the file cannot be opened for writing.
      */
-    JsonlCheckpoint(const std::string &path, bool resume);
+    JsonlCheckpoint(const std::string &path, bool resume,
+                    const std::string &stamp = {});
 
     /** True when constructed with a path. */
     bool enabled() const { return !path_.empty(); }

@@ -346,9 +346,9 @@ MemorySystem::completeChunk(PendingAccess &pa, const MemoryAccess &chunk)
     const sim::SimTime d = pa.acc.responseAt - e.now();
     if (d > 0.0) {
         // A synchronously-resolved local chunk finishes after the
-        // last event chunk: wake at the merged response time,
-        // replicating delayUntil arithmetic.
-        domains_.wakeAt(domainOf(pa.core), pa.acc.responseAt, h);
+        // last event chunk: wake at the merged response time, with
+        // delayUntil's arithmetic.
+        e.schedule(d, h);
     } else {
         // This response *is* the completion: resume inline, exactly
         // as the response event's continuation.

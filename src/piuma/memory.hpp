@@ -323,8 +323,8 @@ class MemorySystem
                     mem.parked_[mem.domainOf(pa.core)]->park(pa, h);
                     return;
                 }
-                mem.domains_.wakeAt(mem.domainOf(pa.core),
-                                    pa.acc.responseAt, h);
+                sim::Engine &e = mem.engineOf(pa.core);
+                e.schedule(pa.acc.responseAt - e.now(), h);
             }
             MemoryAccess await_resume() const noexcept { return pa.acc; }
         };

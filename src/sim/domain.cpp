@@ -80,7 +80,6 @@ DomainSet::DomainSet(const Options &opts) : lookaheadNs_(opts.lookaheadNs)
         engines_.push_back(std::make_unique<Engine>());
     if (d > 1) // one domain never posts across domains
         boxes_.resize(static_cast<size_t>(d) * d);
-    postSeq_.assign(d, 0);
     crossPosts_.assign(d, 0);
 }
 
@@ -97,54 +96,6 @@ DomainSet::~DomainSet()
 }
 
 void
-DomainSet::postWake(unsigned src, unsigned dst, SimTime when,
-                    std::coroutine_handle<> h)
-{
-    Engine &e = engine(dst);
-    // Replicate Engine::delayUntil arithmetic bit-for-bit: the serial
-    // path computes the event time as now + (when - now), which can
-    // differ from `when` by an ulp. Diverging here would silently
-    // shift one event and break the `--domains N` identity.
-    const SimTime d = when - e.now();
-    PGCN_ASSERT(d > 0.0, "postWake for a response already due");
-    e.injectAbsolute(e.now() + d,
-                     reinterpret_cast<uintptr_t>(h.address()),
-                     e.curDepth_ + 1);
-    if (src != dst) {
-        // The awaiting coroutine always runs on dst's thread, so dst
-        // is the executing domain — index the tally by it to keep the
-        // counters single-writer.
-        ++crossPosts_[dst];
-    }
-}
-
-void
-DomainSet::post(unsigned src_domain, unsigned dst_domain, SimTime when,
-                Callback fn)
-{
-    if (src_domain == dst_domain) {
-        Engine &e = engine(dst_domain);
-        PGCN_ASSERT(when >= e.now(), "post into the past");
-        e.injectAbsolute(when, e.internCallback(fn), e.curDepth_ + 1);
-        return;
-    }
-    // Cross-domain: must be issued from src's worker thread
-    // during its dispatch window, and must respect the lookahead the
-    // safe-window proof depends on (tiny epsilon absorbs float
-    // rounding in callers that compute `now + lookahead` themselves).
-    Engine &src = engine(src_domain);
-    PGCN_ASSERT(when + 1e-9 >= src.now() + lookaheadNs_,
-                "cross-domain post at t=" << when
-                    << " violates lookahead " << lookaheadNs_
-                    << " (src clock t=" << src.now() << ")");
-    const unsigned d = domains();
-    boxes_[static_cast<size_t>(src_domain) * d + dst_domain].push(
-        Msg{when, postSeq_[src_domain]++, 0, src_domain, src.curDepth_ + 1,
-            fn});
-    ++crossPosts_[src_domain];
-}
-
-void
 DomainSet::postKeyed(unsigned src_domain, unsigned dst_domain,
                      SimTime when, uint64_t keyed_seq, Callback fn)
 {
@@ -156,6 +107,10 @@ DomainSet::postKeyed(unsigned src_domain, unsigned dst_domain,
                       e.curDepth_ + 1);
         return;
     }
+    // Cross-domain: must be issued from src's worker thread during its
+    // dispatch window, and must respect the lookahead the safe-window
+    // proof depends on (tiny epsilon absorbs float rounding in callers
+    // that compute `now + lookahead` themselves).
     Engine &src = engine(src_domain);
     PGCN_ASSERT(when + 1e-9 >= src.now() + lookaheadNs_,
                 "keyed cross-domain post at t="
@@ -163,43 +118,24 @@ DomainSet::postKeyed(unsigned src_domain, unsigned dst_domain,
                     << " (src clock t=" << src.now() << ")");
     const unsigned d = domains();
     boxes_[static_cast<size_t>(src_domain) * d + dst_domain].push(
-        Msg{when, postSeq_[src_domain]++, keyed_seq, src_domain,
-            src.curDepth_ + 1, fn});
+        Msg{when, keyed_seq, src.curDepth_ + 1, fn});
     ++crossPosts_[src_domain];
 }
 
 void
-DomainSet::drainInbox(unsigned dst, std::vector<Msg> &scratch)
+DomainSet::drainInbox(unsigned dst, bool deliver)
 {
-    scratch.clear();
-    const unsigned d = domains();
-    for (unsigned src = 0; src < d; ++src)
-        boxes_[static_cast<size_t>(src) * d + dst].drainTo(scratch);
-    if (scratch.empty())
-        return;
-    // The deterministic merge rule: timestamp, then source domain,
-    // then source sequence. Nothing about arrival order (which is
-    // scheduling-dependent) survives into the injection order.
-    std::sort(scratch.begin(), scratch.end(),
-              [](const Msg &a, const Msg &b) {
-                  if (a.when != b.when)
-                      return a.when < b.when;
-                  if (a.srcDomain != b.srcDomain)
-                      return a.srcDomain < b.srcDomain;
-                  return a.srcSeq < b.srcSeq;
-              });
+    // Each message carries its own unique (band, entity, stamp) sort
+    // key, so the order in which the mailboxes are drained never
+    // decides the dispatch order: no merge is needed.
     Engine &e = engine(dst);
-    for (const Msg &m : scratch) {
-        // A keyed message carries its own (band, entity, stamp) sort
-        // key; an unkeyed one takes a fresh engine sequence number, so
-        // its injection order here (the sort above) is its dispatch
-        // tiebreak.
-        if (m.keyedSeq != 0) {
-            e.injectKeyed(m.when, e.internCallback(m.fn), m.keyedSeq,
-                          m.depth);
-        } else {
-            e.injectAbsolute(m.when, e.internCallback(m.fn), m.depth);
-        }
+    const unsigned d = domains();
+    for (unsigned src = 0; src < d; ++src) {
+        boxes_[static_cast<size_t>(src) * d + dst].drain([&](const Msg &m) {
+            if (deliver)
+                e.injectKeyed(m.when, e.internCallback(m.fn), m.keyedSeq,
+                              m.depth);
+        });
     }
 }
 
@@ -235,7 +171,6 @@ DomainSet::runParallel()
 
     auto worker = [&](unsigned dom) {
         Engine &e = *engines_[dom];
-        std::vector<Msg> scratch;
         bool failed = false;
         for (;;) {
             // Barrier A: every domain finished the previous window,
@@ -243,7 +178,7 @@ DomainSet::runParallel()
             barrier_a.arriveAndWait();
             if (!failed) {
                 try {
-                    drainInbox(dom, scratch);
+                    drainInbox(dom, /*deliver=*/true);
                 } catch (...) {
                     errors[dom] = std::current_exception();
                     failed = true;
@@ -252,7 +187,7 @@ DomainSet::runParallel()
             if (failed) {
                 // Keep participating so the others can finish, but
                 // discard anything still addressed here.
-                drainDiscard(dom, scratch);
+                drainInbox(dom, /*deliver=*/false);
             }
             next[dom] = (!failed && e.hasPending())
                             ? e.peekMinKey().when
@@ -313,16 +248,6 @@ DomainSet::runParallel()
         end = std::max(end, e->now());
     raiseIfBlockedAnywhere(end);
     return end;
-}
-
-void
-DomainSet::drainDiscard(unsigned dst, std::vector<Msg> &scratch)
-{
-    scratch.clear();
-    const unsigned d = domains();
-    for (unsigned src = 0; src < d; ++src)
-        boxes_[static_cast<size_t>(src) * d + dst].drainTo(scratch);
-    scratch.clear();
 }
 
 SimLimitError

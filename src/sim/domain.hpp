@@ -5,22 +5,21 @@
  *
  * A DomainSet splits one simulated machine into N event domains —
  * one per PIUMA node or DRAM-slice group — each backed by its own
- * Engine (its own calendar, now queue, completion streams and
- * waitables). One domain is simply the serial engine: run() is
- * Engine::run(), and it is the oracle every multi-domain run is
- * checked against. More than one domain runs each on its own
- * std::thread under a conservative-lookahead window protocol
- * (Chandy–Misra in barrier form). Let m be the minimum next-event
- * time across all domains and L the lookahead — the minimum latency
- * of any cross-domain interaction (for PIUMA, the minimum inter-node
- * network latency from PiumaConfig). Every domain may safely dispatch
- * all events strictly before H = m + L: any message sent during the
- * window is sent at time >= m and arrives at >= m + L = H, so nothing
- * dispatched inside the window can be invalidated. Cross-domain
- * events travel through bounded SPSC mailboxes (one per ordered
- * domain pair) and are merged at each window boundary in
- * deterministic (timestamp, source domain, source sequence) order. An
- * idle domain publishes +inf as its next-event time and keeps
+ * Engine (its own calendar, now queue and waitables). One domain is
+ * simply the serial engine: run() is Engine::run(), and it is the
+ * oracle every multi-domain run is checked against. More than one
+ * domain runs each on its own std::thread under a
+ * conservative-lookahead window protocol (Chandy–Misra in barrier
+ * form). Let m be the minimum next-event time across all domains and
+ * L the lookahead — the minimum latency of any cross-domain
+ * interaction (for PIUMA, the minimum inter-node network latency from
+ * PiumaConfig). Every domain may safely dispatch all events strictly
+ * before H = m + L: any message sent during the window is sent at
+ * time >= m and arrives at >= m + L = H, so nothing dispatched inside
+ * the window can be invalidated. Cross-domain messages travel through
+ * bounded SPSC mailboxes (one per ordered domain pair) and are filed
+ * into the destination's calendar at each window boundary. An idle
+ * domain publishes +inf as its next-event time and keeps
  * participating in the barriers — the null-message/idle-advance path
  * — so a neighbor going quiet can never deadlock the set.
  *
@@ -30,21 +29,21 @@
  * latency — the DGAS network hop on requests and responses, the
  * timeout margin on failure notices — so the model's lookahead bound
  * (MemorySystem::modelLookaheadNs) is positive and threaded domains
- * are legal. Bit-identity with the serial engine at any domain count
- * rests on *keyed sequence numbers*: requests and responses carry
- * canonical (band, entity, stamp) sort keys assigned from per-entity
- * counters (kSeqBandRequest / kSeqBandResponse below), so the order
- * at equal timestamps is a property of the messages themselves, not
- * of which counter happened to stamp them. Ordinary events keep
- * their small engine-local sequence numbers and therefore always
- * dispatch before keyed messages at the same timestamp — a uniform
- * rule every domain count shares. See DESIGN.md §15 for the
- * lookahead-bound derivation and the domain-plan rules.
+ * are legal. The set has one message kind, postKeyed: every request,
+ * response and failure notice carries a canonical (band, entity,
+ * stamp) sort key assigned from per-entity counters (kSeqBandRequest
+ * / kSeqBandResponse below), so the order at equal timestamps is a
+ * property of the messages themselves — not of which counter stamped
+ * them or of the order the mailboxes are drained in — and is the same
+ * at any domain count. Ordinary events, memory-response wakes
+ * included, are plain engine schedules: their small engine-local
+ * sequence numbers always dispatch before keyed messages at the same
+ * timestamp. See DESIGN.md §15 for the lookahead-bound derivation and
+ * the domain-plan rules.
  */
 #ifndef PGCN_SIM_DOMAIN_HPP
 #define PGCN_SIM_DOMAIN_HPP
 
-#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -163,75 +162,19 @@ class DomainSet
     SimTime run();
 
     /**
-     * Awaitable: suspend the calling agent (which runs in domain
-     * @p dst_domain) until absolute time @p when, where the wake is
-     * caused by domain @p src_domain (e.g. a memory response computed
-     * by a remote slice). Timing, sequence-number consumption and the
-     * past-deadline fast path replicate Engine::delayUntil exactly,
-     * so a run is bit-identical whether an await is routed through
-     * the set or the plain engine. Cross-domain wakes are
-     * counted per domain (see crossDomainPosts()).
-     */
-    auto
-    awaitResponse(unsigned src_domain, unsigned dst_domain, SimTime when)
-    {
-        struct Awaiter
-        {
-            DomainSet &set;
-            unsigned src;
-            unsigned dst;
-            SimTime when;
-
-            bool
-            await_ready() const noexcept
-            {
-                // Same fast path as delayUntil: a response already
-                // due costs no event and no sequence number.
-                return when - set.engine(dst).now() <= 0.0;
-            }
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                set.postWake(src, dst, when, h);
-            }
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{*this, src_domain, dst_domain, when};
-    }
-
-    /**
-     * Deliver @p fn to domain @p dst_domain at absolute time @p when,
-     * sent by domain @p src_domain. A same-domain post files the
-     * event directly; a cross-domain post copies the closure into the
-     * (src, dst) mailbox —
-     * it must be called from src's worker thread, and @p when must
-     * respect the lookahead: when >= src clock + lookaheadNs.
-     */
-    void post(unsigned src_domain, unsigned dst_domain, SimTime when,
-              Callback fn);
-
-    /**
      * Deliver @p fn to domain @p dst_domain at absolute time @p when
-     * carrying the canonical sequence key @p keyed_seq (see the band
-     * constants above). Unlike post(), whose events are stamped with
-     * fresh engine sequence numbers at injection, a keyed message's
-     * equal-timestamp dispatch order is decided by the carried key —
-     * identical at any domain count by construction. Same
-     * thread/lookahead rules as post().
+     * (not before dst's clock) carrying the canonical sequence key
+     * @p keyed_seq (see the band constants above). The carried key,
+     * not the injection order, decides the message's equal-timestamp
+     * dispatch order, so it is identical at any domain count by
+     * construction. A same-domain post files the event directly; a
+     * cross-domain post copies the closure into the (src, dst)
+     * mailbox — it must be called from src's worker thread, and
+     * @p when must respect the lookahead:
+     * when >= src clock + lookaheadNs.
      */
     void postKeyed(unsigned src_domain, unsigned dst_domain, SimTime when,
                    uint64_t keyed_seq, Callback fn);
-
-    /**
-     * File a delayUntil-replica wake for @p h in domain @p dom at
-     * absolute time @p when (must be strictly after dom's clock).
-     * A self-post: usable from dom's own thread.
-     */
-    void
-    wakeAt(unsigned dom, SimTime when, std::coroutine_handle<> h)
-    {
-        postWake(dom, dom, when, h);
-    }
 
     /**
      * Arm watchdog budgets on every domain. The simulated-time and
@@ -270,7 +213,7 @@ class DomainSet
     size_t peakQueueDepth() const;
 
     /**
-     * Cross-domain wakes and posts delivered so far. Deliberately
+     * Cross-domain posts delivered so far. Deliberately
      * kept out of SpmmRunStats and telemetry counters: it depends on
      * the domain count, and everything in those channels must be
      * bit-identical across `--domains N`.
@@ -286,9 +229,7 @@ class DomainSet
     struct Msg
     {
         SimTime when;
-        uint64_t srcSeq; ///< per-source post counter: the merge tiebreak
-        uint64_t keyedSeq; ///< carried sequence key; 0 = unkeyed post
-        unsigned srcDomain;
+        uint64_t keyedSeq; ///< carried sequence key: the dispatch tiebreak
         uint32_t depth;
         Callback fn;
     };
@@ -308,47 +249,42 @@ class DomainSet
         void
         push(const Msg &m)
         {
-            if (size_ < kCapacity) {
-                ring_[(head_ + size_) % kCapacity] = m;
-                ++size_;
-            } else {
+            if (size_ < kCapacity)
+                ring_[size_++] = m;
+            else
                 spill_.push_back(m);
-            }
         }
 
+        /** Hand every parked message to @p fn, then empty the box. */
+        template <typename Fn>
         void
-        drainTo(std::vector<Msg> &out)
+        drain(const Fn &fn)
         {
             for (size_t i = 0; i < size_; ++i)
-                out.push_back(ring_[(head_ + i) % kCapacity]);
-            head_ = 0;
+                fn(ring_[i]);
+            for (const Msg &m : spill_)
+                fn(m);
             size_ = 0;
-            out.insert(out.end(), spill_.begin(), spill_.end());
             spill_.clear();
         }
 
       private:
         static constexpr size_t kCapacity = 256;
         std::vector<Msg> ring_ = std::vector<Msg>(kCapacity);
-        size_t head_ = 0;
         size_t size_ = 0;
         std::vector<Msg> spill_;
     };
-
-    /** File a coroutine wake in dst, replicating delayUntil timing. */
-    void postWake(unsigned src, unsigned dst, SimTime when,
-                  std::coroutine_handle<> h);
 
     SimTime runParallel();
 
     /** The summed event-budget breach, with every domain's snapshot. */
     SimLimitError budgetError() const;
 
-    /** Drain every mailbox addressed to @p dst, in merge order. */
-    void drainInbox(unsigned dst, std::vector<Msg> &scratch);
-
-    /** Drain and discard @p dst's mailboxes (failed-domain path). */
-    void drainDiscard(unsigned dst, std::vector<Msg> &scratch);
+    /**
+     * Drain every mailbox addressed to @p dst into its engine, or with
+     * @p deliver false discard the messages (failed-domain path).
+     */
+    void drainInbox(unsigned dst, bool deliver);
 
     /** Throw SimDeadlockError if any domain still has blocked agents. */
     void raiseIfBlockedAnywhere(SimTime at) const;
@@ -361,7 +297,6 @@ class DomainSet
     uint64_t maxEvents_ = 0; ///< summed event budget; 0 = unlimited
     std::vector<std::unique_ptr<Engine>> engines_;
     std::vector<Mailbox> boxes_;       ///< [src * D + dst]
-    std::vector<uint64_t> postSeq_;    ///< per-src mailbox sequence
     std::vector<uint64_t> crossPosts_; ///< per-executing-domain tally
 };
 

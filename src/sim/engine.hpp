@@ -12,12 +12,13 @@
  * Between arena growths (counted by arenaGrowths()) the hot path is
  * allocation-free. An event is a 24-byte POD: a (when, seq) sort key
  * plus a one-word payload that is either a coroutine frame address or
- * (tagged in the low bit) an index into the callback slab. Callbacks carry the memory protocol's request,
- * retry and response events (most events of a PIUMA run) plus test
- * and ad-hoc hooks; each is a sim::Callback, a trivially copyable
- * closure stored inline, so posting one never allocates. The slab
- * grows in fixed blocks that never move, and its free slots are
- * reused. Three arenas back the event queue:
+ * (tagged in the low bit) an index into the callback slab. Callbacks
+ * carry the memory protocol's request, retry and response events
+ * (most events of a PIUMA run) plus test and ad-hoc hooks; each is a
+ * sim::Callback, a trivially copyable closure stored inline, so
+ * posting one never allocates. The slab grows in fixed blocks that
+ * never move, and its free slots are reused. Two arenas back the
+ * event queue:
  *
  *  - the "now queue": a FIFO of zero-delay events. Resumptions
  *    scheduled at the current timestamp (BoundedQueue hand-offs,
@@ -37,19 +38,16 @@
  *    is re-derived from the mean dispatch gap only after the scans
  *    have wasted as many node visits as a relink costs, and a full
  *    revolution of empty buckets jumps to the earliest node the
- *    revolution itself inspected;
- *  - "completion streams": FIFO rings of waits whose timestamps are
- *    non-decreasing (everything queued behind one bandwidth-limited
- *    resource completes in reservation order). Only the head of each
- *    stream sits in the far calendar, so the events behind the head
- *    cost O(1). A wait that would break a stream's monotonicity
- *    (possible only through floating-point rounding of delayUntil
- *    arithmetic) silently falls back to a plain far event, so
- *    ordering never depends on the assumption.
+ *    revolution itself inspected.
  *
- * Determinism contract: every event is stamped with a global sequence
- * number at schedule time, and run() always dispatches the minimum
- * (when, seq) across all arenas, so the observable order is exactly
+ * Events enter three ways: schedule(delay, handle) and
+ * schedule(delay, Callback) stamp the next sequence number, and
+ * injectKeyed (DomainSet::postKeyed) files a callback under a
+ * caller-chosen key.
+ *
+ * Determinism contract: every event carries its sequence number from
+ * the moment it is filed, and run() always dispatches the minimum
+ * (when, seq) across both arenas, so the observable order is exactly
  * the seed engine's single-priority-queue order.
  *
  * Event domains (sim/domain.hpp): a DomainSet runs one Engine per
@@ -90,7 +88,6 @@
 #include "common/logging.hpp"
 #include "sim/callback.hpp"
 #include "sim/diagnostics.hpp"
-#include "sim/ring.hpp"
 
 namespace pgcn::sim {
 
@@ -196,11 +193,6 @@ class Engine
                 destroyFramePayload(farArena_[n].payload);
         for (const Event &ev : bottom_)
             destroyFramePayload(ev.payload);
-        for (Stream &st : streams_)
-            while (!st.fifo.empty())
-                std::coroutine_handle<>::from_address(
-                    st.fifo.pop_front().frame)
-                    .destroy();
     }
 
     /** Track @p waitable for deadlock reporting. */
@@ -310,12 +302,7 @@ class Engine
            << callbackEvents_ << ")\n"
            << "pending events: " << pending_ << " (now-queue "
            << (nowQ_.size() - nowHead_) << ", far calendar " << farCount_
-           << "; peak " << peakQueueDepth_ << ")\n";
-        size_t stream_waits = 0;
-        for (const Stream &st : streams_)
-            stream_waits += st.fifo.size();
-        os << "completion streams: " << streams_.size() << " ("
-           << stream_waits << " parked waits)\n"
+           << "; peak " << peakQueueDepth_ << ")\n"
            << "far-calendar buckets: " << slotHeads_.size() << " (width "
            << wheelWidth_ << " ns; " << bottom_.size() << " loaded)\n"
            << "arena growths: " << arenaGrowths_ << "\n";
@@ -517,53 +504,6 @@ class Engine
         return delay(when - now_);
     }
 
-    /** Identifies one completion stream; see createStream(). */
-    using StreamId = uint32_t;
-
-    /**
-     * Register a completion stream: a wait channel whose resume times
-     * are expected to be non-decreasing (e.g. all waiters queued on
-     * one BandwidthResource). Waits on a stream are O(1); only the
-     * stream's earliest wait occupies the far calendar.
-     */
-    StreamId
-    createStream()
-    {
-        streams_.emplace_back();
-        return static_cast<StreamId>(streams_.size() - 1);
-    }
-
-    /**
-     * Stream counterpart of delay(): identical timing and dispatch
-     * order, cheaper when many waits share the stream.
-     */
-    auto
-    streamDelay(StreamId sid, SimTime ns)
-    {
-        struct Awaiter
-        {
-            Engine &engine;
-            StreamId sid;
-            SimTime ns;
-
-            bool await_ready() const noexcept { return ns <= 0.0; }
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                engine.scheduleOnStream(sid, ns, h);
-            }
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{*this, sid, ns};
-    }
-
-    /** Stream counterpart of delayUntil(). */
-    auto
-    streamDelayUntil(StreamId sid, SimTime when)
-    {
-        return streamDelay(sid, when - now_);
-    }
-
   private:
     friend class DomainSet;
 
@@ -607,7 +547,7 @@ class Engine
     static void
     destroyFramePayload(uintptr_t p)
     {
-        if ((p & kTagMask) == 0 && p != 0) {
+        if ((p & kCallbackTag) == 0 && p != 0) {
             std::coroutine_handle<>::from_address(
                 reinterpret_cast<void *>(p))
                 .destroy();
@@ -616,31 +556,13 @@ class Engine
 
     /**
      * What a dispatched event does, in one word. Coroutine frames are
-     * new-aligned, so the address's low bits are free for a tag:
-     * 0 resumes the frame at this address, kCallbackTag runs
-     * callback-slab entry payload >> 2, kStreamTag dispatches the
-     * head of stream payload >> 2.
+     * new-aligned, so the address's low bit is free for a tag: clear
+     * resumes the frame at this address, kCallbackTag runs
+     * callback-slab entry payload >> 1.
      */
     using Payload = uintptr_t;
 
-    static constexpr uintptr_t kTagMask = 3;
     static constexpr uintptr_t kCallbackTag = 1;
-    static constexpr uintptr_t kStreamTag = 2;
-
-    /** A wait parked on a completion stream. */
-    struct StreamEvent
-    {
-        SimTime when;
-        uint64_t seq;
-        void *frame;
-        uint32_t depth; ///< dependency-chain length of this event
-    };
-
-    /** One completion stream: (when, seq)-sorted FIFO of waits. */
-    struct Stream
-    {
-        Ring<StreamEvent> fifo;
-    };
 
     /** The 16-byte sort key; keys are stored contiguously. */
     struct Key
@@ -676,7 +598,7 @@ class Engine
         const uintptr_t slot = freeCallbackSlots_.back();
         freeCallbackSlots_.pop_back();
         callbackAt(slot) = fn;
-        return (slot << 2) | kCallbackTag;
+        return (slot << 1) | kCallbackTag;
     }
 
     /** Callback-slab entry @p slot; blocks never move once allocated. */
@@ -718,29 +640,6 @@ class Engine
             // Invariant: with non-negative delays every pending event
             // has when >= now, so zero-delay events are always ready
             // and FIFO-ordered among themselves — a plain queue slot.
-            if (nowQ_.size() == nowQ_.capacity())
-                ++arenaGrowths_;
-            nowQ_.push_back(Event{when, seq, p, depth});
-        } else {
-            farPush(Key{when, seq}, p, depth);
-        }
-        ++pending_;
-        peakQueueDepth_ = std::max(peakQueueDepth_, pending_);
-    }
-
-    /**
-     * File an event at *absolute* time @p when with an explicit depth
-     * — the cross-domain injection path (DomainSet). The event takes
-     * the next sequence number, exactly as a local push would.
-     */
-    void
-    injectAbsolute(SimTime when, Payload p, uint32_t depth)
-    {
-        PGCN_ASSERT(when >= now_,
-                    "cross-domain event at t=" << when
-                        << " is behind the clock t=" << now_);
-        const uint64_t seq = nextSeq_++;
-        if (when == now_) {
             if (nowQ_.size() == nowQ_.capacity())
                 ++arenaGrowths_;
             nowQ_.push_back(Event{when, seq, p, depth});
@@ -833,8 +732,16 @@ class Engine
                     "simulated time ran backwards: dispatching t="
                         << ev.when << " at t=" << now_);
         now_ = ev.when;
-        if (limitsActive_) [[unlikely]]
-            enforceLimits();
+        if (limitsActive_) [[unlikely]] {
+            try {
+                enforceLimits();
+            } catch (...) {
+                // The run aborts with @p ev already out of the arenas,
+                // where the destructor would have found its frame.
+                destroyFramePayload(ev.payload);
+                throw;
+            }
+        }
         // Telemetry sampling rides the dispatch loop instead of
         // scheduling its own events, so an attached observer can
         // never alter event order or keep the queue alive.
@@ -843,74 +750,22 @@ class Engine
             observerNext_ = observer_->onSample(now_, *this);
         ++eventsProcessed_;
         --pending_;
-        const uintptr_t tag = ev.payload & kTagMask;
-        if (tag == 0) {
+        curDepth_ = ev.depth;
+        maxDepth_ = std::max<uint64_t>(maxDepth_, ev.depth);
+        if ((ev.payload & kCallbackTag) == 0) {
             ++coroutineEvents_;
-            curDepth_ = ev.depth;
-            maxDepth_ = std::max<uint64_t>(maxDepth_, ev.depth);
             std::coroutine_handle<>::from_address(
                 reinterpret_cast<void *>(ev.payload))
                 .resume();
-        } else if (tag == kStreamTag) {
-            Stream &st = streams_[ev.payload >> 2];
-            const StreamEvent se = st.fifo.pop_front();
-            PGCN_ASSERT(se.when == ev.when && se.seq == ev.seq,
-                        "stream head out of sync");
-            // Re-arm the stream's next wait before resuming: the
-            // resumed coroutine may append to this stream. The far
-            // node carries the parked wait's own depth (dispatch
-            // reads it back from the FIFO, but keeping the copies
-            // consistent costs nothing).
-            if (!st.fifo.empty()) {
-                const StreamEvent &nx = st.fifo.front();
-                farPush(Key{nx.when, nx.seq}, ev.payload, nx.depth);
-            }
-            ++coroutineEvents_;
-            curDepth_ = se.depth;
-            maxDepth_ = std::max<uint64_t>(maxDepth_, se.depth);
-            std::coroutine_handle<>::from_address(se.frame).resume();
         } else {
             ++callbackEvents_;
-            curDepth_ = ev.depth;
-            maxDepth_ = std::max<uint64_t>(maxDepth_, ev.depth);
-            const size_t slot = ev.payload >> 2;
+            const size_t slot = ev.payload >> 1;
             // Run in place: slab blocks never move, and the slot stays
             // taken until the call returns, so events the callback
             // schedules land in other slots.
             callbackAt(slot)();
             freeCallbackSlots_.push_back(static_cast<uint32_t>(slot));
         }
-    }
-
-    /**
-     * Park @p h on stream @p sid, to resume @p ns from now. Timing and
-     * global dispatch order are identical to schedule(): the event is
-     * stamped with the next global sequence number, and the stream's
-     * minimum (when, seq) is always present in the far calendar.
-     * Appends that would sort before the stream's tail (floating-point
-     * rounding artefacts) fall back to plain far events.
-     */
-    void
-    scheduleOnStream(StreamId sid, SimTime ns, std::coroutine_handle<> h)
-    {
-        PGCN_ASSERT(ns > 0.0, "stream wait must be in the future");
-        const SimTime when = now_ + ns;
-        const uint64_t seq = nextSeq_++;
-        const uint32_t depth = curDepth_ + 1;
-        Stream &st = streams_[sid];
-        if (!st.fifo.empty() && when < st.fifo.back().when) {
-            farPush(Key{when, seq},
-                    reinterpret_cast<uintptr_t>(h.address()), depth);
-        } else {
-            if (st.fifo.empty()) {
-                farPush(Key{when, seq},
-                        (static_cast<uintptr_t>(sid) << 2) | kStreamTag,
-                        depth);
-            }
-            st.fifo.push_back(StreamEvent{when, seq, h.address(), depth});
-        }
-        ++pending_;
-        peakQueueDepth_ = std::max(peakQueueDepth_, pending_);
     }
 
     /** Absolute calendar-bucket index of @p when. Monotone in when. */
@@ -1166,7 +1021,6 @@ class Engine
     /// Callback slab: fixed-size blocks, never relocated.
     std::vector<std::unique_ptr<Callback[]>> callbackBlocks_;
     std::vector<uint32_t> freeCallbackSlots_; ///< LIFO of free slots
-    std::vector<Stream> streams_;       ///< completion streams
     std::vector<Waitable *> waitables_; ///< deadlock-report registry
     std::unordered_map<void *, std::string> agentNames_;
     uint64_t arenaGrowths_ = 0;

@@ -38,8 +38,7 @@ class BandwidthResource
      */
     BandwidthResource(Engine &engine, double rate,
                       std::string name = "bandwidth")
-        : engine_(engine), rate_(rate), stream_(engine.createStream()),
-          name_(std::move(name))
+        : engine_(engine), rate_(rate), name_(std::move(name))
     {
         PGCN_ASSERT(rate > 0.0, "resource rate must be positive");
     }
@@ -105,15 +104,12 @@ class BandwidthResource
     /**
      * Awaitable: reserve @p amount and suspend until service
      * completes (queueing + transfer, not including any downstream
-     * latency the caller adds). Because completions leave the
-     * resource in reservation order, the wait parks on this
-     * resource's completion stream — O(1) however many threads are
-     * queued behind it.
+     * latency the caller adds).
      */
     auto
     transfer(double amount)
     {
-        return engine_.streamDelayUntil(stream_, reserve(amount));
+        return engine_.delayUntil(reserve(amount));
     }
 
     /** Earliest time a new request would start service. */
@@ -142,7 +138,6 @@ class BandwidthResource
   private:
     Engine &engine_;
     double rate_;
-    Engine::StreamId stream_; ///< completion stream for transfer()
     std::string name_;
     Timeline *monitor_ = nullptr; ///< busy-span sink (occupancy)
     SimTime nextFree_ = 0.0;

@@ -11,7 +11,7 @@
  *  2. Golden values: simulated results captured from the seed
  *     implementation (single std::priority_queue of std::function
  *     events). Any event-engine change — arenas, now queue, calendar
- *     wheel, completion streams, compiler-flag changes — must
+ *     wheel, callback slab, compiler-flag changes — must
  *     reproduce these bits exactly, proving it altered wall-clock
  *     behaviour only, never simulated results. If a change breaks
  *     these on purpose (a *model* change), re-derive the constants

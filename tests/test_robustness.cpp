@@ -217,6 +217,35 @@ TEST(RunLimits, MaxWallSecondsBreachThrowsWithSnapshot)
     }
 }
 
+/** Sets @p destroyed when the coroutine frame holding it is freed. */
+struct FrameGuard
+{
+    bool &destroyed;
+    ~FrameGuard() { destroyed = true; }
+};
+
+Process
+sleeper(Engine &engine, bool &destroyed)
+{
+    FrameGuard guard{destroyed};
+    co_await engine.delay(1.0);
+    co_await engine.delay(1.0);
+}
+
+// A breach aborts the run with the event being dispatched already out
+// of the arenas: its coroutine frame must still be freed, not leaked.
+TEST(RunLimits, BreachFreesTheFrameBeingDispatched)
+{
+    bool destroyed = false;
+    Engine engine;
+    Engine::RunLimits limits;
+    limits.maxEvents = 1; // trips on the second wake
+    engine.setRunLimits(limits);
+    sleeper(engine, destroyed);
+    EXPECT_THROW(engine.run(), SimLimitError);
+    EXPECT_TRUE(destroyed);
+}
+
 TEST(RunLimits, GenerousLimitsDoNotFire)
 {
     Engine engine;
@@ -259,6 +288,14 @@ tmpPath(const std::string &leaf)
     // Unique per test *and* per process: ctest -j runs each TEST as
     // its own process and they must not race on checkpoint files.
     return pgcn_test::testPath(leaf);
+}
+
+std::string
+slurpFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
 }
 
 TEST(Checkpoint, DisabledCheckpointIsInert)
@@ -336,16 +373,88 @@ TEST(Checkpoint, FinalJsonByteIdenticalAcrossResume)
         JsonlCheckpoint ckpt(jsonl, /*resume=*/true);
         ckpt.writeFinalJson(resumed_json);
     }
-    const auto slurp = [](const std::string &p) {
-        std::ifstream in(p);
-        return std::string(std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>());
-    };
-    const std::string direct = slurp(direct_json);
+    const std::string direct = slurpFile(direct_json);
     EXPECT_FALSE(direct.empty());
-    EXPECT_EQ(direct, slurp(resumed_json));
+    EXPECT_EQ(direct, slurpFile(resumed_json));
     // Keys come out sorted regardless of record order.
     EXPECT_LT(direct.find("\"a\""), direct.find("\"b\""));
+}
+
+// A stamped checkpoint starts with its stamp line, which is not a
+// point: a matching resume reuses the points, and neither size() nor
+// the consolidated JSON sees the stamp.
+TEST(Checkpoint, StampedResumeReusesMatchingPoints)
+{
+    const std::string path = tmpPath("ckpt_stamp_match.jsonl");
+    const std::string json = tmpPath("ckpt_stamp_match.json");
+    {
+        JsonlCheckpoint ckpt(path, /*resume=*/false, "00ab");
+        ckpt.record("a", {{"x", 1.0}});
+    }
+    EXPECT_EQ(slurpFile(path),
+              "{\"stamp\":\"00ab\"}\n{\"key\":\"a\",\"x\":1}\n");
+    JsonlCheckpoint resumed(path, /*resume=*/true, "00ab");
+    EXPECT_EQ(resumed.size(), 1u);
+    ASSERT_NE(resumed.find("a"), nullptr);
+    resumed.writeFinalJson(json);
+    EXPECT_EQ(slurpFile(json).find("stamp"), std::string::npos);
+}
+
+// Points computed under another configuration must never be reused:
+// a different stamp and a file with no stamp are both ConfigErrors.
+TEST(Checkpoint, StampedResumeRejectsOtherOrMissingStamp)
+{
+    const std::string other = tmpPath("ckpt_stamp_other.jsonl");
+    {
+        JsonlCheckpoint ckpt(other, /*resume=*/false, "00ab");
+        ckpt.record("a", {{"x", 1.0}});
+    }
+    EXPECT_THROW(JsonlCheckpoint(other, true, "00cd"), ConfigError);
+
+    const std::string unstamped = tmpPath("ckpt_stamp_none.jsonl");
+    {
+        JsonlCheckpoint ckpt(unstamped, /*resume=*/false);
+        ckpt.record("a", {{"x", 1.0}});
+    }
+    EXPECT_THROW(JsonlCheckpoint(unstamped, true, "00ab"), ConfigError);
+}
+
+// A run killed before it wrote anything leaves an empty file (or
+// none): resuming it is a fresh run, which writes the stamp.
+TEST(Checkpoint, StampedResumeOfEmptyOrMissingFileStartsFresh)
+{
+    const std::string empty = tmpPath("ckpt_stamp_empty.jsonl");
+    std::ofstream(empty).close();
+    const std::string missing = tmpPath("ckpt_stamp_missing.jsonl");
+    std::remove(missing.c_str());
+    for (const std::string &path : {empty, missing}) {
+        {
+            JsonlCheckpoint ckpt(path, /*resume=*/true, "00ab");
+            EXPECT_EQ(ckpt.size(), 0u);
+        }
+        EXPECT_EQ(slurpFile(path), "{\"stamp\":\"00ab\"}\n");
+    }
+}
+
+// Without a stamp a checkpoint writes only its points, as it always
+// has, and skips a stamp line it reads.
+TEST(Checkpoint, UnstampedCheckpointWritesOnlyPoints)
+{
+    const std::string path = tmpPath("ckpt_unstamped.jsonl");
+    {
+        JsonlCheckpoint ckpt(path, /*resume=*/false);
+        ckpt.record("a", {{"x", 1.0}});
+    }
+    EXPECT_EQ(slurpFile(path), "{\"key\":\"a\",\"x\":1}\n");
+
+    const std::string stamped = tmpPath("ckpt_unstamped_reads.jsonl");
+    {
+        JsonlCheckpoint ckpt(stamped, /*resume=*/false, "00ab");
+        ckpt.record("a", {{"x", 1.0}});
+    }
+    JsonlCheckpoint reader(stamped, /*resume=*/true);
+    EXPECT_EQ(reader.size(), 1u);
+    EXPECT_NE(reader.find("a"), nullptr);
 }
 
 TEST(Checkpoint, UnwritablePathThrowsIoError)
@@ -472,14 +581,6 @@ corrupt(const std::string &blob, uint64_t seed)
         out.resize(rng() % out.size());
     }
     return out;
-}
-
-std::string
-slurpFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
 }
 
 template <typename LoadAndCheck>
