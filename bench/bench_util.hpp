@@ -72,7 +72,7 @@ struct BenchArgs
     unsigned jobs = 1; ///< --jobs: sweep workers (0 = hw concurrency)
     /// --domains=: host threads (event domains) each simulated point
     /// shards its machine into ("auto" = 0 = pick per point from the
-    /// simulated core count and host concurrency); more than one
+    /// simulated die count and host concurrency); more than one
     /// needs --domain-mode=parallel or auto. Output is bit-identical
     /// to one domain (the CI smoke `cmp`s the sweep JSON); composes
     /// freely with --jobs (points in parallel × domains within one).
@@ -521,6 +521,15 @@ class SimThroughput
         peakQueueDepth_ =
             std::max<uint64_t>(peakQueueDepth_, stats.peakEventQueueDepth);
         ++runs_;
+        if constexpr (requires { stats.windows; }) {
+            maxDomains_ = std::max(maxDomains_, stats.domains);
+            windows_ += stats.windows;
+            crossPosts_ += stats.crossDomainPosts;
+            if (stats.domains > 1) {
+                minLookahead_ = std::min(minLookahead_, stats.lookaheadNs);
+                maxLookahead_ = std::max(maxLookahead_, stats.lookaheadNs);
+            }
+        }
     }
 
     /** DES events dispatched across all recorded runs. */
@@ -551,8 +560,14 @@ class SimThroughput
         os << "simulator throughput: "
            << eventsPerSec() / 1e6 << " M events/s ("
            << events_ << " events, " << wallSeconds_ << " s, "
-           << runs_ << " runs, peak queue depth "
-           << peakQueueDepth_ << ")\n";
+           << runs_ << " runs, peak queue depth " << peakQueueDepth_;
+        if (maxDomains_ > 1) {
+            os << "; up to " << maxDomains_ << " domains, lookahead "
+               << minLookahead_ << "-" << maxLookahead_ << " ns, "
+               << windows_ << " windows, " << crossPosts_
+               << " cross-domain posts";
+        }
+        os << ")\n";
     }
 
     /** Fold another accumulator in (per-worker totals -> grand total). */
@@ -564,6 +579,11 @@ class SimThroughput
         peakQueueDepth_ =
             std::max(peakQueueDepth_, other.peakQueueDepth_);
         runs_ += other.runs_;
+        maxDomains_ = std::max(maxDomains_, other.maxDomains_);
+        windows_ += other.windows_;
+        crossPosts_ += other.crossPosts_;
+        minLookahead_ = std::min(minLookahead_, other.minLookahead_);
+        maxLookahead_ = std::max(maxLookahead_, other.maxLookahead_);
     }
 
   private:
@@ -571,6 +591,12 @@ class SimThroughput
     double wallSeconds_ = 0.0;
     uint64_t peakQueueDepth_ = 0;
     uint64_t runs_ = 0;
+    // Domain plans of the SpMM runs (see SpmmRunStats' host fields).
+    unsigned maxDomains_ = 1;
+    uint64_t windows_ = 0;
+    uint64_t crossPosts_ = 0;
+    double minLookahead_ = std::numeric_limits<double>::infinity();
+    double maxLookahead_ = 0.0;
 };
 
 /**

@@ -17,12 +17,19 @@ simulateGcn(const graph::Csr &csr, const std::vector<GcnSimLayer> &layers,
     GcnSimResult result;
     result.spmmLayers.reserve(layers.size());
     result.denseLayers.reserve(layers.size());
+    // The SpMM layers run on auto domains: one per group of whole dies
+    // when that is legal, one engine otherwise or when a telemetry
+    // session is attached. The output is the same at any count.
+    sim::SimControls auto_plan;
+    auto_plan.domains = 0;
+    auto_plan.domainMode = sim::DomainMode::Auto;
 
     for (const GcnSimLayer &layer : layers) {
         const DenseRunStats dense = simulateDenseMm(
             csr.numVertices(), layer.kIn, layer.kOut, cfg, session);
-        const SpmmRunStats spmm = simulateSpmm(
-            csr, static_cast<unsigned>(layer.kOut), cfg, alg, session);
+        const SpmmRunStats spmm =
+            simulateSpmm(csr, static_cast<unsigned>(layer.kOut), cfg, alg,
+                         session, &auto_plan);
         result.denseNs += dense.makespanNs;
         result.spmmNs += spmm.makespanNs;
         result.simEvents += dense.simEvents + spmm.simEvents;

@@ -59,7 +59,10 @@ struct GcnSimResult
  * Simulate a whole GCN: for each layer, the dense update H W at
  * (kIn -> kOut) followed by the aggregation A (H W) at kOut (the
  * transform-then-aggregate order the paper profiles). Kernels run
- * sequentially, as a bulk-synchronous runtime schedules them.
+ * sequentially, as a bulk-synchronous runtime schedules them. The
+ * SpMM layers run on auto event domains (MemorySystem::domainPlan:
+ * whole dies per domain on the host's threads), the dense updates on
+ * one engine; the result is the same bits at any domain count.
  *
  * @param csr Normalised adjacency (a down-scaled proxy at DES cost).
  * @param layers Per-layer dimensions (e.g. from
@@ -68,7 +71,8 @@ struct GcnSimResult
  * @param alg SpMM implementation for the aggregation phase.
  * @param session Optional telemetry sink, passed through to every
  *        kernel run; the session's global clock strings the layers
- *        into one trace timeline.
+ *        into one trace timeline. Attaching one keeps the SpMM
+ *        layers on one engine.
  */
 GcnSimResult simulateGcn(const graph::Csr &csr,
                          const std::vector<GcnSimLayer> &layers,

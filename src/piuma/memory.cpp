@@ -39,8 +39,22 @@ MemorySystem::MemorySystem(sim::DomainSet &domains, const PiumaConfig &cfg)
     portRate_ = cfg.netPortBandwidthGBps;
 }
 
+bool
+MemorySystem::dieAligned(const PiumaConfig &cfg, unsigned domains)
+{
+    // Domain d's first core is the least c with c * D / N >= d.
+    for (unsigned d = 1; d < domains; ++d) {
+        const uint64_t first =
+            (static_cast<uint64_t>(d) * cfg.numCores + domains - 1) /
+            domains;
+        if (first % cfg.coresPerDie != 0)
+            return false;
+    }
+    return true;
+}
+
 double
-MemorySystem::modelLookaheadNs(const PiumaConfig &cfg,
+MemorySystem::modelLookaheadNs(const PiumaConfig &cfg, unsigned domains,
                                const sim::FaultConfig *faults)
 {
     if (cfg.numCores <= 1)
@@ -52,9 +66,12 @@ MemorySystem::modelLookaheadNs(const PiumaConfig &cfg,
     const double max_net =
         multi_die ? std::max(cfg.netSameDieNs, cfg.netCrossDieNs)
                   : cfg.netSameDieNs;
+    const double hop = domains > 1 && dieAligned(cfg, domains)
+                           ? cfg.netCrossDieNs
+                           : min_net;
     const double jitter =
         faults != nullptr ? faults->networkLatencyJitter : 0.0;
-    double bound = min_net * (1.0 - jitter);
+    double bound = hop * (1.0 - jitter);
     if (faults != nullptr &&
         (faults->dramDropRate > 0.0 || faults->netDropRate > 0.0)) {
         // A failure notice travels at detect = issue + timeout while
@@ -69,10 +86,13 @@ MemorySystem::modelLookaheadNs(const PiumaConfig &cfg,
 unsigned
 MemorySystem::autoDomainCount(const PiumaConfig &cfg)
 {
-    if (cfg.numCores < 64)
-        return 1;
+    const unsigned dies =
+        (cfg.numCores + cfg.coresPerDie - 1) / cfg.coresPerDie;
     const unsigned host = std::max(1u, std::thread::hardware_concurrency());
-    return std::clamp(std::min(cfg.numCores / 16, host), 1u, 64u);
+    unsigned d = std::min(dies, host);
+    while (dies % d != 0)
+        --d;
+    return d;
 }
 
 sim::DomainSet::Options
@@ -93,9 +113,14 @@ MemorySystem::domainPlan(const PiumaConfig &cfg,
         }
         return one;
     }
+    const unsigned domains =
+        std::min(std::max(1u, requested != 0 ? requested
+                                             : autoDomainCount(cfg)),
+                 cfg.numCores);
     const double lookahead = modelLookaheadNs(
-        cfg, controls->faults != nullptr ? &controls->faults->config()
-                                         : nullptr);
+        cfg, domains,
+        controls->faults != nullptr ? &controls->faults->config()
+                                    : nullptr);
     if (want == sim::DomainMode::Parallel && !(lookahead > 0.0)) {
         PGCN_THROW(ConfigError,
                    "--domain-mode=parallel is illegal for this "
@@ -105,10 +130,6 @@ MemorySystem::domainPlan(const PiumaConfig &cfg,
                           "request hop; network jitter must leave "
                           "the minimum hop positive)");
     }
-    const unsigned domains =
-        std::min(std::max(1u, requested != 0 ? requested
-                                             : autoDomainCount(cfg)),
-                 cfg.numCores);
     if (domains == 1 || !(lookahead > 0.0))
         return one;
     if (attached) {
@@ -118,7 +139,7 @@ MemorySystem::domainPlan(const PiumaConfig &cfg,
         return one;
     }
     // +inf (a single core) never gets here: domains <= numCores.
-    return {domains, std::min(lookahead, 1e18)};
+    return {domains, lookahead};
 }
 
 void

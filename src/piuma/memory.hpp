@@ -151,27 +151,38 @@ class MemorySystem
     MemorySystem(sim::DomainSet &domains, const PiumaConfig &cfg);
 
     /**
-     * The model's conservative-lookahead bound: the minimum modeled
-     * latency any cross-domain edge of the memory protocol can carry.
+     * True when every domain's contiguous core block (core c in domain
+     * c * @p domains / numCores) holds whole dies, so no die is split
+     * between domains and every cross-domain message crosses dies.
+     */
+    static bool dieAligned(const PiumaConfig &cfg, unsigned domains);
+
+    /**
+     * The conservative-lookahead bound of a @p domains-domain plan:
+     * the minimum modeled latency any cross-domain edge of the memory
+     * protocol can carry under that placement.
      *
-     *   L = min( min_net * (1 - netJitter),
+     *   L = min( hop * (1 - netJitter),
      *            [drops enabled] timeoutNs - max_net * (1 + netJitter) )
      *
-     * where min_net/max_net are the applicable one-way network
-     * latencies from @p cfg. The first term bounds request arrivals
-     * and responses; the second bounds failure notices, whose edge is
-     * timeout minus the already-paid request hop. Returns +inf for a
+     * hop is netCrossDieNs when a multi-domain plan is dieAligned()
+     * (every cross-domain message crosses dies), else the least
+     * one-way hop of the machine; max_net is the largest. The first
+     * term bounds request arrivals and responses; the second bounds
+     * failure notices, whose edge is timeout minus the already-paid
+     * request hop. One domain gets the machine-wide bound, which an
+     * explicit Parallel request is held to. Returns +inf for a
      * single-core system (no cross-domain edges exist) and a value
      * <= 0 when a fault config makes Parallel mode illegal.
      */
-    static double modelLookaheadNs(const PiumaConfig &cfg,
+    static double modelLookaheadNs(const PiumaConfig &cfg, unsigned domains,
                                    const sim::FaultConfig *faults);
 
     /**
-     * The `--domains auto` heuristic (DESIGN.md §15): 1 below 64
-     * simulated cores — the window-barrier overhead beats any win on
-     * tiny runs — else min(numCores / 16, host hardware threads)
-     * clamped to [1, 64].
+     * The `--domains auto` rule (DESIGN.md §15): the largest divisor
+     * of the die count that does not exceed the host's hardware
+     * threads, so each domain holds whole dies. A single-die machine
+     * gets 1.
      */
     static unsigned autoDomainCount(const PiumaConfig &cfg);
 
@@ -179,11 +190,12 @@ class MemorySystem
      * Resolve SimControls into concrete DomainSet options. Sequenced
      * (and no controls) is one domain; an explicit `domains > 1` with
      * it throws ConfigError. Parallel and Auto expand the domains==0
-     * sentinel via autoDomainCount() and run on that many threads —
+     * sentinel via autoDomainCount(), clamp the count to the cores and
+     * run on that many threads at the plan's modelLookaheadNs() —
      * except that they fall back to one domain when @p attached (a
      * telemetry session or monitor hub, both single-threaded) or when
-     * modelLookaheadNs() is not positive. An explicit Parallel request
-     * with a non-positive lookahead throws ConfigError instead.
+     * that bound is not positive. An explicit Parallel request with a
+     * non-positive bound throws ConfigError instead.
      */
     static sim::DomainSet::Options
     domainPlan(const PiumaConfig &cfg, const sim::SimControls *controls,

@@ -987,6 +987,10 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
     stats.eventsPerSec =
         wall > 0.0 ? static_cast<double>(stats.simEvents) / wall : 0.0;
     stats.peakEventQueueDepth = ctx.domains.peakQueueDepth();
+    stats.domains = ctx.domains.domains();
+    stats.lookaheadNs = stats.domains > 1 ? ctx.domains.lookaheadNs() : 0.0;
+    stats.windows = ctx.domains.windows();
+    stats.crossDomainPosts = ctx.domains.crossDomainPosts();
 
     if (session != nullptr) {
         publishRunCounters(stats, session->registry());

@@ -139,6 +139,15 @@ struct SpmmRunStats
     double wallSeconds = 0.0;      ///< host wall-clock of the run
     double eventsPerSec = 0.0;     ///< simEvents / wallSeconds
     uint64_t peakEventQueueDepth = 0; ///< max pending events observed
+
+    // The run's domain plan and window protocol (host fields: they
+    // depend on the domain count, so, like the fields above, they are
+    // exempt from the cross-count contract and kept out of every
+    // digest and checkpoint).
+    unsigned domains = 1;          ///< event domains the run used
+    double lookaheadNs = 0.0;      ///< window lookahead (0 on one domain)
+    uint64_t windows = 0;          ///< barrier rounds (0 on one domain)
+    uint64_t crossDomainPosts = 0; ///< keyed messages between domains
 };
 
 /**

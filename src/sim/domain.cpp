@@ -200,10 +200,12 @@ DomainSet::runParallel()
                 SimTime m = kInf;
                 for (unsigned i = 0; i < d; ++i)
                     m = std::min(m, next[i]);
-                if (m == kInf)
+                if (m == kInf) {
                     done = true;
-                else
+                } else {
                     horizon = m + lookaheadNs_;
+                    ++windows_;
+                }
                 // Every worker is parked here, so the summed count is
                 // stable: the event budget is a whole-run budget.
                 if (maxEvents_ > 0 && eventsProcessed() > maxEvents_) {

@@ -213,12 +213,18 @@ class DomainSet
     size_t peakQueueDepth() const;
 
     /**
-     * Cross-domain posts delivered so far. Deliberately
-     * kept out of SpmmRunStats and telemetry counters: it depends on
-     * the domain count, and everything in those channels must be
-     * bit-identical across `--domains N`.
+     * Cross-domain posts delivered so far. It depends on the domain
+     * count, so it is a host field of SpmmRunStats (like wallSeconds)
+     * and stays out of telemetry counters, digests and checkpoints,
+     * which must be bit-identical across `--domains N`.
      */
     uint64_t crossDomainPosts() const;
+
+    /**
+     * Window-protocol barrier rounds run so far: one per dispatch
+     * window (0 on one domain). A host field like crossDomainPosts().
+     */
+    uint64_t windows() const { return windows_; }
 
   private:
     /**
@@ -298,6 +304,7 @@ class DomainSet
     std::vector<std::unique_ptr<Engine>> engines_;
     std::vector<Mailbox> boxes_;       ///< [src * D + dst]
     std::vector<uint64_t> crossPosts_; ///< per-executing-domain tally
+    uint64_t windows_ = 0;             ///< barrier rounds (see windows())
 };
 
 } // namespace pgcn::sim

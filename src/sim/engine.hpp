@@ -23,14 +23,16 @@
  *  - the "now queue": a FIFO of zero-delay events. Resumptions
  *    scheduled at the current timestamp (BoundedQueue hand-offs,
  *    DMA wakeups) are O(1) pushes that never touch the time-ordered
- *    heap;
+ *    calendar;
  *  - the "far calendar": buckets for events strictly in the future.
  *    Nodes live in a reusable slab and chain, unsorted, off an array
  *    of bucket heads indexed by floor(when / width). Dispatch loads
- *    the next occupied bucket into a small binary min-heap (the
- *    "bottom") and pops from there, so an event is moved once and an
- *    equal-timestamp cluster costs O(log k) per pop instead of a
- *    rescan. Because floor(when / width) is monotone in `when` even
+ *    the next occupied bucket into the "bottom", a small array sorted
+ *    once per load with the latest event first, and pops from its
+ *    back, so an event is moved once and a pop is a plain pop_back.
+ *    An event filed into the already-loaded bucket (a short delay, or
+ *    a keyed injection under a low key) goes in by binary search on
+ *    (when, seq). Because floor(when / width) is monotone in `when` even
  *    under floating-point rounding, bucket order can never contradict
  *    (when, seq) order: the bottom always holds the global minimum.
  *    Every cost is amortized O(1) whatever the pending depth: the
@@ -571,7 +573,7 @@ class Engine
         uint64_t seq;
     };
 
-    /** A materialised event (now-queue slot / heapPop result). */
+    /** A materialised event (now-queue slot / farPop result). */
     struct Event
     {
         SimTime when;
@@ -775,7 +777,7 @@ class Engine
         return static_cast<uint64_t>(when * wheelInvWidth_);
     }
 
-    /** Min-heap order on the bottom: the earliest (when, seq) on top. */
+    /** Bottom order: the latest (when, seq) first, the earliest last. */
     static bool
     later(const Event &a, const Event &b)
     {
@@ -810,20 +812,21 @@ class Engine
         slotHeads_[slot] = n;
     }
 
-    /** Append @p ev to the bottom without restoring heap order. */
+    /** Put @p ev into the bottom before @p at. */
     void
-    bottomAppend(const Event &ev)
+    bottomInsert(std::vector<Event>::iterator at, const Event &ev)
     {
         if (bottom_.size() == bottom_.capacity())
             ++arenaGrowths_;
-        bottom_.push_back(ev);
+        bottom_.insert(at, ev);
     }
 
     /**
      * File an event in the far calendar. Amortized O(1): the bucket
      * count doubles once the population outgrows it (a relink of every
      * node, paid for by the pushes that doubled it), and an event whose
-     * bucket the dispatch cursor has already loaded joins the bottom.
+     * bucket the dispatch cursor has already loaded joins the bottom
+     * at its sorted place.
      */
     void
     farPush(const Key &k, Payload p, uint32_t depth)
@@ -832,8 +835,9 @@ class Engine
             rebuild(wheelWidth_, 2 * slotHeads_.size());
         const Event ev{k.when, k.seq, p, depth};
         if (bucketOf(k.when) < cursor_) {
-            bottomAppend(ev);
-            std::push_heap(bottom_.begin(), bottom_.end(), later);
+            bottomInsert(std::lower_bound(bottom_.begin(), bottom_.end(),
+                                          ev, later),
+                         ev);
         } else {
             linkNode(allocNode(ev));
         }
@@ -848,7 +852,8 @@ class Engine
      * slot stay chained; a full revolution without a hit has walked
      * every chain, so it jumps straight to the earliest bucket seen.
      * Empty buckets, alias visits and the events of an oversized
-     * bucket (a deep bottom heap) count as waste (see farPop).
+     * bucket (a long bottom) count as waste (see farPop). The loaded
+     * bucket is sorted once, latest event first.
      */
     void
     farLoad()
@@ -869,7 +874,8 @@ class Engine
                     link = &nd.next;
                     continue;
                 }
-                bottomAppend(Event{nd.when, nd.seq, nd.payload, nd.depth});
+                bottomInsert(bottom_.end(),
+                             Event{nd.when, nd.seq, nd.payload, nd.depth});
                 *link = nd.next;
                 nd.next = farFree_;
                 farFree_ = n;
@@ -886,7 +892,7 @@ class Engine
         }
         if (bottom_.size() > kOversizedLoad)
             waste_ += bottom_.size();
-        std::make_heap(bottom_.begin(), bottom_.end(), later);
+        std::sort(bottom_.begin(), bottom_.end(), later);
     }
 
     /** Sort key of the earliest pending far event. */
@@ -895,7 +901,7 @@ class Engine
     {
         if (bottom_.empty())
             farLoad();
-        return Key{bottom_.front().when, bottom_.front().seq};
+        return Key{bottom_.back().when, bottom_.back().seq};
     }
 
     /**
@@ -909,7 +915,6 @@ class Engine
     {
         if (bottom_.empty())
             farLoad();
-        std::pop_heap(bottom_.begin(), bottom_.end(), later);
         const Event ev = bottom_.back();
         bottom_.pop_back();
         --farCount_;
@@ -995,7 +1000,7 @@ class Engine
     /// Callback-slab entries per block (72 B each: 18 KiB per block).
     static constexpr size_t kCallbackBlock = 256;
     /// Target events per bucket: keeps empty buckets rare and the
-    /// bottom heap a few entries deep.
+    /// bottom a few entries long.
     static constexpr double kBucketEvents = 4.0;
     /// A bucket loading more events than this is too wide.
     static constexpr size_t kOversizedLoad = 32;
@@ -1005,7 +1010,7 @@ class Engine
     std::vector<FarNode> farArena_;     ///< far-calendar node slab
     std::vector<int32_t> slotHeads_ =
         std::vector<int32_t>(kInitialSlots, -1); ///< bucket chain heads
-    std::vector<Event> bottom_;         ///< loaded buckets: min-heap
+    std::vector<Event> bottom_;         ///< loaded bucket, latest first
     size_t slotMask_ = kInitialSlots - 1;
     int32_t farFree_ = -1;              ///< slab free-list head
     size_t farCount_ = 0;               ///< live far events (incl. bottom)

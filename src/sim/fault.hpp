@@ -436,7 +436,7 @@ struct SimControls
     MonitorHub *monitor = nullptr;
     /// Event domains to shard the simulated machine into (>= 1; more
     /// than one needs Parallel or Auto mode). 0 means "auto": derive
-    /// the count from the simulated core count and the host's
+    /// the count from the simulated die count and the host's
     /// hardware concurrency (see DESIGN.md §15). Output is
     /// bit-identical for any value (see sim/domain.hpp).
     unsigned domains = 1;

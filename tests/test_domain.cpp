@@ -42,6 +42,7 @@
 #include <fstream>
 #include <thread>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <random>
 #include <string>
@@ -49,9 +50,11 @@
 #include <vector>
 
 #include "common/checkpoint.hpp"
+#include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "graph/normalize.hpp"
 #include "parallel/sweep_runner.hpp"
+#include "piuma/gcn_sim.hpp"
 #include "piuma/memory.hpp"
 #include "piuma/spmm_programs.hpp"
 #include "sim/domain.hpp"
@@ -440,6 +443,34 @@ TEST(DomainSequenced, BitIdenticalWithFaultsInjected)
     expectIdenticalWithFaultsInjected(2);
 }
 
+// simulateGcn runs its SpMM layers on auto domains. On a two-die
+// machine each layer shards (given two host threads) and must equal
+// the serial simulateSpmm of the same layer; an attached telemetry
+// session keeps every layer on one engine.
+TEST(DomainModeParallel, SimulateGcnLayersMatchSerialOnAutoDomains)
+{
+    const graph::Csr csr = goldenGraph(8, 2000, 99);
+    PiumaConfig cfg;
+    cfg.numCores = 16;
+    const std::vector<GcnSimLayer> layers{{32, 16}, {16, 8}};
+    const GcnSimResult gcn = simulateGcn(csr, layers, cfg);
+    ASSERT_EQ(gcn.spmmLayers.size(), layers.size());
+    for (size_t i = 0; i < layers.size(); ++i) {
+        SCOPED_TRACE("layer " + std::to_string(i));
+        const SpmmRunStats &s = gcn.spmmLayers[i];
+        EXPECT_EQ(s.domains, MemorySystem::autoDomainCount(cfg));
+        expectStatsIdentical(
+            simulateSpmm(csr, static_cast<unsigned>(layers[i].kOut), cfg,
+                         SpmmAlgorithm::Dma),
+            s, /*same_count=*/false);
+    }
+    telemetry::Session session;
+    const GcnSimResult traced =
+        simulateGcn(csr, layers, cfg, SpmmAlgorithm::Dma, &session);
+    for (const SpmmRunStats &s : traced.spmmLayers)
+        EXPECT_EQ(s.domains, 1u);
+}
+
 // The event budget is a whole-run budget: threaded domains may
 // dispatch no more events than the serial engine. Half the serial
 // total must trip it at four domains, although no single domain
@@ -501,51 +532,86 @@ TEST(DomainModeParallel, CheckpointBytesMatchSequencedSweep)
 }
 
 // ---------------------------------------------------------------------------
-// 2c. The domain plan: lookahead bound, auto heuristic, legality
+// 2c. The domain plan: lookahead bound, auto rule, legality
 
 TEST(DomainPlan, LookaheadBoundFollowsModelLatencies)
 {
     PiumaConfig cfg;
-    cfg.numCores = 8; // single die
+    cfg.numCores = 8; // single die: every split cuts the die
     // Clean config: the bound is the min one-way network latency.
-    EXPECT_DOUBLE_EQ(MemorySystem::modelLookaheadNs(cfg, nullptr),
+    EXPECT_DOUBLE_EQ(MemorySystem::modelLookaheadNs(cfg, 2, nullptr),
                      cfg.netSameDieNs);
     // Jitter shrinks it to the worst-case early arrival.
     FaultConfig fc;
     fc.networkLatencyJitter = 0.5;
-    EXPECT_DOUBLE_EQ(MemorySystem::modelLookaheadNs(cfg, &fc),
+    EXPECT_DOUBLE_EQ(MemorySystem::modelLookaheadNs(cfg, 4, &fc),
                      cfg.netSameDieNs * 0.5);
+    // Two dies. Two domains hold one die each, so only cross-die hops
+    // cross a domain boundary; four domains split both dies.
+    PiumaConfig multi = cfg;
+    multi.numCores = 16;
+    EXPECT_DOUBLE_EQ(MemorySystem::modelLookaheadNs(multi, 2, nullptr),
+                     multi.netCrossDieNs);
+    EXPECT_DOUBLE_EQ(MemorySystem::modelLookaheadNs(multi, 2, &fc),
+                     multi.netCrossDieNs * 0.5);
+    EXPECT_DOUBLE_EQ(MemorySystem::modelLookaheadNs(multi, 4, &fc),
+                     multi.netSameDieNs * 0.5);
     // Drops arm timeouts at the *issue* timestamp, so the detection
     // edge bounds lookahead too: timeout - max request hop.
     fc.dramDropRate = 0.01;
     fc.timeoutNs = 500.0;
-    PiumaConfig multi = cfg;
-    multi.numCores = 16; // two dies: max hop is netCrossDieNs
     const double drop_edge = fc.timeoutNs - multi.netCrossDieNs * 1.5;
-    EXPECT_DOUBLE_EQ(MemorySystem::modelLookaheadNs(multi, &fc),
+    EXPECT_DOUBLE_EQ(MemorySystem::modelLookaheadNs(multi, 4, &fc),
                      std::min(multi.netSameDieNs * 0.5, drop_edge));
+    EXPECT_DOUBLE_EQ(MemorySystem::modelLookaheadNs(multi, 2, &fc),
+                     std::min(multi.netCrossDieNs * 0.5, drop_edge));
+    // One domain is held to the machine-wide bound (the least hop).
+    EXPECT_DOUBLE_EQ(MemorySystem::modelLookaheadNs(multi, 1, nullptr),
+                     multi.netSameDieNs);
     // A single-core machine has no cross-domain traffic at all.
     PiumaConfig one;
     one.numCores = 1;
-    EXPECT_TRUE(std::isinf(MemorySystem::modelLookaheadNs(one, nullptr)));
+    EXPECT_TRUE(std::isinf(MemorySystem::modelLookaheadNs(one, 1, nullptr)));
+}
+
+/** Largest divisor of @p n that does not exceed @p cap (>= 1). */
+unsigned
+largestDivisorAtMost(unsigned n, unsigned cap)
+{
+    unsigned d = std::min(n, cap);
+    while (n % d != 0)
+        --d;
+    return d;
 }
 
 TEST(DomainPlan, AutoCountKeepsTinyRunsSerial)
 {
-    // Sharding a 2-core model costs more in barriers than it wins.
-    // Below 64 simulated cores auto must pick 1 domain.
+    // A single-die machine has no cross-die hop to widen the windows:
+    // auto picks 1 domain there. Beyond one die it picks the largest
+    // divisor of the die count the host has threads for, so every
+    // domain holds whole dies (the 16-core, 2-die point runs faster
+    // on 2 such domains than serially).
+    const unsigned host =
+        std::max(1u, std::thread::hardware_concurrency());
     PiumaConfig cfg;
     cfg.numCores = 2;
     EXPECT_EQ(MemorySystem::autoDomainCount(cfg), 1u);
-    cfg.numCores = 63;
+    cfg.numCores = 8; // one whole die
     EXPECT_EQ(MemorySystem::autoDomainCount(cfg), 1u);
-    cfg.numCores = 256;
-    const unsigned host =
-        std::max(1u, std::thread::hardware_concurrency());
+    cfg.numCores = 16;
+    EXPECT_EQ(MemorySystem::autoDomainCount(cfg), std::min(2u, host));
+    cfg.numCores = 24; // three dies: 3 domains, or 1
+    EXPECT_EQ(MemorySystem::autoDomainCount(cfg), host >= 3 ? 3u : 1u);
+    cfg.numCores = 63; // eight dies, the last one partial
     EXPECT_EQ(MemorySystem::autoDomainCount(cfg),
-              std::clamp(std::min(256u / 16u, host), 1u, 64u));
+              largestDivisorAtMost(8, host));
+    cfg.numCores = 256;
+    EXPECT_EQ(MemorySystem::autoDomainCount(cfg),
+              largestDivisorAtMost(32, host));
+    cfg.coresPerDie = 256; // the same cores on one die
+    EXPECT_EQ(MemorySystem::autoDomainCount(cfg), 1u);
 
-    // Through domainPlan: domains == 0 expands via the heuristic.
+    // Through domainPlan: domains == 0 expands via the rule.
     PiumaConfig tiny;
     tiny.numCores = 2;
     SimControls controls;
@@ -563,15 +629,140 @@ TEST(DomainPlan, AutoModeGoesParallelWhenLegal)
     SimControls controls;
     controls.domains = 4;
     controls.domainMode = DomainMode::Auto;
-    const DomainSet::Options plan =
-        MemorySystem::domainPlan(cfg, &controls, false);
+    // An explicit count is honoured; it splits the die, so the
+    // windows are a same-die hop wide.
+    DomainSet::Options plan = MemorySystem::domainPlan(cfg, &controls, false);
     EXPECT_EQ(plan.domains, 4u);
     EXPECT_DOUBLE_EQ(plan.lookaheadNs, cfg.netSameDieNs);
+    // Two dies on two domains: a cross-die hop wide.
+    PiumaConfig two_dies = cfg;
+    two_dies.numCores = 16;
+    controls.domains = 2;
+    plan = MemorySystem::domainPlan(two_dies, &controls, false);
+    EXPECT_EQ(plan.domains, 2u);
+    EXPECT_DOUBLE_EQ(plan.lookaheadNs, two_dies.netCrossDieNs);
+    // The auto count is die-aligned whenever it shards at all.
+    controls.domains = 0;
+    plan = MemorySystem::domainPlan(two_dies, &controls, false);
+    EXPECT_EQ(plan.domains, MemorySystem::autoDomainCount(two_dies));
+    if (plan.domains > 1) {
+        EXPECT_DOUBLE_EQ(plan.lookaheadNs, two_dies.netCrossDieNs);
+    }
     // A single-threaded attachment (telemetry session, monitor hub)
     // resolves to one domain without error, in either mode.
+    controls.domains = 4;
     EXPECT_EQ(MemorySystem::domainPlan(cfg, &controls, true).domains, 1u);
     controls.domainMode = DomainMode::Parallel;
     EXPECT_EQ(MemorySystem::domainPlan(cfg, &controls, true).domains, 1u);
+}
+
+/**
+ * The least latency any message can carry across a domain boundary
+ * of @p domains contiguous core blocks, recomputed by walking every
+ * (requester, slice) pair on different domains: requests and
+ * responses bear at least the pair's hop shrunk by the jitter, and
+ * with drops armed a failure notice bears the timeout minus the
+ * longest jittered request hop.
+ */
+double
+leastCrossingLatencyNs(const PiumaConfig &cfg, unsigned domains,
+                       const FaultConfig &fc)
+{
+    const auto domainOf = [&](unsigned c) {
+        return static_cast<unsigned>(static_cast<uint64_t>(c) * domains /
+                                     cfg.numCores);
+    };
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = 0.0;
+    for (unsigned a = 0; a < cfg.numCores; ++a) {
+        for (unsigned b = 0; b < cfg.numCores; ++b) {
+            if (domainOf(a) == domainOf(b))
+                continue;
+            const double hop = a / cfg.coresPerDie == b / cfg.coresPerDie
+                                   ? cfg.netSameDieNs
+                                   : cfg.netCrossDieNs;
+            lo = std::min(lo, hop);
+            hi = std::max(hi, hop);
+        }
+    }
+    double least = lo * (1.0 - fc.networkLatencyJitter);
+    if (fc.dramDropRate > 0.0 || fc.netDropRate > 0.0)
+        least = std::min(least,
+                         fc.timeoutNs - hi * (1.0 + fc.networkLatencyJitter));
+    return least;
+}
+
+// Seeded property: over random (cores, cores per die, domain count,
+// faults), the plan's lookahead is exactly the least latency a message
+// can carry across a domain boundary, and the Parallel run at that
+// lookahead matches the serial engine on every deterministic field.
+TEST(DomainPlan, SeededPlansMatchSerialAtTheLeastCrossingLatency)
+{
+    const graph::Csr csr = goldenGraph(7, 1200, 5);
+    uint64_t state = 2024;
+    const auto pick = [&](uint64_t n) { return splitMix64(state) % n; };
+    unsigned aligned = 0, split = 0, dropped = 0;
+    for (int trial = 0; trial < 12; ++trial) {
+        PiumaConfig cfg;
+        cfg.coresPerDie = 2u << pick(3); // 2, 4 or 8
+        cfg.numCores = std::max(
+            2u, cfg.coresPerDie * static_cast<unsigned>(1 + pick(3)) -
+                    static_cast<unsigned>(pick(2)));
+        // Every other trial gives each die its own domain.
+        const unsigned dies =
+            (cfg.numCores + cfg.coresPerDie - 1) / cfg.coresPerDie;
+        const auto domains =
+            trial % 2 == 0 && dies > 1
+                ? dies
+                : static_cast<unsigned>(
+                      2 + pick(std::min(cfg.numCores, 6u) - 1));
+        FaultConfig fc;
+        fc.seed = 100 + static_cast<uint64_t>(trial);
+        const uint64_t faults = pick(3); // clean, jitter, jitter + drops
+        if (faults > 0) {
+            fc.networkLatencyJitter = 0.3;
+            fc.dramLatencyJitter = 0.2;
+        }
+        if (faults > 1) {
+            fc.dramDropRate = 0.02;
+            fc.timeoutNs = 400.0; // binds below a jittered cross-die hop
+            ++dropped;
+        }
+        SCOPED_TRACE("cores=" + std::to_string(cfg.numCores) +
+                     " per die=" + std::to_string(cfg.coresPerDie) +
+                     " domains=" + std::to_string(domains) +
+                     " faults=" + std::to_string(faults));
+
+        FaultInjector injector(fc);
+        SimControls controls;
+        controls.faults = faults > 0 ? &injector : nullptr;
+        controls.domains = domains;
+        controls.domainMode = DomainMode::Parallel;
+        const DomainSet::Options plan =
+            MemorySystem::domainPlan(cfg, &controls, false);
+        ASSERT_EQ(plan.domains, domains);
+        EXPECT_DOUBLE_EQ(plan.lookaheadNs,
+                         leastCrossingLatencyNs(cfg, domains, fc));
+        (MemorySystem::dieAligned(cfg, domains) ? aligned : split)++;
+
+        const SpmmRunStats serial =
+            runSharded(csr, 16, cfg, SpmmAlgorithm::Dma, 1,
+                       faults > 0 ? &fc : nullptr);
+        const SpmmRunStats par =
+            runSharded(csr, 16, cfg, SpmmAlgorithm::Dma, domains,
+                       faults > 0 ? &fc : nullptr);
+        expectStatsIdentical(serial, par, /*same_count=*/false);
+        EXPECT_EQ(par.domains, domains);
+        EXPECT_EQ(par.lookaheadNs, plan.lookaheadNs);
+        EXPECT_GT(par.windows, 0u);
+        EXPECT_GT(par.crossDomainPosts, 0u);
+        EXPECT_EQ(serial.windows, 0u);
+        EXPECT_EQ(serial.crossDomainPosts, 0u);
+    }
+    // The seed covers every kind of plan.
+    EXPECT_GT(aligned, 0u);
+    EXPECT_GT(split, 0u);
+    EXPECT_GT(dropped, 0u);
 }
 
 TEST(DomainPlan, SequencedIsOneEngine)
@@ -782,6 +973,8 @@ TEST(DomainParallel, LookaheadBoundaryPingPong)
     for (size_t i = 0; i < times[1].size(); ++i)
         EXPECT_EQ(times[1][i], (2.0 * static_cast<double>(i) + 2.0));
     EXPECT_EQ(set.crossDomainPosts(), 100u);
+    // Every hop sits on a window edge: one window per hop.
+    EXPECT_EQ(set.windows(), 101u);
 }
 
 // Null-message idle-advance: domains with no work (or which finish

@@ -10,10 +10,12 @@
 #include <functional>
 #include <queue>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "sim/domain.hpp"
 #include "sim/engine.hpp"
 #include "sim/queue.hpp"
 #include "sim/resource.hpp"
@@ -432,6 +434,113 @@ TEST(EngineProperty, RandomScheduleRunsInOrder)
           uint64_t{1} << 20}) {
         SCOPED_TRACE("pending depth " + std::to_string(depth));
         expectOracleOrder(depth);
+    }
+}
+
+/**
+ * The sorted-bottom insert path against the same kind of oracle. The
+ * engine is a one-domain DomainSet, and half the events are keyed
+ * posts (DomainSet::postKeyed) under a random entity, so a post often
+ * carries a lower sequence number than keyed events already pending.
+ * Keyed successors land 0 to 0.75 ns ahead, mostly inside the bucket
+ * being dispatched; ordinary successors use the schedule() paths.
+ * The first @p initial events come in clusters of @p cluster equal
+ * timestamps. The oracle orders (when, seq) with the carried key as a
+ * keyed event's seq and the engine's schedule count as an ordinary
+ * one's.
+ */
+void
+expectKeyedOracleOrder(uint64_t initial, uint64_t cluster)
+{
+    const uint64_t total = 4 * initial;
+    const auto draw = [](uint64_t id, uint64_t salt) {
+        uint64_t state = id * 4 + salt;
+        return pgcn::splitMix64(state);
+    };
+    const auto keyed = [&](uint64_t id) { return draw(id, 0) % 2 == 0; };
+    const auto delayOf = [&](uint64_t id) {
+        const uint64_t r = draw(id, 1);
+        return keyed(id) ? static_cast<double>(r % 4) * 0.25
+                         : static_cast<double>(r % 16) * 0.25;
+    };
+    const auto keyOf = [&](uint64_t id) {
+        return makeKeyedSeq(kSeqBandRequest,
+                            static_cast<unsigned>(draw(id, 2) % 4096), id);
+    };
+    const auto extra = [&](uint64_t id) { return draw(id, 3) % 4 == 0; };
+    const auto startOf = [&](uint64_t id) {
+        return static_cast<double>(id / cluster);
+    };
+
+    // Oracle: (when, seq, id) min-heap.
+    using Item = std::tuple<SimTime, uint64_t, uint64_t>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    std::vector<uint64_t> expected;
+    expected.reserve(total);
+    uint64_t next_id = 0;
+    uint64_t local_seq = 0;
+    const auto oracleSchedule = [&](SimTime when) {
+        const uint64_t id = next_id++;
+        pq.emplace(when, keyed(id) ? keyOf(id) : local_seq++, id);
+    };
+    for (uint64_t i = 0; i < initial; ++i)
+        oracleSchedule(startOf(i));
+    while (!pq.empty()) {
+        const auto [now, seq, id] = pq.top();
+        pq.pop();
+        expected.push_back(id);
+        if (next_id < total)
+            oracleSchedule(now + delayOf(next_id));
+        if (next_id < total && extra(id))
+            oracleSchedule(now + delayOf(next_id));
+    }
+
+    DomainSet set(1u);
+    Engine &engine = set.engine(0);
+    std::vector<uint64_t> order;
+    order.reserve(total);
+    uint64_t scheduled = 0;
+    std::function<void(uint64_t)> fire;
+    const auto post = [&](SimTime delay) {
+        const uint64_t id = scheduled++;
+        const Callback cb = [&fire, id] { fire(id); };
+        if (keyed(id))
+            set.postKeyed(0, 0, engine.now() + delay, keyOf(id), cb);
+        else
+            engine.schedule(delay, cb);
+    };
+    fire = [&](uint64_t id) {
+        order.push_back(id);
+        if (scheduled < total)
+            post(delayOf(scheduled));
+        if (scheduled < total && extra(id))
+            post(delayOf(scheduled));
+    };
+    for (uint64_t i = 0; i < initial; ++i)
+        post(startOf(i));
+    set.run();
+    ASSERT_EQ(order.size(), expected.size());
+    EXPECT_TRUE(order == expected) << "dispatch order diverges from the "
+                                      "(when, seq) oracle";
+}
+
+TEST(EngineProperty, KeyedPostsIntoTheLoadedBucketRunInOrder)
+{
+    for (const uint64_t initial : {uint64_t{16}, uint64_t{1} << 12}) {
+        SCOPED_TRACE("initial events " + std::to_string(initial));
+        expectKeyedOracleOrder(initial, 1);
+    }
+}
+
+// Clusters of equal timestamps longer than the engine's oversized-load
+// threshold (32 events) load into one long bottom, and keyed posts
+// land inside them.
+TEST(EngineProperty, OversizedEqualTimestampClustersRunInOrder)
+{
+    for (const uint64_t cluster : {uint64_t{33}, uint64_t{100},
+                                   uint64_t{1000}}) {
+        SCOPED_TRACE("cluster " + std::to_string(cluster));
+        expectKeyedOracleOrder(uint64_t{1} << 12, cluster);
     }
 }
 
