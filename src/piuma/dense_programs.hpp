@@ -38,6 +38,7 @@ struct DenseRunStats
     /// injection). Same semantics as SpmmRunStats.
     uint64_t retries = 0;       ///< transaction re-issues
     uint64_t timeoutsFired = 0; ///< drop timeouts + stuck-core resets
+    uint64_t stuckResets = 0;   ///< stuck-core watchdog resets
     double goodputBytes = 0.0;  ///< demanded traffic delivered
     double recoveryNs = 0.0;    ///< modeled timeout + backoff time
 

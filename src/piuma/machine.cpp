@@ -1,0 +1,125 @@
+#include "piuma/machine.hpp"
+
+#include <chrono>
+
+#include "sim/diagnostics.hpp"
+#include "telemetry/session.hpp"
+
+namespace pgcn::piuma {
+
+Machine::Machine(const PiumaConfig &cfg_in,
+                 const sim::DomainSet::Options &plan,
+                 const sim::SimControls *controls)
+    : domains(plan), cfg(cfg_in), memory(domains, cfg_in),
+      coreStats(cfg_in.numCores)
+{
+    const unsigned total_mtps = cfg.numCores * cfg.mtpsPerCore;
+    mtpIssue.reserve(total_mtps);
+    for (unsigned m = 0; m < total_mtps; ++m)
+        mtpIssue.emplace_back(engineOfCore(m / cfg.mtpsPerCore),
+                              cfg.clockGhz);
+    if (controls != nullptr) {
+        memory.setFaultInjector(controls->faults);
+        faults = controls->faults;
+        domains.setRunLimits(controls->limits);
+    }
+}
+
+void
+Machine::attachMonitor(sim::MonitorHub &hub)
+{
+    // Monitors observe spans the model computes anyway and never
+    // schedule events, so the simulated result stays bit-identical
+    // (the determinism tests pin this).
+    hub.beginRun(cfg.numCores, cfg.mtpsPerCore);
+    monitor = &hub;
+    for (unsigned m = 0; m < static_cast<unsigned>(mtpIssue.size()); ++m)
+        mtpIssue[m].attachMonitor(hub.issueTimeline(m / cfg.mtpsPerCore));
+    memory.attachMonitor(&hub);
+}
+
+void
+Machine::attachSession(telemetry::Session &session, const std::string &kernel)
+{
+    session.beginKernel(kernel);
+    memory.attachTelemetry(&session);
+    telemetry::Registry &reg = session.registry();
+    // Sessions force one domain, so reading engine 0 is the whole set.
+    reg.registerGauge("sim.queue_depth", telemetry::GaugeKind::Value,
+                      [this] {
+                          return static_cast<double>(
+                              domains.engine(0).queueDepth());
+                      });
+    reg.registerGauge("piuma.mtp.issue_util", telemetry::GaugeKind::Rate,
+                      [this] {
+                          double busy = 0.0;
+                          for (const auto &r : mtpIssue)
+                              busy += r.busyTime();
+                          return busy / static_cast<double>(mtpIssue.size());
+                      });
+}
+
+void
+Machine::recordFault(const char *what, unsigned core, unsigned slice)
+{
+    CoreStats &cs = coreStats[core];
+    if (cs.faulted)
+        return;
+    cs.faulted = true;
+    cs.faultSite = "core" + std::to_string(core) + " " + what +
+                   " on slice " + std::to_string(slice);
+    cs.faultWhenNs = engineOfCore(core).now();
+}
+
+sim::SimTime
+Machine::run(telemetry::Session *session)
+{
+    // The sampler rides the dispatch loop (it never schedules events),
+    // so the run still ends exactly when the workload drains.
+    if (session != nullptr && session->samplePeriodNs() > 0.0)
+        domains.attachObserver(&session->sampler(), session->samplePeriodNs());
+
+    const auto wall_start = std::chrono::steady_clock::now();
+    const sim::SimTime makespan = domains.run();
+    wallSeconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - wall_start)
+                      .count();
+
+    // The queues drained on the way out, so raising here cannot race
+    // a deadlock report, and the reduction is the same for every
+    // domain count and mode.
+    const CoreStats *first = nullptr;
+    for (const CoreStats &cs : coreStats) {
+        if (cs.faulted &&
+            (first == nullptr || cs.faultWhenNs < first->faultWhenNs))
+            first = &cs;
+    }
+    const PostedFault posted = memory.postedFault();
+    if (posted.failed &&
+        (first == nullptr || posted.whenNs < first->faultWhenNs)) {
+        fail("core" + std::to_string(posted.core) +
+                 " result-row write on slice " + std::to_string(posted.slice),
+             posted.whenNs);
+    }
+    if (first != nullptr)
+        fail(first->faultSite, first->faultWhenNs);
+    return makespan;
+}
+
+void
+Machine::fail(const std::string &site, sim::SimTime when_ns) const
+{
+    throw sim::SimFaultError(
+        site, when_ns,
+        faults != nullptr ? faults->config().maxRetries + 1 : 1);
+}
+
+void
+Machine::endSession(telemetry::Session &session, sim::SimTime makespan) const
+{
+    session.registry().counter("sim.events").add(
+        static_cast<double>(domains.eventsProcessed()));
+    session.endKernel(makespan);
+}
+
+} // namespace pgcn::piuma

@@ -1,7 +1,6 @@
 #include "piuma/spmm_programs.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -10,11 +9,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "piuma/dma.hpp"
-#include "piuma/memory.hpp"
-#include "sim/domain.hpp"
-#include "sim/engine.hpp"
-#include "sim/monitor.hpp"
-#include "sim/resource.hpp"
+#include "piuma/machine.hpp"
 #include "telemetry/session.hpp"
 
 namespace pgcn::piuma {
@@ -67,199 +62,25 @@ namespace {
 constexpr double kNnzBytesPerEdge = 8.0; // 4B column + 4B value
 
 /**
- * Everything one simulated SpMM run shares: the event domains, the
- * memory system, per-MTP issue resources, per-core DMA engines and
- * the stat accumulators the thread coroutines write into.
- *
- * Sharding layout: cores are split into `domains` contiguous groups
- * (a domain stands in for one PIUMA node / DRAM-slice group); every
- * core's agents, issue resources and DMA queue live on the core's
- * domain engine, and memory requests/responses travel between
- * domains as keyed events (see piuma/memory.hpp). The domain count
- * comes from MemorySystem::domainPlan — the carried keys make every
- * count dispatch identically, so the event order, every always-on
- * stat and every output byte are identical to the serial engine
- * (the differential tests pin this).
- *
- * Every mutable accumulator is sharded per core (single writer: only
- * code running in the core's domain touches the core's shard) and
- * reduced in core-index order after the run, so aggregates are
- * domain-count- and mode-invariant.
- *
- * Declared first so the engines outlive every queue/resource/monitor
- * that registers against them.
+ * One simulated SpMM run: the machine plus the matrix, the per-core
+ * DMA engines (DMA algorithm only) and the live-thread counts that
+ * decide which thread terminates its core's engine.
  */
-struct RunContext
+struct SpmmRun : Machine
 {
-    /// Per-core accumulator shard, cache-line aligned so shards on
-    /// different worker threads never share a line.
-    struct alignas(64) CoreStats
+    SpmmRun(const Csr &csr_in, unsigned k_in, const PiumaConfig &cfg_in,
+            const sim::DomainSet::Options &plan,
+            const sim::SimControls *controls)
+        : Machine(cfg_in, plan, controls), csr(csr_in), k(k_in),
+          liveThreadsPerCore(cfg_in.numCores,
+                             cfg_in.mtpsPerCore * cfg_in.threadsPerMtp)
     {
-        // Stall attribution by wait site.
-        double nnzStallNs = 0.0;
-        double rowOffsetStallNs = 0.0;
-        double featureStallNs = 0.0;
-        double dmaQueueStallNs = 0.0;
-        double issueNs = 0.0;
-        // Taxonomy re-bucketing of the same waits by where they were
-        // served (always on: one branch + one add per wait).
-        double stallMemNs = 0.0;
-        double stallNetNs = 0.0;
-        double nnzLatencySum = 0.0;
-        uint64_t nnzReads = 0;
-        // Recovery accounting: thread time inside the modeled
-        // protocol (timeout + backoff + watchdog resets), carved out
-        // of the memory/network stall taxonomy so hidden retries and
-        // exposed retries stay distinguishable.
-        double recoveryStallNs = 0.0;
-        uint64_t stuckResets = 0;
-        // First unrecoverable fault seen by this core's threads. A
-        // coroutine cannot throw through the engine, so it records
-        // the fault, bails out of its work loop, and simulateSpmm
-        // reduces the shards (earliest detection wins, ties to the
-        // lowest core) and raises SimFaultError after the run.
-        bool faulted = false;
-        std::string faultSite;
-        sim::SimTime faultWhenNs = 0.0;
-    };
-
-    RunContext(const Csr &csr_in, unsigned k_in, const PiumaConfig &cfg_in,
-               const sim::DomainSet::Options &opts)
-        : domains(opts), engine(domains.engine(0)), csr(csr_in),
-          k(k_in), cfg(cfg_in), memory(domains, cfg_in)
-    {
-        const unsigned total_mtps = cfg.numCores * cfg.mtpsPerCore;
-        mtpIssue.reserve(total_mtps);
-        for (unsigned m = 0; m < total_mtps; ++m)
-            mtpIssue.emplace_back(engineOfCore(m / cfg.mtpsPerCore),
-                                  cfg.clockGhz);
-        liveThreadsPerCore.assign(cfg.numCores,
-                                  cfg.mtpsPerCore * cfg.threadsPerMtp);
-        coreStats.resize(cfg.numCores);
     }
 
-    /// Domain owning @p core (and DRAM slice `core`, the slices being
-    /// core-attached). Contiguous blocks: core c -> c * D / numCores.
-    unsigned
-    domainOfCore(unsigned core) const
-    {
-        return static_cast<unsigned>(static_cast<uint64_t>(core) *
-                                     domains.domains() / cfg.numCores);
-    }
-
-    /// The event-domain engine hosting @p core's agents.
-    sim::Engine &
-    engineOfCore(unsigned core)
-    {
-        return domains.engine(domainOfCore(core));
-    }
-
-    sim::DomainSet domains;
-    sim::Engine &engine; ///< domain 0's engine (setup/serial use)
     const Csr &csr;
     unsigned k;
-    const PiumaConfig &cfg;
-    MemorySystem memory;
-    std::vector<sim::BandwidthResource> mtpIssue;
     std::vector<DmaEngine> dmaEngines;
     std::vector<unsigned> liveThreadsPerCore;
-    std::vector<CoreStats> coreStats;
-    /// Pre-drawn stuck-core hazards per thread id. Drawn before the
-    /// workers spawn (the main injector stays single-threaded); empty
-    /// when fault injection is off.
-    std::vector<char> stuckAtStart;
-    /// Occupancy/stall monitor; null leaves the wait sites at one
-    /// predictable branch each. Attaching one forces one domain.
-    sim::MonitorHub *monitor = nullptr;
-    /// Fault injector shared with memory/DMA (fork source); null
-    /// disables the stuck-core hazard draw at thread start.
-    sim::FaultInjector *faults = nullptr;
-
-    /// Credit a resolved memory wait to the locality taxonomy and,
-    /// when a monitor is attached, to the core's stall timeline.
-    /// Striped accesses are classified by their first slice. The
-    /// recovery portion of the wait (timeout/backoff re-issues) is
-    /// credited to RecoveryWait instead of memory/network, so the
-    /// taxonomy reads: site sums == memory + network + recovery.
-    /// @p now is the core's domain clock at resolution time.
-    void
-    noteMemWait(unsigned core, unsigned slice, sim::SimTime t0,
-                sim::SimTime now, double waited, double recovery)
-    {
-        CoreStats &cs = coreStats[core];
-        const bool local = slice == core;
-        (local ? cs.stallMemNs : cs.stallNetNs) += waited - recovery;
-        cs.recoveryStallNs += recovery;
-        if (monitor != nullptr) [[unlikely]] {
-            if (recovery > 0.0)
-                monitor->noteRecovery(core, t0, t0 + recovery);
-            monitor->endWait(core,
-                             local ? sim::StallCause::MemoryWait
-                                   : sim::StallCause::NetworkWait,
-                             t0 + recovery, now);
-        }
-    }
-
-    /// Close a stuck-core watchdog-reset wait (RecoveryWait cause).
-    void
-    noteStuckReset(unsigned core, sim::SimTime t0, sim::SimTime now)
-    {
-        CoreStats &cs = coreStats[core];
-        cs.recoveryStallNs += now - t0;
-        ++cs.stuckResets;
-        if (monitor != nullptr) [[unlikely]] {
-            monitor->endWait(core, sim::StallCause::RecoveryWait, t0,
-                             now);
-        }
-    }
-
-    /// Record this core's first unrecoverable fault (cold path).
-    void
-    recordFault(const char *what, unsigned core, unsigned slice)
-    {
-        CoreStats &cs = coreStats[core];
-        if (cs.faulted)
-            return;
-        cs.faulted = true;
-        cs.faultSite = "core" + std::to_string(core) + " " + what +
-                       " on slice " + std::to_string(slice);
-        cs.faultWhenNs = engineOfCore(core).now();
-    }
-
-    /// Monitor hook before a blocking wait begins (no-op unattached).
-    void
-    beginWait(unsigned core, sim::SimTime t0)
-    {
-        if (monitor != nullptr) [[unlikely]]
-            monitor->beginWait(core, t0);
-    }
-
-    /// Close a queue-full backpressure wait on the monitor.
-    void
-    noteQueueWait(unsigned core, sim::SimTime t0, sim::SimTime now)
-    {
-        if (monitor != nullptr) [[unlikely]]
-            monitor->endWait(core, sim::StallCause::QueueFull, t0, now);
-    }
-
-    unsigned
-    coreOfThread(unsigned tid) const
-    {
-        return tid / (cfg.mtpsPerCore * cfg.threadsPerMtp);
-    }
-
-    unsigned
-    mtpOfThread(unsigned tid) const
-    {
-        return tid / cfg.threadsPerMtp;
-    }
-
-    /// Slice owning cache line @p line of an interleaved array.
-    unsigned
-    lineSlice(uint64_t line) const
-    {
-        return static_cast<unsigned>(line % cfg.numCores);
-    }
 
     /// First slice of the (8-byte-interleaved) feature/output row of
     /// vertex @p v. Hashed placement (the default) spreads structure
@@ -310,92 +131,88 @@ struct RunContext
         return {lo + (hi - lo) * lane / tpc,
                 lo + (hi - lo) * (lane + 1) / tpc};
     }
-
-    uint64_t
-    edgesPerNnzLine() const
-    {
-        return static_cast<uint64_t>(cfg.cacheLineBytes /
-                                     kNnzBytesPerEdge);
-    }
-
-    uint64_t
-    rowsPerOffsetLine() const
-    {
-        return cfg.cacheLineBytes / 8; // 8-byte offsets
-    }
 };
 
 /**
- * The DMA-based SpMM thread (Section IV-B, "DMA implementation").
+ * One hardware thread of Algorithm 2, the edge-parallel walk both
+ * implementations of Section IV-B share: binary-search the starting
+ * row (~log2 |V| dependent row-offset line reads), then stream the
+ * thread's NNZ lines, loading a row-offset line whenever the row
+ * cursor crosses one. A thread whose read exhausts its retry budget
+ * records the fault and stops issuing work, but still runs the
+ * epilogue so the run drains. The algorithm decides three things:
+ *
+ *  - a finished row: DMA pushes a WriteRow descriptor (the engine's
+ *    atomic writeback); loop-unrolled posts a striped remote write
+ *    the thread never waits on;
+ *  - an edge: DMA pushes a ReadMulAcc descriptor; loop-unrolled
+ *    loads the feature row one stall-on-use cache line at a time and
+ *    issues the MACs on the scalar pipeline;
+ *  - the epilogue: the last DMA thread of a core terminates the
+ *    core's engine.
+ *
+ * @p stuck is the thread's stuck-core hazard, drawn in tid order
+ * before the thread spawned.
  */
+template <SpmmAlgorithm Alg>
 sim::Process
-dmaThreadProc(RunContext &ctx, unsigned tid)
+spmmThreadProc(SpmmRun &run, unsigned tid, bool stuck)
 {
-    const auto [start, stop] = ctx.threadEdgeRange(tid);
-    const unsigned core = ctx.coreOfThread(tid);
+    constexpr bool kDma = Alg == SpmmAlgorithm::Dma;
+    const PiumaConfig &cfg = run.cfg;
+    const auto [start, stop] = run.threadEdgeRange(tid);
+    const unsigned core = run.coreOfThread(tid);
     // All of this thread's events live on its core's domain engine;
     // announcing there is what lets a cross-domain deadlock report
     // still resolve the agent's name.
-    sim::Engine &eng = ctx.engineOfCore(core);
+    sim::Engine &eng = run.engineOfCore(core);
     co_await eng.announce("core" + std::to_string(core) + ".thread" +
                           std::to_string(tid));
-    auto &issue = ctx.mtpIssue[ctx.mtpOfThread(tid)];
-    auto &queue = ctx.dmaEngines[core].queue();
-    const double row_bytes = 4.0 * ctx.k;
-    const auto &offsets = ctx.csr.rowOffsets();
-    const auto &cols = ctx.csr.cols();
+    auto &issue = run.mtpIssue[run.mtpOfThread(tid)];
+    auto *queue = kDma ? &run.dmaEngines[core].queue() : nullptr;
+    Machine::CoreStats &cs = run.coreStats[core];
+    const double row_bytes = 4.0 * run.k;
+    const auto lines_per_row =
+        static_cast<unsigned>(std::ceil(row_bytes / cfg.cacheLineBytes));
+    // Issue cost of a row flush: one descriptor, or one store per line.
+    const double flush_cost = kDma ? cfg.issueCostPerDescriptor
+                                   : static_cast<double>(lines_per_row);
+    const auto &offsets = run.csr.rowOffsets();
+    const auto &cols = run.csr.cols();
 
-    if (!ctx.stuckAtStart.empty() && ctx.stuckAtStart[tid]) [[unlikely]] {
+    if (stuck) [[unlikely]] {
         // Stuck hardware context: the watchdog resets it before it
-        // can issue its first instruction (hazard pre-drawn in tid
-        // order before the workers spawned).
+        // can issue its first instruction.
         const sim::SimTime t0 = eng.now();
-        ctx.beginWait(core, t0);
-        co_await eng.delay(ctx.faults->config().stuckResetNs);
-        ctx.noteStuckReset(core, t0, eng.now());
+        run.beginWait(core, t0);
+        co_await eng.delay(run.faults->config().stuckResetNs);
+        run.noteStuckReset(core, t0, eng.now());
     }
 
-    // Set when a memory access exhausts its retry budget: the thread
-    // records the fault and bails out of its work (a coroutine cannot
-    // throw through the engine), but still runs the terminate
-    // epilogue so the run drains cleanly.
     bool dead = false;
-
     if (start < stop) {
-        // Binary search for the starting row (Algorithm 2 line 4):
-        // ~log2(|V|) dependent row-offset line reads.
         const unsigned steps = static_cast<unsigned>(std::ceil(
-            std::log2(std::max<double>(2.0, ctx.csr.numVertices()))));
+            std::log2(std::max<double>(2.0, run.csr.numVertices()))));
+        const uint64_t rows_per_line = cfg.cacheLineBytes / 8; // offsets
         uint64_t probe_seed = 0x5eed00 + tid;
         const uint64_t row_lines =
-            ctx.csr.numVertices() / ctx.rowsPerOffsetLine() + 1;
-        for (unsigned s = 0; s < steps; ++s) {
+            run.csr.numVertices() / rows_per_line + 1;
+        for (unsigned s = 0; s < steps && !dead; ++s) {
             co_await issue.transfer(2.0); // compare + load
-            const uint64_t line =
-                pgcn::splitMix64(probe_seed) % row_lines;
-            const unsigned slice = ctx.lineSlice(line);
-            const sim::SimTime t0 = eng.now();
-            ctx.beginWait(core, t0);
-            const MemoryAccess acc = co_await ctx.memory.read(
-                core, slice, ctx.cfg.cacheLineBytes);
-            const double waited = eng.now() - t0;
-            ctx.coreStats[core].rowOffsetStallNs += waited;
-            ctx.noteMemWait(core, slice, t0, eng.now(), waited,
-                            acc.recoveryNs);
-            if (acc.failed) [[unlikely]] {
-                ctx.recordFault("row-offset read", core, slice);
-                dead = true;
-                break;
-            }
+            const uint64_t line = pgcn::splitMix64(probe_seed) % row_lines;
+            dead = !co_await run.load(core, run.lineSlice(line),
+                                      cfg.cacheLineBytes,
+                                      cs.rowOffsetStallNs,
+                                      "row-offset read");
         }
 
-        VertexId u = ctx.csr.rowOfEdge(start);
-        const uint64_t rows_per_line = ctx.rowsPerOffsetLine();
+        VertexId u = run.csr.rowOfEdge(start);
         uint64_t cur_nnz_line = ~uint64_t{0};
         uint64_t cur_row_line = (u + 1) / rows_per_line;
         // The edge loop is sequential, so the covering NNZ line is
         // tracked incrementally instead of divided out per edge.
-        const uint64_t edges_per_line = ctx.edgesPerNnzLine();
+        const auto edges_per_line =
+            static_cast<uint64_t>(cfg.cacheLineBytes / kNnzBytesPerEdge);
         uint64_t line = start / edges_per_line;
         uint64_t line_end = (line + 1) * edges_per_line;
 
@@ -407,328 +224,136 @@ dmaThreadProc(RunContext &ctx, unsigned tid)
             }
             if (line != cur_nnz_line) {
                 cur_nnz_line = line;
-                co_await issue.transfer(ctx.cfg.issueCostPerLineLoad);
-                const unsigned slice = ctx.lineSlice(line);
-                const sim::SimTime t0 = eng.now();
-                ctx.beginWait(core, t0);
-                const MemoryAccess acc = co_await ctx.memory.read(
-                    core, slice, ctx.cfg.cacheLineBytes);
-                const double waited = eng.now() - t0;
-                RunContext::CoreStats &cs = ctx.coreStats[core];
-                cs.nnzStallNs += waited;
-                cs.nnzLatencySum += waited;
+                co_await issue.transfer(cfg.issueCostPerLineLoad);
                 ++cs.nnzReads;
-                ctx.noteMemWait(core, slice, t0, eng.now(), waited,
-                                acc.recoveryNs);
-                if (acc.failed) [[unlikely]] {
-                    ctx.recordFault("nnz read", core, slice);
-                    dead = true;
-                    break;
-                }
+                dead = !co_await run.load(core, run.lineSlice(line),
+                                          cfg.cacheLineBytes,
+                                          cs.nnzStallNs, "nnz read");
             }
 
-            // Row boundary: flush the accumulation buffer (atomic
-            // writeback descriptor), advance the row cursor.
-            while (e >= offsets[u + 1]) {
-                co_await issue.transfer(ctx.cfg.issueCostPerDescriptor);
-                sim::SimTime t0 = eng.now();
-                ctx.beginWait(core, t0);
-                co_await queue.push(DmaDescriptor{
-                    DmaDescriptor::Op::WriteRow, ctx.rowSlice(u),
-                    row_bytes});
-                ctx.coreStats[core].dmaQueueStallNs += eng.now() - t0;
-                ctx.noteQueueWait(core, t0, eng.now());
+            // Row boundary: flush the finished row, advance the row
+            // cursor.
+            while (!dead && e >= offsets[u + 1]) {
+                co_await issue.transfer(flush_cost);
+                if constexpr (kDma) {
+                    const sim::SimTime t0 = eng.now();
+                    run.beginWait(core, t0);
+                    co_await queue->push(DmaDescriptor{
+                        DmaDescriptor::Op::WriteRow, run.rowSlice(u),
+                        row_bytes});
+                    run.noteQueueWait(core, t0, eng.now());
+                } else {
+                    run.memory.writeStripedPosted(core, run.rowSlice(u),
+                                                  row_bytes);
+                }
                 ++u;
                 const uint64_t rl = (u + 1) / rows_per_line;
                 if (rl != cur_row_line) {
                     cur_row_line = rl;
-                    co_await issue.transfer(
-                        ctx.cfg.issueCostPerLineLoad);
-                    const unsigned slice = ctx.lineSlice(rl);
-                    t0 = eng.now();
-                    ctx.beginWait(core, t0);
-                    const MemoryAccess acc = co_await ctx.memory.read(
-                        core, slice, ctx.cfg.cacheLineBytes);
-                    const double waited = eng.now() - t0;
-                    ctx.coreStats[core].rowOffsetStallNs += waited;
-                    ctx.noteMemWait(core, slice, t0, eng.now(), waited,
-                                    acc.recoveryNs);
-                    if (acc.failed) [[unlikely]] {
-                        ctx.recordFault("row-offset read", core, slice);
-                        dead = true;
-                        break;
-                    }
+                    co_await issue.transfer(cfg.issueCostPerLineLoad);
+                    dead = !co_await run.load(core, run.lineSlice(rl),
+                                              cfg.cacheLineBytes,
+                                              cs.rowOffsetStallNs,
+                                              "row-offset read");
                 }
             }
             if (dead)
                 break;
 
-            // Emit the read-multiply-accumulate descriptor.
-            co_await issue.transfer(ctx.cfg.issueCostPerEdge +
-                                    ctx.cfg.issueCostPerDescriptor);
-            const sim::SimTime t0 = eng.now();
-            ctx.beginWait(core, t0);
-            co_await queue.push(DmaDescriptor{
-                DmaDescriptor::Op::ReadMulAcc, ctx.rowSlice(cols[e]),
-                row_bytes});
-            ctx.coreStats[core].dmaQueueStallNs += eng.now() - t0;
-            ctx.noteQueueWait(core, t0, eng.now());
+            if constexpr (kDma) {
+                co_await issue.transfer(cfg.issueCostPerEdge +
+                                        cfg.issueCostPerDescriptor);
+                const sim::SimTime t0 = eng.now();
+                run.beginWait(core, t0);
+                co_await queue->push(DmaDescriptor{
+                    DmaDescriptor::Op::ReadMulAcc, run.rowSlice(cols[e]),
+                    row_bytes});
+                run.noteQueueWait(core, t0, eng.now());
+            } else {
+                // The single in-flight instruction per thread
+                // serialises the line loads. Consecutive lines of the
+                // row live on consecutive slices (8-byte DGAS
+                // interleave rounds to lines at this access size);
+                // without interleaving the whole row lives on its
+                // placement slice — what makes blocked placement + a
+                // clustered ordering local.
+                const unsigned row_slice = run.rowSlice(cols[e]);
+                for (unsigned l = 0; l < lines_per_row && !dead; ++l) {
+                    co_await issue.transfer(cfg.issueCostPerLineLoad);
+                    const double chunk = std::min<double>(
+                        cfg.cacheLineBytes,
+                        row_bytes - l * cfg.cacheLineBytes);
+                    const unsigned line_slice =
+                        cfg.dgasFineInterleave
+                            ? (row_slice + l) % cfg.numCores
+                            : row_slice;
+                    dead = !co_await run.load(core, line_slice, chunk,
+                                              cs.featureStallNs,
+                                              "feature read",
+                                              /*striped=*/true);
+                }
+                if (dead)
+                    break;
+                // Scale-and-accumulate on the scalar pipeline.
+                const sim::SimTime t0 = eng.now();
+                co_await issue.transfer(cfg.issueCostPerEdge +
+                                        cfg.issueCostPerMac * run.k);
+                cs.issueNs += eng.now() - t0;
+            }
         }
 
         if (!dead) {
             // Final flush of the last (possibly shared) row.
-            co_await issue.transfer(ctx.cfg.issueCostPerDescriptor);
-            co_await queue.push(DmaDescriptor{
-                DmaDescriptor::Op::WriteRow, ctx.rowSlice(u),
-                row_bytes});
+            co_await issue.transfer(flush_cost);
+            if constexpr (kDma) {
+                co_await queue->push(DmaDescriptor{
+                    DmaDescriptor::Op::WriteRow, run.rowSlice(u),
+                    row_bytes});
+            } else {
+                run.memory.writeStripedPosted(core, run.rowSlice(u),
+                                              row_bytes);
+            }
         }
     }
 
-    if (--ctx.liveThreadsPerCore[core] == 0) {
-        co_await queue.push(
+    if (--run.liveThreadsPerCore[core] == 0 && kDma) {
+        co_await queue->push(
             DmaDescriptor{DmaDescriptor::Op::Terminate, 0, 0.0});
     }
 }
 
 /**
- * The loop-unrolled SpMM thread: everything happens on the MTP
- * pipeline itself with stall-on-use cache-line loads.
- */
-sim::Process
-loopUnrolledThreadProc(RunContext &ctx, unsigned tid)
-{
-    const auto [start, stop] = ctx.threadEdgeRange(tid);
-    const unsigned core = ctx.coreOfThread(tid);
-    sim::Engine &eng = ctx.engineOfCore(core);
-    co_await eng.announce("core" + std::to_string(core) + ".thread" +
-                          std::to_string(tid));
-    auto &issue = ctx.mtpIssue[ctx.mtpOfThread(tid)];
-    const double row_bytes = 4.0 * ctx.k;
-    const auto lines_per_row = static_cast<unsigned>(
-        std::ceil(row_bytes / ctx.cfg.cacheLineBytes));
-    const auto &offsets = ctx.csr.rowOffsets();
-    const auto &cols = ctx.csr.cols();
-
-    if (!ctx.stuckAtStart.empty() && ctx.stuckAtStart[tid]) [[unlikely]] {
-        const sim::SimTime t0 = eng.now();
-        ctx.beginWait(core, t0);
-        co_await eng.delay(ctx.faults->config().stuckResetNs);
-        ctx.noteStuckReset(core, t0, eng.now());
-    }
-
-    bool dead = false;
-
-    if (start < stop) {
-        const unsigned steps = static_cast<unsigned>(std::ceil(
-            std::log2(std::max<double>(2.0, ctx.csr.numVertices()))));
-        uint64_t probe_seed = 0x5eed00 + tid;
-        const uint64_t row_lines =
-            ctx.csr.numVertices() / ctx.rowsPerOffsetLine() + 1;
-        for (unsigned s = 0; s < steps; ++s) {
-            co_await issue.transfer(2.0);
-            const uint64_t line =
-                pgcn::splitMix64(probe_seed) % row_lines;
-            const unsigned slice = ctx.lineSlice(line);
-            const sim::SimTime t0 = eng.now();
-            ctx.beginWait(core, t0);
-            const MemoryAccess acc = co_await ctx.memory.read(
-                core, slice, ctx.cfg.cacheLineBytes);
-            const double waited = eng.now() - t0;
-            ctx.coreStats[core].rowOffsetStallNs += waited;
-            ctx.noteMemWait(core, slice, t0, eng.now(), waited,
-                            acc.recoveryNs);
-            if (acc.failed) [[unlikely]] {
-                ctx.recordFault("row-offset read", core, slice);
-                dead = true;
-                break;
-            }
-        }
-
-        VertexId u = ctx.csr.rowOfEdge(start);
-        const uint64_t rows_per_line = ctx.rowsPerOffsetLine();
-        uint64_t cur_nnz_line = ~uint64_t{0};
-        uint64_t cur_row_line = (u + 1) / rows_per_line;
-        const uint64_t edges_per_line = ctx.edgesPerNnzLine();
-        uint64_t line = start / edges_per_line;
-        uint64_t line_end = (line + 1) * edges_per_line;
-
-        for (EdgeId e = start; e < stop && !dead; ++e) {
-            if (e >= line_end) {
-                ++line;
-                line_end += edges_per_line;
-            }
-            if (line != cur_nnz_line) {
-                cur_nnz_line = line;
-                co_await issue.transfer(ctx.cfg.issueCostPerLineLoad);
-                const unsigned slice = ctx.lineSlice(line);
-                const sim::SimTime t0 = eng.now();
-                ctx.beginWait(core, t0);
-                const MemoryAccess acc = co_await ctx.memory.read(
-                    core, slice, ctx.cfg.cacheLineBytes);
-                const double waited = eng.now() - t0;
-                RunContext::CoreStats &cs = ctx.coreStats[core];
-                cs.nnzStallNs += waited;
-                cs.nnzLatencySum += waited;
-                ++cs.nnzReads;
-                ctx.noteMemWait(core, slice, t0, eng.now(), waited,
-                                acc.recoveryNs);
-                if (acc.failed) [[unlikely]] {
-                    ctx.recordFault("nnz read", core, slice);
-                    break;
-                }
-            }
-
-            while (e >= offsets[u + 1]) {
-                // Atomic row writeback with posted remote stores: the
-                // thread never waits on it, so it is request-only
-                // traffic (an unrecoverable drop would have been lost
-                // silently here before PR 10 too — the accumulated
-                // row was already discarded).
-                co_await issue.transfer(
-                    static_cast<double>(lines_per_row));
-                ctx.memory.writeStripedPosted(core, ctx.rowSlice(u),
-                                              row_bytes);
-                ++u;
-                const uint64_t rl = (u + 1) / rows_per_line;
-                if (rl != cur_row_line) {
-                    cur_row_line = rl;
-                    co_await issue.transfer(
-                        ctx.cfg.issueCostPerLineLoad);
-                    const unsigned slice = ctx.lineSlice(rl);
-                    const sim::SimTime t0 = eng.now();
-                    ctx.beginWait(core, t0);
-                    const MemoryAccess acc = co_await ctx.memory.read(
-                        core, slice, ctx.cfg.cacheLineBytes);
-                    const double waited = eng.now() - t0;
-                    ctx.coreStats[core].rowOffsetStallNs += waited;
-                    ctx.noteMemWait(core, slice, t0, eng.now(), waited,
-                                    acc.recoveryNs);
-                    if (acc.failed) [[unlikely]] {
-                        ctx.recordFault("row-offset read", core, slice);
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if (dead)
-                break;
-
-            // Stall-on-use feature-vector line loads: the unrolled
-            // loop requests one full cache line at a time, and the
-            // single in-flight instruction per thread serialises
-            // them.
-            for (unsigned l = 0; l < lines_per_row; ++l) {
-                co_await issue.transfer(ctx.cfg.issueCostPerLineLoad);
-                const sim::SimTime t0 = eng.now();
-                const double chunk =
-                    std::min<double>(ctx.cfg.cacheLineBytes,
-                                     row_bytes -
-                                         l * ctx.cfg.cacheLineBytes);
-                // Consecutive lines of the row live on consecutive
-                // slices (8-byte DGAS interleave rounds to lines at
-                // this access size). Without interleaving the whole
-                // row lives on its placement slice, so every line of
-                // it goes there — that is exactly what makes blocked
-                // placement + a clustered ordering local.
-                const unsigned line_slice =
-                    ctx.cfg.dgasFineInterleave
-                        ? (ctx.rowSlice(cols[e]) + l) % ctx.cfg.numCores
-                        : ctx.rowSlice(cols[e]);
-                ctx.beginWait(core, t0);
-                const MemoryAccess acc = co_await
-                    ctx.memory.readStriped(core, line_slice, chunk);
-                const double waited = eng.now() - t0;
-                ctx.coreStats[core].featureStallNs += waited;
-                ctx.noteMemWait(core, line_slice, t0, eng.now(), waited,
-                                acc.recoveryNs);
-                if (acc.failed) [[unlikely]] {
-                    ctx.recordFault("feature read", core, line_slice);
-                    dead = true;
-                    break;
-                }
-            }
-            if (dead)
-                break;
-
-            // Scale-and-accumulate on the scalar pipeline.
-            const sim::SimTime t0 = eng.now();
-            co_await issue.transfer(ctx.cfg.issueCostPerEdge +
-                                    ctx.cfg.issueCostPerMac * ctx.k);
-            ctx.coreStats[core].issueNs += eng.now() - t0;
-        }
-
-        if (!dead) {
-            // Final row flush.
-            co_await issue.transfer(static_cast<double>(lines_per_row));
-            ctx.memory.writeStripedPosted(core, ctx.rowSlice(u),
-                                          row_bytes);
-        }
-    }
-
-    --ctx.liveThreadsPerCore[core];
-    co_return;
-}
-
-/**
- * Register the run-scoped gauges an SpMM timeline needs: event-queue
- * depth, live MTP threads, aggregate issue utilisation, and the
- * stall-attribution rates (delta stall-ns per simulated ns == mean
- * number of threads stalled on that cause during the sample window).
+ * Register the SpMM gauges on top of the machine's: live MTP threads
+ * and the stall-attribution rates (delta stall-ns per simulated ns ==
+ * mean number of threads stalled on that cause during the sample
+ * window). Sessions force one domain, so summing the shards mid-run
+ * never races a writer.
  */
 void
-attachRunGauges(RunContext &ctx, telemetry::Session &session)
+attachRunGauges(SpmmRun &run, telemetry::Session &session)
 {
     telemetry::Registry &reg = session.registry();
-    reg.registerGauge("sim.queue_depth", telemetry::GaugeKind::Value,
-                      [&ctx] {
-                          return static_cast<double>(
-                              ctx.engine.queueDepth());
-                      });
     reg.registerGauge("piuma.mtp.threads_live",
-                      telemetry::GaugeKind::Value, [&ctx] {
+                      telemetry::GaugeKind::Value, [&run] {
                           unsigned live = 0;
-                          for (unsigned c : ctx.liveThreadsPerCore)
+                          for (unsigned c : run.liveThreadsPerCore)
                               live += c;
                           return static_cast<double>(live);
                       });
-    reg.registerGauge("piuma.mtp.issue_util", telemetry::GaugeKind::Rate,
-                      [&ctx] {
-                          double busy = 0.0;
-                          for (const auto &r : ctx.mtpIssue)
-                              busy += r.busyTime();
-                          return busy /
-                                 static_cast<double>(ctx.mtpIssue.size());
-                      });
-    // Shard-summing stall gauges: sessions force one domain, so
-    // sampling these mid-run never races a writer.
-    reg.registerGauge("piuma.mtp.stall.nnz", telemetry::GaugeKind::Rate,
-                      [&ctx] {
-                          double sum = 0.0;
-                          for (const auto &cs : ctx.coreStats)
-                              sum += cs.nnzStallNs;
-                          return sum;
-                      });
-    reg.registerGauge("piuma.mtp.stall.row_offset",
-                      telemetry::GaugeKind::Rate, [&ctx] {
-                          double sum = 0.0;
-                          for (const auto &cs : ctx.coreStats)
-                              sum += cs.rowOffsetStallNs;
-                          return sum;
-                      });
-    reg.registerGauge("piuma.mtp.stall.feature",
-                      telemetry::GaugeKind::Rate, [&ctx] {
-                          double sum = 0.0;
-                          for (const auto &cs : ctx.coreStats)
-                              sum += cs.featureStallNs;
-                          return sum;
-                      });
-    reg.registerGauge("piuma.mtp.stall.dma_queue",
-                      telemetry::GaugeKind::Rate, [&ctx] {
-                          double sum = 0.0;
-                          for (const auto &cs : ctx.coreStats)
-                              sum += cs.dmaQueueStallNs;
-                          return sum;
-                      });
+    const std::pair<const char *, double Machine::CoreStats::*> stalls[] = {
+        {"piuma.mtp.stall.nnz", &Machine::CoreStats::nnzStallNs},
+        {"piuma.mtp.stall.row_offset", &Machine::CoreStats::rowOffsetStallNs},
+        {"piuma.mtp.stall.feature", &Machine::CoreStats::featureStallNs},
+        {"piuma.mtp.stall.dma_queue", &Machine::CoreStats::dmaQueueStallNs},
+    };
+    for (const auto &[name, field] : stalls) {
+        reg.registerGauge(name, telemetry::GaugeKind::Rate, [&run, field] {
+            double sum = 0.0;
+            for (const auto &cs : run.coreStats)
+                sum += cs.*field;
+            return sum;
+        });
+    }
 }
 
 /** Publish the run's final aggregates as registry counters. */
@@ -753,7 +378,6 @@ publishRunCounters(const SpmmRunStats &stats, telemetry::Registry &reg)
     reg.counter("piuma.spmm.stall.network_ns").add(stats.stallNetworkNs);
     reg.counter("sim.critical_path_events")
         .add(static_cast<double>(stats.criticalPathEvents));
-    reg.counter("sim.events").add(static_cast<double>(stats.simEvents));
 }
 
 } // namespace
@@ -772,153 +396,77 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
     // A telemetry session or monitor hub shares single-threaded
     // geometry with the run; their presence keeps it on one domain
     // (domainPlan warns when Parallel was explicit).
-    const bool attached =
-        session != nullptr ||
-        (controls != nullptr && controls->monitor != nullptr);
-    const sim::DomainSet::Options opts =
-        MemorySystem::domainPlan(cfg, controls, attached);
-    RunContext ctx(csr, embedding_dim, cfg, opts);
-
-    if (controls != nullptr) {
-        ctx.memory.setFaultInjector(controls->faults);
-        ctx.faults = controls->faults;
-        ctx.domains.setRunLimits(controls->limits);
-        if (controls->monitor != nullptr) {
-            // Monitors observe spans the model computes anyway and
-            // never schedule events, so the simulated result stays
-            // bit-identical (the determinism tests pin this).
-            sim::MonitorHub &hub = *controls->monitor;
-            hub.beginRun(cfg.numCores, cfg.mtpsPerCore);
-            ctx.monitor = &hub;
-            for (unsigned m = 0;
-                 m < static_cast<unsigned>(ctx.mtpIssue.size()); ++m) {
-                ctx.mtpIssue[m].attachMonitor(
-                    hub.issueTimeline(m / cfg.mtpsPerCore));
-            }
-            ctx.memory.attachMonitor(&hub);
-        }
-    }
-
+    sim::MonitorHub *hub = controls != nullptr ? controls->monitor : nullptr;
+    SpmmRun run(csr, embedding_dim, cfg,
+                MemorySystem::domainPlan(cfg, controls,
+                                         session != nullptr || hub != nullptr),
+                controls);
+    if (hub != nullptr)
+        run.attachMonitor(*hub);
     if (session != nullptr) {
-        session->beginKernel(std::string("spmm/") +
-                             spmmAlgorithmName(alg) +
-                             "/k=" + std::to_string(embedding_dim));
-        ctx.memory.attachTelemetry(session);
-        attachRunGauges(ctx, *session);
-    }
-
-    // Pre-draw the stuck-core hazards in tid order while the main
-    // injector is still single-threaded: the run itself only ever
-    // touches forked per-entity streams, so Parallel mode never
-    // contends on shared generator state.
-    if (ctx.faults != nullptr) {
-        ctx.stuckAtStart.resize(cfg.totalThreads());
-        for (auto &s : ctx.stuckAtStart)
-            s = ctx.faults->stuckCore() ? 1 : 0;
+        run.attachSession(*session, std::string("spmm/") +
+                                        spmmAlgorithmName(alg) + "/k=" +
+                                        std::to_string(embedding_dim));
+        attachRunGauges(run, *session);
     }
 
     if (alg == SpmmAlgorithm::Dma) {
-        ctx.dmaEngines.reserve(cfg.numCores);
+        run.dmaEngines.reserve(cfg.numCores);
+        for (unsigned c = 0; c < cfg.numCores; ++c)
+            run.dmaEngines.emplace_back(run.engineOfCore(c), run.memory, cfg,
+                                        c);
+        // Wire up after every engine is emplaced: the telemetry gauges
+        // capture `this`, which must not move again.
         for (unsigned c = 0; c < cfg.numCores; ++c) {
-            ctx.dmaEngines.emplace_back(ctx.engineOfCore(c), ctx.memory,
-                                        cfg, c);
-        }
-        // Attach after every engine is emplaced: the gauges capture
-        // `this`, which must not move again.
-        if (session != nullptr) {
-            for (auto &engine : ctx.dmaEngines)
+            DmaEngine &engine = run.dmaEngines[c];
+            if (session != nullptr)
                 engine.attachTelemetry(session);
-        }
-        if (controls != nullptr && controls->faults != nullptr) {
-            for (auto &engine : ctx.dmaEngines)
-                engine.setFaultInjector(controls->faults);
-        }
-        if (ctx.monitor != nullptr) {
-            for (unsigned c = 0; c < cfg.numCores; ++c)
-                ctx.dmaEngines[c].attachMonitor(
-                    ctx.monitor->dmaTimeline(c));
-        }
-        for (auto &engine : ctx.dmaEngines)
+            if (run.faults != nullptr)
+                engine.setFaultInjector(run.faults);
+            if (hub != nullptr)
+                engine.attachMonitor(hub->dmaTimeline(c));
             engine.run();
+        }
         for (unsigned tid = 0; tid < cfg.totalThreads(); ++tid)
-            dmaThreadProc(ctx, tid);
+            spmmThreadProc<SpmmAlgorithm::Dma>(run, tid, run.drawStuck());
     } else {
         for (unsigned tid = 0; tid < cfg.totalThreads(); ++tid)
-            loopUnrolledThreadProc(ctx, tid);
+            spmmThreadProc<SpmmAlgorithm::LoopUnrolled>(run, tid,
+                                                        run.drawStuck());
     }
 
-    // The sampler rides the dispatch loop (it never schedules events),
-    // so the run still ends exactly when the workload drains.
-    if (session != nullptr && session->samplePeriodNs() > 0.0) {
-        ctx.domains.attachObserver(&session->sampler(),
-                                   session->samplePeriodNs());
-    }
-
-    const auto wall_start = std::chrono::steady_clock::now();
-    const sim::SimTime makespan = ctx.domains.run();
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
-
-    // Unrecoverable faults surface *after* the run drains: coroutines
-    // never throw through the engine (that would std::terminate), they
-    // record the fault, bail, and let the entry point raise the typed
-    // error here. The queues were drained on the way out, so there is
-    // no deadlock to race against. The per-core fault shards reduce
-    // deterministically: earliest detection wins, ties to the lowest
-    // core — the same answer for every domain count and mode.
-    const RunContext::CoreStats *first_fault = nullptr;
-    for (const RunContext::CoreStats &cs : ctx.coreStats) {
-        if (!cs.faulted)
-            continue;
-        if (first_fault == nullptr ||
-            cs.faultWhenNs < first_fault->faultWhenNs)
-            first_fault = &cs;
-    }
-    if (first_fault != nullptr) {
-        throw sim::SimFaultError(
-            first_fault->faultSite, first_fault->faultWhenNs,
-            ctx.faults != nullptr ? ctx.faults->config().maxRetries + 1
-                                  : 1);
-    }
-    for (const auto &engine : ctx.dmaEngines) {
-        if (engine.stats().failed) {
-            throw sim::SimFaultError(
-                engine.stats().failedDetail, makespan,
-                ctx.faults != nullptr ? ctx.faults->config().maxRetries + 1
-                                      : 1);
-        }
+    const sim::SimTime makespan = run.run(session);
+    // A DMA engine's lost transfer or descriptor has no detection time
+    // of its own; it surfaces only when no thread faulted.
+    for (const auto &engine : run.dmaEngines) {
+        if (engine.stats().failed)
+            run.fail(engine.stats().failedDetail, makespan);
     }
 
     SpmmRunStats stats;
     stats.makespanNs = makespan;
     stats.flop = 2.0 * static_cast<double>(csr.numEdges()) * embedding_dim;
     stats.gflops = makespan > 0 ? stats.flop / makespan : 0.0;
-    stats.bytesRead = ctx.memory.bytesRead();
-    stats.bytesWritten = ctx.memory.bytesWritten();
-    stats.bytesServed = ctx.memory.sliceBytesServed();
-    stats.memUtilization = ctx.memory.averageSliceUtilization(makespan);
-    stats.maxMemUtilization = ctx.memory.maxSliceUtilization(makespan);
-    stats.netUtilization = ctx.memory.averageNetworkUtilization(makespan);
-    stats.memAccesses = ctx.memory.totalAccesses();
-    stats.memRemoteAccesses = ctx.memory.remoteAccesses();
-    stats.remoteAccessFraction = ctx.memory.remoteAccessFraction();
+    stats.bytesRead = run.memory.bytesRead();
+    stats.bytesWritten = run.memory.bytesWritten();
+    stats.bytesServed = run.memory.sliceBytesServed();
+    stats.memUtilization = run.memory.averageSliceUtilization(makespan);
+    stats.maxMemUtilization = run.memory.maxSliceUtilization(makespan);
+    stats.netUtilization = run.memory.averageNetworkUtilization(makespan);
+    stats.memAccesses = run.memory.totalAccesses();
+    stats.memRemoteAccesses = run.memory.remoteAccesses();
+    stats.remoteAccessFraction = run.memory.remoteAccessFraction();
     if (stats.bytesServed > 0.0) {
         double max_slice = 0.0;
-        for (size_t i = 0; i < ctx.memory.numSlices(); ++i)
-            max_slice = std::max(max_slice, ctx.memory.sliceBytes(i));
+        for (size_t i = 0; i < run.memory.numSlices(); ++i)
+            max_slice = std::max(max_slice, run.memory.sliceBytes(i));
         stats.maxSliceBytesFraction =
-            max_slice * static_cast<double>(ctx.memory.numSlices()) /
+            max_slice * static_cast<double>(run.memory.numSlices()) /
             stats.bytesServed;
     }
     // Reduce the per-core shards in core-index order (a fixed-order
     // sum, so the floating-point result is domain/mode-invariant).
-    double nnz_latency_sum = 0.0;
-    uint64_t nnz_reads = 0;
-    double recovery_stall = 0.0;
-    uint64_t stuck_resets = 0;
-    for (const RunContext::CoreStats &cs : ctx.coreStats) {
+    for (const Machine::CoreStats &cs : run.coreStats) {
         stats.nnzStallNs += cs.nnzStallNs;
         stats.rowOffsetStallNs += cs.rowOffsetStallNs;
         stats.featureStallNs += cs.featureStallNs;
@@ -926,77 +474,65 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
         stats.issueNs += cs.issueNs;
         stats.stallMemoryNs += cs.stallMemNs;
         stats.stallNetworkNs += cs.stallNetNs;
-        nnz_latency_sum += cs.nnzLatencySum;
-        nnz_reads += cs.nnzReads;
-        recovery_stall += cs.recoveryStallNs;
-        stuck_resets += cs.stuckResets;
+        stats.nnzReads += cs.nnzReads;
     }
     if (makespan > 0.0) {
         double issue_busy = 0.0;
-        for (const auto &r : ctx.mtpIssue)
+        for (const auto &r : run.mtpIssue)
             issue_busy += r.busyTime();
         stats.issueUtilization =
             issue_busy /
-            (static_cast<double>(ctx.mtpIssue.size()) * makespan);
+            (static_cast<double>(run.mtpIssue.size()) * makespan);
         double dma_busy = 0.0;
-        for (const auto &engine : ctx.dmaEngines)
+        for (const auto &engine : run.dmaEngines)
             dma_busy += engine.stats().busyNs;
-        if (!ctx.dmaEngines.empty()) {
+        if (!run.dmaEngines.empty()) {
             stats.dmaUtilization =
                 dma_busy /
-                (static_cast<double>(ctx.dmaEngines.size()) * makespan);
+                (static_cast<double>(run.dmaEngines.size()) * makespan);
         }
     }
-    stats.criticalPathEvents = ctx.domains.criticalPathEvents();
+    stats.criticalPathEvents = run.domains.criticalPathEvents();
     stats.criticalPathParallelism =
         stats.criticalPathEvents > 0
-            ? static_cast<double>(ctx.domains.eventsProcessed()) /
+            ? static_cast<double>(run.domains.eventsProcessed()) /
                   static_cast<double>(stats.criticalPathEvents)
             : 0.0;
-    if (ctx.monitor != nullptr) {
-        const sim::OccupancyReport rep = ctx.monitor->report(makespan);
+    if (hub != nullptr) {
+        const sim::OccupancyReport rep = hub->report(makespan);
         stats.latencyHidingEffectiveness =
             rep.latencyHidingEffectiveness;
         stats.exposedStallNs = rep.exposedStallNs;
     }
-    stats.nnzReads = nnz_reads;
+    // The NNZ sites' stall is their observed latency.
     stats.avgNnzLatencyNs =
-        nnz_reads ? nnz_latency_sum / static_cast<double>(nnz_reads)
-                  : 0.0;
-    for (const auto &engine : ctx.dmaEngines)
-        stats.dmaDescriptors += engine.stats().descriptors;
+        stats.nnzReads ? stats.nnzStallNs /
+                             static_cast<double>(stats.nnzReads)
+                       : 0.0;
     // Recovery accounting: memory counters own transaction-level
     // retries/timeouts; DMA engines add their descriptor re-issues.
     // Goodput is demanded traffic only — bytesServed additionally
     // counts the bandwidth retries burned, and the conservation
     // invariant bytesServed == goodputBytes + retriedBytes is what
     // the soak test pins.
-    stats.retries = ctx.memory.retries();
-    stats.timeoutsFired = ctx.memory.timeoutsFired() + stuck_resets;
-    stats.recoveryNs = recovery_stall + ctx.memory.postedRecoveryNs();
-    for (const auto &engine : ctx.dmaEngines) {
+    run.fillRecoveryStats(stats);
+    for (const auto &engine : run.dmaEngines) {
+        stats.dmaDescriptors += engine.stats().descriptors;
         stats.retries += engine.stats().retries;
         stats.timeoutsFired += engine.stats().timeoutsFired;
         stats.recoveryNs += engine.stats().recoveryNs;
     }
-    stats.retriedBytes = ctx.memory.retriedBytes();
-    stats.goodputBytes = stats.bytesRead + stats.bytesWritten;
-    stats.stuckResets = stuck_resets;
-    stats.simEvents = ctx.domains.eventsProcessed();
-    stats.wallSeconds = wall;
-    stats.eventsPerSec =
-        wall > 0.0 ? static_cast<double>(stats.simEvents) / wall : 0.0;
-    stats.peakEventQueueDepth = ctx.domains.peakQueueDepth();
-    stats.domains = ctx.domains.domains();
-    stats.lookaheadNs = stats.domains > 1 ? ctx.domains.lookaheadNs() : 0.0;
-    stats.windows = ctx.domains.windows();
-    stats.crossDomainPosts = ctx.domains.crossDomainPosts();
+    stats.retriedBytes = run.memory.retriedBytes();
+    run.fillHostStats(stats);
+    stats.domains = run.domains.domains();
+    stats.lookaheadNs = stats.domains > 1 ? run.domains.lookaheadNs() : 0.0;
+    stats.windows = run.domains.windows();
+    stats.crossDomainPosts = run.domains.crossDomainPosts();
 
     if (session != nullptr) {
         publishRunCounters(stats, session->registry());
-        session->endKernel(stats.makespanNs);
+        run.endSession(*session, makespan);
     }
-
     return stats;
 }
 

@@ -1,13 +1,8 @@
 #include "piuma/walk_programs.hpp"
 
-#include <chrono>
-#include <vector>
-
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "piuma/memory.hpp"
-#include "sim/engine.hpp"
-#include "sim/resource.hpp"
+#include "piuma/machine.hpp"
 
 namespace pgcn::piuma {
 
@@ -17,37 +12,6 @@ using graph::VertexId;
 
 namespace {
 
-struct WalkContext
-{
-    WalkContext(const Csr &csr_in, const PiumaConfig &cfg_in)
-        : engine(domains.engine(0)), csr(csr_in), cfg(cfg_in),
-          memory(domains, cfg_in)
-    {
-        const unsigned total_mtps = cfg.numCores * cfg.mtpsPerCore;
-        mtpIssue.reserve(total_mtps);
-        for (unsigned m = 0; m < total_mtps; ++m)
-            mtpIssue.emplace_back(engine, cfg.clockGhz);
-    }
-
-    /// Single-domain set (the walk microbenchmark has no sharding
-    /// knob); the memory protocol routes its events through it.
-    sim::DomainSet domains{1u};
-    sim::Engine &engine;
-    const Csr &csr;
-    const PiumaConfig &cfg;
-    MemorySystem memory;
-    std::vector<sim::BandwidthResource> mtpIssue;
-
-    uint64_t stepsDone = 0;
-    double stepLatencySum = 0.0;
-
-    unsigned
-    lineSlice(uint64_t line) const
-    {
-        return static_cast<unsigned>(line % cfg.numCores);
-    }
-};
-
 /**
  * One hardware thread executing its share of walks. Each step:
  *  1. read row offsets of the current vertex (8-byte pair, one line),
@@ -55,32 +19,32 @@ struct WalkContext
  * both dependent, both stall-on-use — the latency-bound pattern.
  */
 sim::Process
-walkThreadProc(WalkContext &ctx, unsigned tid, uint64_t walk_begin,
-               uint64_t walk_end, uint32_t walk_length, uint64_t seed)
+walkThreadProc(Machine &m, const Csr &csr, unsigned tid,
+               uint64_t walk_begin, uint64_t walk_end, uint32_t walk_length,
+               uint64_t seed, uint64_t &steps_done, double &step_latency_sum)
 {
-    const unsigned core =
-        tid / (ctx.cfg.mtpsPerCore * ctx.cfg.threadsPerMtp);
-    auto &issue = ctx.mtpIssue[tid / ctx.cfg.threadsPerMtp];
+    const unsigned core = m.coreOfThread(tid);
+    sim::Engine &eng = m.engineOfCore(core);
+    auto &issue = m.mtpIssue[m.mtpOfThread(tid)];
     Rng rng(seed ^ (0xabcdef1234ULL + tid));
-    const VertexId n = ctx.csr.numVertices();
-    const auto &offsets = ctx.csr.rowOffsets();
-    const auto &cols = ctx.csr.cols();
-    const uint64_t rows_per_line = ctx.cfg.cacheLineBytes / 8;
-    const uint64_t edges_per_line = ctx.cfg.cacheLineBytes / 4;
+    const VertexId n = csr.numVertices();
+    const auto &offsets = csr.rowOffsets();
+    const auto &cols = csr.cols();
+    const uint64_t rows_per_line = m.cfg.cacheLineBytes / 8;
+    const uint64_t edges_per_line = m.cfg.cacheLineBytes / 4;
 
     for (uint64_t w = walk_begin; w < walk_end; ++w) {
         VertexId v = static_cast<VertexId>(rng.uniformInt(n));
         for (uint32_t step = 0; step < walk_length; ++step) {
-            const sim::SimTime step_start = ctx.engine.now();
+            const sim::SimTime step_start = eng.now();
 
             // Dependent load 1: row-offset pair of v — a native
             // 16-byte uncached access (PIUMA's memory path is
             // optimised for sub-line requests; a pointer chase must
             // not pay line-fill bandwidth).
             co_await issue.transfer(2.0);
-            const uint64_t off_line = v / rows_per_line;
-            MemoryAccess acc = co_await ctx.memory.read(
-                core, ctx.lineSlice(off_line), 16.0);
+            co_await m.memory.read(core, m.lineSlice(v / rows_per_line),
+                                   16.0);
 
             const EdgeId deg = offsets[v + 1] - offsets[v];
             if (deg == 0) {
@@ -91,13 +55,12 @@ walkThreadProc(WalkContext &ctx, unsigned tid, uint64_t walk_begin,
                 // entry (cannot issue before load 1 returns).
                 const EdgeId e = offsets[v] + rng.uniformInt(deg);
                 co_await issue.transfer(2.0);
-                const uint64_t col_line = e / edges_per_line;
-                acc = co_await ctx.memory.read(
-                    core, ctx.lineSlice(col_line), 8.0);
+                co_await m.memory.read(
+                    core, m.lineSlice(e / edges_per_line), 8.0);
                 v = cols[e];
             }
-            ++ctx.stepsDone;
-            ctx.stepLatencySum += ctx.engine.now() - step_start;
+            ++steps_done;
+            step_latency_sum += eng.now() - step_start;
         }
     }
 }
@@ -115,36 +78,32 @@ simulateRandomWalk(const Csr &csr, uint64_t num_walks,
     if (num_walks == 0 || walk_length == 0)
         PGCN_THROW(ConfigError, "walk batch must be non-empty");
 
-    WalkContext ctx(csr, cfg);
+    // One domain: the walk microbenchmark has no sharding knob.
+    Machine m(cfg, sim::DomainSet::Options{}, nullptr);
+    uint64_t steps_done = 0;
+    double step_latency_sum = 0.0;
     const unsigned total_threads = cfg.totalThreads();
     for (unsigned tid = 0; tid < total_threads; ++tid) {
         const uint64_t begin = num_walks * tid / total_threads;
         const uint64_t end = num_walks * (tid + 1) / total_threads;
-        if (begin < end)
-            walkThreadProc(ctx, tid, begin, end, walk_length, seed);
+        if (begin < end) {
+            walkThreadProc(m, csr, tid, begin, end, walk_length, seed,
+                           steps_done, step_latency_sum);
+        }
     }
 
-    const auto wall_start = std::chrono::steady_clock::now();
-    const sim::SimTime makespan = ctx.domains.run();
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall_start)
-                            .count();
+    const sim::SimTime makespan = m.run(nullptr);
 
     WalkRunStats stats;
     stats.makespanNs = makespan;
-    stats.totalSteps = ctx.stepsDone;
+    stats.totalSteps = steps_done;
     stats.stepsPerNs =
-        makespan > 0 ? static_cast<double>(ctx.stepsDone) / makespan : 0.0;
+        makespan > 0 ? static_cast<double>(steps_done) / makespan : 0.0;
     stats.avgStepLatencyNs =
-        ctx.stepsDone ? ctx.stepLatencySum /
-                            static_cast<double>(ctx.stepsDone)
-                      : 0.0;
-    stats.memUtilization = ctx.memory.averageSliceUtilization(makespan);
-    stats.simEvents = ctx.domains.eventsProcessed();
-    stats.wallSeconds = wall;
-    stats.eventsPerSec =
-        wall > 0.0 ? static_cast<double>(stats.simEvents) / wall : 0.0;
-    stats.peakEventQueueDepth = ctx.domains.peakQueueDepth();
+        steps_done ? step_latency_sum / static_cast<double>(steps_done)
+                   : 0.0;
+    stats.memUtilization = m.memory.averageSliceUtilization(makespan);
+    m.fillHostStats(stats);
     return stats;
 }
 

@@ -397,6 +397,46 @@ TEST(HardFault, ExhaustedRetryBudgetRaisesTypedFault)
     }
 }
 
+TEST(HardFault, LostResultRowWriteRaisesTypedFault)
+{
+    // The loop-unrolled program flushes finished rows as posted
+    // writes: the thread never waits for them, so a lost one can only
+    // surface after the run. With no retry budget every memory
+    // timeout is unrecoverable, so a run that returns must have fired
+    // none beyond its stuck-core resets; a posted loss must raise
+    // SimFaultError naming the result-row write instead.
+    const graph::Csr csr = graph::normalizedAdjacency(
+        graph::generateRmat(8, 2000, graph::rmatSkewed(), 99));
+    PiumaConfig cfg;
+    cfg.numCores = 2;
+    int returned = 0;
+    int lost_rows = 0;
+    for (uint64_t seed = 1; seed <= 200; ++seed) {
+        FaultConfig fc;
+        fc.seed = seed;
+        fc.dramDropRate = 1e-4;
+        fc.netDropRate = 1e-4;
+        fc.maxRetries = 0;
+        FaultInjector faults(fc);
+        SimControls controls;
+        controls.faults = &faults;
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        try {
+            const SpmmRunStats s =
+                simulateSpmm(csr, 8, cfg, SpmmAlgorithm::LoopUnrolled,
+                             nullptr, &controls);
+            EXPECT_EQ(s.timeoutsFired, s.stuckResets);
+            ++returned;
+        } catch (const sim::SimFaultError &e) {
+            EXPECT_EQ(e.attempts(), 1u);
+            if (e.site().find("result-row write") != std::string::npos)
+                ++lost_rows;
+        }
+    }
+    EXPECT_GT(returned, 0);
+    EXPECT_GT(lost_rows, 0); // the posted-loss path was exercised
+}
+
 TEST(HardFault, NoDropScheduleDeadlocks)
 {
     // Property: whatever the drop rate, a run terminates — success or
