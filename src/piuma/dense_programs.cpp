@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "piuma/machine.hpp"
 #include "telemetry/session.hpp"
@@ -77,8 +78,15 @@ simulateDenseMm(uint64_t num_vertices, uint64_t k_in, uint64_t k_out,
         PGCN_THROW(ShapeError, "dense MM needs positive dimensions");
 
     // One domain: the dense kernel is a calibration-sized model with
-    // no sharding knob (and no monitor hook).
+    // no sharding plan. Say so when the caller asked for more.
+    if (controls != nullptr &&
+        (controls->domains > 1 ||
+         controls->domainMode == sim::DomainMode::Parallel))
+        warn("simulateDenseMm runs on one domain: the dense program has "
+             "no sharding plan");
     Machine m(cfg, sim::DomainSet::Options{}, controls);
+    if (controls != nullptr && controls->monitor != nullptr)
+        m.attachMonitor(*controls->monitor);
     if (session != nullptr) {
         m.attachSession(*session, "dense/k_in=" + std::to_string(k_in) +
                                       "/k_out=" + std::to_string(k_out));

@@ -60,10 +60,12 @@ struct DenseRunStats
  * @param cfg PIUMA system description.
  * @param session Optional telemetry sink (kernel span, counters and
  *        gauge time series); null disables all recording.
- * @param controls Optional robustness controls (fault injector and
- *        Engine::RunLimits), as for simulateSpmm. Null means no
- *        perturbation and no limits, bit-identical to builds
- *        predating this parameter.
+ * @param controls Optional robustness controls (fault injector,
+ *        Engine::RunLimits and monitor hub), as for simulateSpmm.
+ *        Null means no perturbation and no limits, bit-identical to
+ *        builds predating this parameter. The dense program always
+ *        runs on one domain; an explicit `domains > 1` or
+ *        DomainMode::Parallel logs a warning saying so.
  *
  * @throws ConfigError / ShapeError on invalid inputs,
  *         sim::SimLimitError on an armed budget breach, and

@@ -34,13 +34,14 @@ DmaEngine::attachTelemetry(telemetry::Session *session)
 }
 
 void
-DmaEngine::noteTransferFault(const char *op, unsigned slice)
+DmaEngine::noteFault(const std::string &detail, sim::SimTime when)
 {
-    if (stats_.failed)
+    if (stats_.failed && !(when < stats_.failedWhenNs))
         return;
     stats_.failed = true;
     stats_.failedDetail = "core" + std::to_string(core_) + " dma " +
-                          op + " on slice " + std::to_string(slice);
+                          detail;
+    stats_.failedWhenNs = when;
 }
 
 sim::Process
@@ -65,6 +66,12 @@ DmaEngine::run()
     std::vector<unsigned> slotSlice(cfg_.dmaMaxInflight, 0);
     std::vector<bool> slotIsRead(cfg_.dmaMaxInflight, false);
     size_t slot = 0;
+    // A lost transfer is detected when its final response is due.
+    auto transfer_fault = [&](size_t i, const MemoryAccess &acc) {
+        noteFault(std::string(slotIsRead[i] ? "read" : "write") +
+                      " on slice " + std::to_string(slotSlice[i]),
+                  acc.responseAt);
+    };
 
     for (;;) {
         DmaDescriptor desc = co_await queue_.pop();
@@ -88,17 +95,13 @@ DmaEngine::run()
                 ++stats_.timeoutsFired;
                 const sim::FaultConfig &fc = stream_->config();
                 if (attempt >= fc.maxRetries) {
-                    if (!stats_.failed) {
-                        stats_.failed = true;
-                        stats_.failedDetail =
-                            "core" + std::to_string(core_) +
-                            " dma descriptor (slice " +
-                            std::to_string(desc.slice) + ")";
-                    }
                     // The final timeout still elapses before the
                     // watchdog declares the descriptor dead.
                     co_await engine_.delay(fc.timeoutNs);
                     stats_.recoveryNs += fc.timeoutNs;
+                    noteFault("descriptor (slice " +
+                                  std::to_string(desc.slice) + ")",
+                              engine_.now());
                     abandoned = true;
                     break;
                 }
@@ -120,8 +123,7 @@ DmaEngine::run()
         const MemoryAccess prev = co_await memory_.await(slots[slot]);
         if (slotBytes[slot] > 0.0) {
             if (prev.failed) [[unlikely]]
-                noteTransferFault(slotIsRead[slot] ? "read" : "write",
-                                  slotSlice[slot]);
+                transfer_fault(slot, prev);
             stats_.recoveryNs += prev.recoveryNs;
             if (slotIsRead[slot]) {
                 co_await engine_.delayUntil(
@@ -174,8 +176,7 @@ DmaEngine::run()
         if (slotBytes[i] <= 0.0)
             continue;
         if (acc.failed) [[unlikely]]
-            noteTransferFault(slotIsRead[i] ? "read" : "write",
-                              slotSlice[i]);
+            transfer_fault(i, acc);
         stats_.recoveryNs += acc.recoveryNs;
         if (slotIsRead[i]) {
             co_await engine_.delayUntil(

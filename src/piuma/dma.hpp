@@ -61,11 +61,14 @@ struct DmaStats
     /// recovery portion of its memory transfers.
     double recoveryNs = 0.0;
     /// A descriptor (or one of its memory transfers) exhausted the
-    /// retry budget; failedDetail names it. The engine keeps draining
-    /// its queue so producers never block forever — the entry point
-    /// raises SimFaultError after the run.
+    /// retry budget; failedDetail names the earliest such failure and
+    /// failedWhenNs is its detection time (a lost transfer's final
+    /// response, an abandoned descriptor's final timeout). The engine
+    /// keeps draining its queue so producers never block forever;
+    /// Machine::run raises SimFaultError after the run.
     bool failed = false;
     std::string failedDetail;
+    sim::SimTime failedWhenNs = 0.0;
 };
 
 /**
@@ -144,9 +147,9 @@ class DmaEngine
     sim::Process run();
 
   private:
-    /** Cold path: record an unrecoverable memory fault of one of this
-     *  engine's transfers (first one wins; the run throws anyway). */
-    void noteTransferFault(const char *op, unsigned slice);
+    /** Cold path: record an unrecoverable fault detected at @p when
+     *  (earliest detection wins; the run throws anyway). */
+    void noteFault(const std::string &detail, sim::SimTime when);
 
     sim::Engine &engine_;
     MemorySystem &memory_;

@@ -34,9 +34,9 @@ struct GcnSimResult
     std::vector<SpmmRunStats> spmmLayers;   ///< per-layer SpMM detail
     std::vector<DenseRunStats> denseLayers; ///< per-layer dense detail
 
-    // Simulator (host) throughput aggregated over all kernel runs.
+    // Simulator (host) throughput of the whole call.
     uint64_t simEvents = 0;        ///< DES events across all kernels
-    double wallSeconds = 0.0;      ///< host wall-clock across kernels
+    double wallSeconds = 0.0;      ///< host wall-clock of the call
     double eventsPerSec = 0.0;     ///< simEvents / wallSeconds
     uint64_t peakEventQueueDepth = 0; ///< max pending events observed
 
@@ -55,14 +55,43 @@ struct GcnSimResult
     }
 };
 
+/** How one unobserved simulateGcn call spends the host's threads. */
+struct GcnHostPlan
+{
+    unsigned workers;      ///< layers simulated at once on the host
+    unsigned layerDomains; ///< event domains of each SpMM layer's plan
+};
+
+/**
+ * The host-thread budget of simulateGcn (DESIGN.md §15): @p layers
+ * layers on @p host_threads threads get W = min(layers, host_threads)
+ * workers, and each SpMM layer's auto plan is capped at
+ * max(1, host_threads / W) threads (MemorySystem::autoDomainCount),
+ * so W x layerDomains never exceeds the host's threads. One layer
+ * keeps the machine-wide auto plan.
+ */
+GcnHostPlan gcnHostPlan(const PiumaConfig &cfg, size_t layers,
+                        unsigned host_threads);
+
 /**
  * Simulate a whole GCN: for each layer, the dense update H W at
  * (kIn -> kOut) followed by the aggregation A (H W) at kOut (the
- * transform-then-aggregate order the paper profiles). Kernels run
- * sequentially, as a bulk-synchronous runtime schedules them. The
- * SpMM layers run on auto event domains (MemorySystem::domainPlan:
- * whole dies per domain on the host's threads), the dense updates on
- * one engine; the result is the same bits at any domain count.
+ * transform-then-aggregate order the paper profiles).
+ *
+ * Simulated order: the kernels run back to back, as a
+ * bulk-synchronous runtime schedules them; every kernel starts from
+ * a fresh machine at t = 0 and the totals are sums over layers.
+ *
+ * Host order: with no session and at least two layers, the layers are
+ * independent simulations, so gcnHostPlan(cfg, layers.size(),
+ * MemorySystem::hostThreads()) workers simulate them at the same time
+ * (a layer's dense update, then its SpMM, on one worker) and the
+ * results are reduced in layer order after every worker has joined.
+ * The SpMM layers run on auto event domains within the plan's cap
+ * (whole dies per domain), the dense updates on one engine. The
+ * result is the same bits at any host thread and domain count; when
+ * layers throw, the lowest failing layer's exception is rethrown,
+ * the one a layer-by-layer loop raises.
  *
  * @param csr Normalised adjacency (a down-scaled proxy at DES cost).
  * @param layers Per-layer dimensions (e.g. from
@@ -71,8 +100,8 @@ struct GcnSimResult
  * @param alg SpMM implementation for the aggregation phase.
  * @param session Optional telemetry sink, passed through to every
  *        kernel run; the session's global clock strings the layers
- *        into one trace timeline. Attaching one keeps the SpMM
- *        layers on one engine.
+ *        into one trace timeline. Attaching one runs the layers one
+ *        after another on the calling thread, each on one engine.
  */
 GcnSimResult simulateGcn(const graph::Csr &csr,
                          const std::vector<GcnSimLayer> &layers,

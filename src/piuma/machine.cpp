@@ -88,21 +88,30 @@ Machine::run(telemetry::Session *session)
     // The queues drained on the way out, so raising here cannot race
     // a deadlock report, and the reduction is the same for every
     // domain count and mode.
-    const CoreStats *first = nullptr;
-    for (const CoreStats &cs : coreStats) {
-        if (cs.faulted &&
-            (first == nullptr || cs.faultWhenNs < first->faultWhenNs))
-            first = &cs;
+    const std::string *site = nullptr;
+    sim::SimTime when = 0.0;
+    auto consider = [&](bool failed, const std::string &s, sim::SimTime t) {
+        if (failed && (site == nullptr || t < when)) {
+            site = &s;
+            when = t;
+        }
+    };
+    for (size_t c = 0; c < coreStats.size(); ++c) {
+        const CoreStats &cs = coreStats[c];
+        consider(cs.faulted, cs.faultSite, cs.faultWhenNs);
+        if (c < dmaEngines.size()) {
+            const DmaStats &d = dmaEngines[c].stats();
+            consider(d.failed, d.failedDetail, d.failedWhenNs);
+        }
     }
     const PostedFault posted = memory.postedFault();
-    if (posted.failed &&
-        (first == nullptr || posted.whenNs < first->faultWhenNs)) {
+    if (posted.failed && (site == nullptr || posted.whenNs < when)) {
         fail("core" + std::to_string(posted.core) +
                  " result-row write on slice " + std::to_string(posted.slice),
              posted.whenNs);
     }
-    if (first != nullptr)
-        fail(first->faultSite, first->faultWhenNs);
+    if (site != nullptr)
+        fail(*site, when);
     return makespan;
 }
 

@@ -2,9 +2,10 @@
  * @file
  * The simulated machine every PIUMA program runs on (internal to
  * src/piuma): event domains, the DGAS memory system, per-MTP issue
- * resources, the thread -> core/MTP map, per-core stall and fault
- * records, and the run tail that times the drain and raises the
- * run's first unrecoverable fault. simulateSpmm, simulateDenseMm and
+ * resources, per-core DMA engines (DMA SpMM only), the thread ->
+ * core/MTP map, per-core stall and fault records, and the run tail
+ * that times the drain and raises the run's first unrecoverable
+ * fault. simulateSpmm, simulateDenseMm and
  * simulateRandomWalk each build one and spawn their thread coroutines
  * on it.
  */
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "piuma/config.hpp"
+#include "piuma/dma.hpp"
 #include "piuma/memory.hpp"
 #include "sim/domain.hpp"
 #include "sim/engine.hpp"
@@ -88,6 +90,9 @@ struct Machine
     MemorySystem memory;
     std::vector<sim::BandwidthResource> mtpIssue;
     std::vector<CoreStats> coreStats;
+    /// One DMA engine per core when the program offloads to DMA
+    /// (empty otherwise). Declared after memory, so engines go first.
+    std::vector<DmaEngine> dmaEngines;
     /// Occupancy/stall monitor; null leaves the wait sites at one
     /// predictable branch each. Attaching one forces one domain.
     sim::MonitorHub *monitor = nullptr;
@@ -250,8 +255,9 @@ struct Machine
     /**
      * Drain the run (sampling @p session's gauges when it asks for a
      * period) and time it on the host. Unrecoverable faults surface
-     * here, after the drain: the per-core records reduce as earliest
-     * detection wins, ties to the lowest core, and a lost posted
+     * here, after the drain: the per-core thread and DMA-engine
+     * records reduce as earliest detection wins, ties to the lowest
+     * core (its threads before its DMA engine), and a lost posted
      * write (MemorySystem::postedFault) wins only when strictly
      * earlier. Returns the makespan.
      *

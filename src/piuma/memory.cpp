@@ -84,12 +84,17 @@ MemorySystem::modelLookaheadNs(const PiumaConfig &cfg, unsigned domains,
 }
 
 unsigned
-MemorySystem::autoDomainCount(const PiumaConfig &cfg)
+MemorySystem::hostThreads()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+unsigned
+MemorySystem::autoDomainCount(const PiumaConfig &cfg, unsigned host_threads)
 {
     const unsigned dies =
         (cfg.numCores + cfg.coresPerDie - 1) / cfg.coresPerDie;
-    const unsigned host = std::max(1u, std::thread::hardware_concurrency());
-    unsigned d = std::min(dies, host);
+    unsigned d = std::min(dies, std::max(1u, host_threads));
     while (dies % d != 0)
         --d;
     return d;

@@ -178,13 +178,17 @@ class MemorySystem
     static double modelLookaheadNs(const PiumaConfig &cfg, unsigned domains,
                                    const sim::FaultConfig *faults);
 
+    /// The host's hardware threads (at least 1).
+    static unsigned hostThreads();
+
     /**
      * The `--domains auto` rule (DESIGN.md §15): the largest divisor
-     * of the die count that does not exceed the host's hardware
-     * threads, so each domain holds whole dies. A single-die machine
-     * gets 1.
+     * of the die count that does not exceed @p host_threads (by
+     * default the host's hardware threads), so each domain holds
+     * whole dies. A single-die machine gets 1.
      */
-    static unsigned autoDomainCount(const PiumaConfig &cfg);
+    static unsigned autoDomainCount(const PiumaConfig &cfg,
+                                    unsigned host_threads = hostThreads());
 
     /**
      * Resolve SimControls into concrete DomainSet options. Sequenced

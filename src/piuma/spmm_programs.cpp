@@ -62,9 +62,9 @@ namespace {
 constexpr double kNnzBytesPerEdge = 8.0; // 4B column + 4B value
 
 /**
- * One simulated SpMM run: the machine plus the matrix, the per-core
- * DMA engines (DMA algorithm only) and the live-thread counts that
- * decide which thread terminates its core's engine.
+ * One simulated SpMM run: the machine plus the matrix and the
+ * live-thread counts that decide which thread terminates its core's
+ * DMA engine.
  */
 struct SpmmRun : Machine
 {
@@ -79,7 +79,6 @@ struct SpmmRun : Machine
 
     const Csr &csr;
     unsigned k;
-    std::vector<DmaEngine> dmaEngines;
     std::vector<unsigned> liveThreadsPerCore;
 
     /// First slice of the (8-byte-interleaved) feature/output row of
@@ -436,12 +435,6 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
     }
 
     const sim::SimTime makespan = run.run(session);
-    // A DMA engine's lost transfer or descriptor has no detection time
-    // of its own; it surfaces only when no thread faulted.
-    for (const auto &engine : run.dmaEngines) {
-        if (engine.stats().failed)
-            run.fail(engine.stats().failedDetail, makespan);
-    }
 
     SpmmRunStats stats;
     stats.makespanNs = makespan;

@@ -39,7 +39,9 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 #include <functional>
 #include <limits>
@@ -50,10 +52,12 @@
 #include <vector>
 
 #include "common/checkpoint.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "graph/normalize.hpp"
 #include "parallel/sweep_runner.hpp"
+#include "piuma/dense_programs.hpp"
 #include "piuma/gcn_sim.hpp"
 #include "piuma/memory.hpp"
 #include "piuma/spmm_programs.hpp"
@@ -443,10 +447,11 @@ TEST(DomainSequenced, BitIdenticalWithFaultsInjected)
     expectIdenticalWithFaultsInjected(2);
 }
 
-// simulateGcn runs its SpMM layers on auto domains. On a two-die
-// machine each layer shards (given two host threads) and must equal
-// the serial simulateSpmm of the same layer; an attached telemetry
-// session keeps every layer on one engine.
+// simulateGcn runs its SpMM layers on auto domains within the host
+// plan's cap (gcnHostPlan). On a two-die machine each layer shards
+// when the plan leaves it two threads, and must equal the serial
+// simulateSpmm of the same layer; an attached telemetry session keeps
+// every layer on one engine.
 TEST(DomainModeParallel, SimulateGcnLayersMatchSerialOnAutoDomains)
 {
     const graph::Csr csr = goldenGraph(8, 2000, 99);
@@ -455,10 +460,12 @@ TEST(DomainModeParallel, SimulateGcnLayersMatchSerialOnAutoDomains)
     const std::vector<GcnSimLayer> layers{{32, 16}, {16, 8}};
     const GcnSimResult gcn = simulateGcn(csr, layers, cfg);
     ASSERT_EQ(gcn.spmmLayers.size(), layers.size());
+    const GcnHostPlan plan =
+        gcnHostPlan(cfg, layers.size(), MemorySystem::hostThreads());
     for (size_t i = 0; i < layers.size(); ++i) {
         SCOPED_TRACE("layer " + std::to_string(i));
         const SpmmRunStats &s = gcn.spmmLayers[i];
-        EXPECT_EQ(s.domains, MemorySystem::autoDomainCount(cfg));
+        EXPECT_EQ(s.domains, plan.layerDomains);
         expectStatsIdentical(
             simulateSpmm(csr, static_cast<unsigned>(layers[i].kOut), cfg,
                          SpmmAlgorithm::Dma),
@@ -469,6 +476,166 @@ TEST(DomainModeParallel, SimulateGcnLayersMatchSerialOnAutoDomains)
         simulateGcn(csr, layers, cfg, SpmmAlgorithm::Dma, &session);
     for (const SpmmRunStats &s : traced.spmmLayers)
         EXPECT_EQ(s.domains, 1u);
+}
+
+// The host-thread budget: W = min(L, H) concurrent layers, each SpMM
+// plan capped at max(1, H / W) threads, never more than H in all; one
+// layer keeps the machine-wide auto plan.
+TEST(GcnLayers, HostPlanStaysWithinTheHostThreads)
+{
+    for (const unsigned cores : {8u, 16u, 64u}) {
+        PiumaConfig cfg;
+        cfg.numCores = cores;
+        for (const unsigned h : {1u, 2u, 3u, 4u, 8u}) {
+            for (const size_t l : {size_t{1}, size_t{2}, size_t{3},
+                                   size_t{5}}) {
+                SCOPED_TRACE(std::to_string(cores) + " cores, H=" +
+                             std::to_string(h) + ", L=" + std::to_string(l));
+                const GcnHostPlan plan = gcnHostPlan(cfg, l, h);
+                EXPECT_EQ(plan.workers, std::min<size_t>(l, h));
+                EXPECT_GE(plan.layerDomains, 1u);
+                EXPECT_LE(plan.workers * plan.layerDomains, h);
+                if (l == 1) {
+                    EXPECT_EQ(plan.layerDomains,
+                              MemorySystem::autoDomainCount(cfg, h));
+                }
+            }
+        }
+    }
+    PiumaConfig eight_dies;
+    eight_dies.numCores = 64;
+    EXPECT_EQ(gcnHostPlan(eight_dies, 1, 8).layerDomains, 8u);
+    EXPECT_EQ(gcnHostPlan(eight_dies, 1, 3).layerDomains, 2u);
+    EXPECT_EQ(gcnHostPlan(eight_dies, 3, 8).layerDomains, 2u);
+    EXPECT_EQ(gcnHostPlan(eight_dies, 5, 8).layerDomains, 1u);
+    // perfbench's shape: 3 layers of 16 cores on 4 threads are three
+    // concurrent one-engine layers; 2 layers keep 2 domains each.
+    PiumaConfig two_dies;
+    two_dies.numCores = 16;
+    EXPECT_EQ(gcnHostPlan(two_dies, 3, 4).workers, 3u);
+    EXPECT_EQ(gcnHostPlan(two_dies, 3, 4).layerDomains, 1u);
+    EXPECT_EQ(gcnHostPlan(two_dies, 2, 4).layerDomains, 2u);
+}
+
+void
+expectDenseIdentical(const DenseRunStats &a, const DenseRunStats &b)
+{
+    EXPECT_EQ(a.makespanNs, b.makespanNs);
+    EXPECT_EQ(a.flop, b.flop);
+    EXPECT_EQ(a.gflops, b.gflops);
+    EXPECT_EQ(a.memUtilization, b.memUtilization);
+    EXPECT_EQ(a.issueUtilization, b.issueUtilization);
+    EXPECT_EQ(a.simEvents, b.simEvents);
+    EXPECT_EQ(a.retries, b.retries);
+    EXPECT_EQ(a.timeoutsFired, b.timeoutsFired);
+    EXPECT_EQ(a.stuckResets, b.stuckResets);
+    EXPECT_EQ(a.goodputBytes, b.goodputBytes);
+    EXPECT_EQ(a.recoveryNs, b.recoveryNs);
+    EXPECT_EQ(a.peakEventQueueDepth, b.peakEventQueueDepth);
+}
+
+// Differential: the concurrent layers of a 3-layer simulateGcn equal
+// the layer-by-layer simulateDenseMm/simulateSpmm calls on the serial
+// engine, field for field, and the totals are the same layer-order
+// sums bit for bit.
+TEST(GcnLayers, ConcurrentLayersMatchSequentialCalls)
+{
+    const graph::Csr csr = goldenGraph(8, 2000, 99);
+    PiumaConfig cfg;
+    cfg.numCores = 16;
+    const std::vector<GcnSimLayer> layers{{32, 16}, {16, 16}, {16, 4}};
+    for (const SpmmAlgorithm alg :
+         {SpmmAlgorithm::Dma, SpmmAlgorithm::LoopUnrolled}) {
+        SCOPED_TRACE(spmmAlgorithmName(alg));
+        const GcnSimResult gcn = simulateGcn(csr, layers, cfg, alg);
+        ASSERT_EQ(gcn.denseLayers.size(), layers.size());
+        ASSERT_EQ(gcn.spmmLayers.size(), layers.size());
+        double dense_ns = 0.0, spmm_ns = 0.0;
+        uint64_t events = 0;
+        for (size_t l = 0; l < layers.size(); ++l) {
+            SCOPED_TRACE("layer " + std::to_string(l));
+            const DenseRunStats dense = simulateDenseMm(
+                csr.numVertices(), layers[l].kIn, layers[l].kOut, cfg);
+            const SpmmRunStats spmm = simulateSpmm(
+                csr, static_cast<unsigned>(layers[l].kOut), cfg, alg);
+            expectDenseIdentical(dense, gcn.denseLayers[l]);
+            expectStatsIdentical(spmm, gcn.spmmLayers[l],
+                                 /*same_count=*/false);
+            dense_ns += dense.makespanNs;
+            spmm_ns += spmm.makespanNs;
+            events += dense.simEvents + spmm.simEvents;
+        }
+        EXPECT_EQ(gcn.denseNs, dense_ns);
+        EXPECT_EQ(gcn.spmmNs, spmm_ns);
+        EXPECT_EQ(gcn.totalNs, spmm_ns + dense_ns);
+        EXPECT_EQ(gcn.simEvents, events);
+        EXPECT_GT(gcn.wallSeconds, 0.0);
+        EXPECT_EQ(gcn.eventsPerSec,
+                  static_cast<double>(events) / gcn.wallSeconds);
+    }
+}
+
+/** Threads of this process (Linux; 0 where /proc is unavailable). */
+size_t
+processThreads()
+{
+    std::error_code ec;
+    std::filesystem::directory_iterator it("/proc/self/task", ec);
+    if (ec)
+        return 0;
+    return static_cast<size_t>(
+        std::distance(it, std::filesystem::directory_iterator{}));
+}
+
+/** The first error a layer-by-layer loop raises ("" if none). */
+std::string
+sequentialLoopError(const graph::Csr &csr,
+                    const std::vector<GcnSimLayer> &layers,
+                    const PiumaConfig &cfg)
+{
+    try {
+        for (const GcnSimLayer &l : layers) {
+            simulateDenseMm(csr.numVertices(), l.kIn, l.kOut, cfg);
+            simulateSpmm(csr, static_cast<unsigned>(l.kOut), cfg,
+                         SpmmAlgorithm::Dma);
+        }
+    } catch (const ShapeError &e) {
+        return e.what();
+    }
+    return {};
+}
+
+// A failing middle layer raises what the layer-by-layer loop raises,
+// after every worker has joined. In the second GCN the last layer
+// fails at once (k_in = 0) while the middle one fails only after its
+// dense update (a k_out of 2^32 truncates to a zero SpMM width): the
+// lowest failing layer's error still wins.
+TEST(GcnLayers, FailingMiddleLayerRaisesLikeTheSequentialLoop)
+{
+    const graph::Csr csr = goldenGraph(8, 2000, 99);
+    PiumaConfig cfg;
+    cfg.numCores = 2;
+    const std::vector<std::vector<GcnSimLayer>> gcns{
+        {{16, 8}, {0, 8}, {8, 4}},
+        {{16, 8}, {8, uint64_t{1} << 32}, {0, 8}},
+    };
+    // A first concurrent call lets runtimes start their own helper
+    // threads (ThreadSanitizer does) before the count is taken.
+    simulateGcn(csr, {{16, 8}, {8, 4}}, cfg);
+    const size_t threads_before = processThreads();
+    for (const auto &layers : gcns) {
+        const std::string expected = sequentialLoopError(csr, layers, cfg);
+        ASSERT_FALSE(expected.empty());
+        try {
+            simulateGcn(csr, layers, cfg);
+            ADD_FAILURE() << "a failing layer must raise";
+        } catch (const ShapeError &e) {
+            EXPECT_EQ(std::string(e.what()), expected);
+        }
+        EXPECT_EQ(processThreads(), threads_before);
+    }
+    EXPECT_NE(sequentialLoopError(csr, gcns[1], cfg).find("embedding"),
+              std::string::npos);
 }
 
 // The event budget is a whole-run budget: threaded domains may

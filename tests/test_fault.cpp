@@ -15,6 +15,8 @@
 #include <cmath>
 #include <iterator>
 #include <random>
+#include <string>
+#include <utility>
 
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
@@ -394,6 +396,56 @@ TEST(HardFault, ExhaustedRetryBudgetRaisesTypedFault)
                   std::string::npos);
         EXPECT_FALSE(e.site().empty());
         EXPECT_GE(e.whenNs(), 0.0);
+    }
+}
+
+TEST(HardFault, DmaFaultCarriesItsDetectionTime)
+{
+    // Every descriptor drops and there is no retry budget, so each
+    // core's DMA engine abandons its first descriptor one timeout
+    // after popping it. That is when the fault is detected, well
+    // inside the clean run's makespan, although the faulted engines
+    // go on draining (one timeout per descriptor) far beyond it.
+    const graph::Csr csr = soakGraph();
+    PiumaConfig cfg;
+    cfg.numCores = 4;
+    const SpmmRunStats clean = simulateSpmm(csr, 16, cfg, SpmmAlgorithm::Dma);
+    FaultConfig fc;
+    fc.dmaDropRate = 1.0;
+    fc.maxRetries = 0;
+    FaultInjector faults(fc);
+    SimControls controls;
+    controls.faults = &faults;
+    try {
+        simulateSpmm(csr, 16, cfg, SpmmAlgorithm::Dma, nullptr, &controls);
+        FAIL() << "an abandoned descriptor must raise";
+    } catch (const sim::SimFaultError &e) {
+        EXPECT_NE(e.site().find("dma descriptor"), std::string::npos)
+            << e.site();
+        EXPECT_EQ(e.attempts(), 1u);
+        EXPECT_GE(e.whenNs(), fc.timeoutNs);
+        EXPECT_LT(e.whenNs(), clean.makespanNs + fc.timeoutNs);
+    }
+    // With DRAM drops armed too, the earliest of the thread and DMA
+    // faults wins. Seed 12 loses a thread's row-offset read at 502 ns,
+    // before any descriptor is abandoned; seed 14 loses an NNZ read at
+    // 5588 ns, after the first descriptor was abandoned at ~2253 ns.
+    fc.dramDropRate = 1e-4;
+    for (const auto &[seed, site] :
+         {std::pair<uint64_t, const char *>{12, "row-offset read"},
+          std::pair<uint64_t, const char *>{14, "dma descriptor"}}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        fc.seed = seed;
+        FaultInjector mixed(fc);
+        controls.faults = &mixed;
+        try {
+            simulateSpmm(csr, 16, cfg, SpmmAlgorithm::Dma, nullptr,
+                         &controls);
+            ADD_FAILURE() << "the run must raise";
+        } catch (const sim::SimFaultError &e) {
+            EXPECT_NE(e.site().find(site), std::string::npos) << e.site();
+            EXPECT_LT(e.whenNs(), 2500.0);
+        }
     }
 }
 

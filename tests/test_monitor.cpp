@@ -15,6 +15,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/normalize.hpp"
+#include "piuma/dense_programs.hpp"
 #include "piuma/spmm_programs.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
@@ -301,6 +302,32 @@ TEST(MonitorBitIdentity, LoopUnrolledGoldenUnchangedWithMonitor)
                      nullptr, &controls);
     EXPECT_DOUBLE_EQ(monitored.makespanNs, 7327.1428571425176);
     EXPECT_EQ(monitored.simEvents, 16987u);
+}
+
+// The dense program honours SimControls::monitor like SpMM: the hub
+// receives issue, slice and stall spans, and the run is unchanged.
+TEST(MonitorBitIdentity, DenseMmSpansReachTheHub)
+{
+    const piuma::PiumaConfig cfg = twoCores();
+    const piuma::DenseRunStats plain =
+        piuma::simulateDenseMm(1u << 10, 64, 64, cfg);
+
+    MonitorHub hub;
+    SimControls controls;
+    controls.monitor = &hub;
+    const piuma::DenseRunStats monitored =
+        piuma::simulateDenseMm(1u << 10, 64, 64, cfg, nullptr, &controls);
+    EXPECT_EQ(monitored.makespanNs, plain.makespanNs);
+    EXPECT_EQ(monitored.simEvents, plain.simEvents);
+
+    ASSERT_EQ(hub.cores(), cfg.numCores);
+    const OccupancyReport rep = hub.report(monitored.makespanNs);
+    EXPECT_GT(rep.issueOccupancy, 0.0);
+    EXPECT_GT(rep.sliceOccupancy, 0.0);
+    double stalled = 0.0;
+    for (const OccupancyReport::CoreReport &c : rep.cores)
+        stalled += c.stallMemNs + c.stallNetNs;
+    EXPECT_GT(stalled, 0.0);
 }
 
 // ------------------------------------------- taxonomy and CP metrics
