@@ -4,9 +4,9 @@
  * sweep-model construction, and the one command line every sweep bench
  * takes. A bench prints its tables and a simulator-throughput line to
  * stdout, and writes only the files its flags name:
- *  - telemetry: --trace=<path>, --metrics=<path>, --sample-ns=<ns>,
- *    --trace-detail (a Perfetto-loadable trace plus a metrics time
- *    series);
+ *  - telemetry: --trace=<path>, --metrics=<path>, --trace-detail (a
+ *    Perfetto-loadable trace and a CSV of final counter values and
+ *    histogram summaries);
  *  - sweep robustness: --checkpoint=<jsonl>, --resume,
  *    --sweep-json=<path> (a killed sweep recomputes only the missing
  *    points);
@@ -53,7 +53,6 @@
 #include "parallel/numa.hpp"
 #include "parallel/sweep_runner.hpp"
 #include "sim/fault.hpp"
-#include "telemetry/model_bind.hpp"
 #include "telemetry/session.hpp"
 
 namespace pgcn::bench {
@@ -63,8 +62,7 @@ struct BenchArgs
 {
     std::string benchName;   ///< basename of argv[0] (manifest key)
     std::string tracePath;   ///< --trace=: Chrome-trace JSON
-    std::string metricsPath; ///< --metrics=: time-series CSV
-    double samplePeriodNs = 1000.0; ///< --sample-ns=: gauge period
+    std::string metricsPath; ///< --metrics=: counter/histogram CSV
     bool traceDetail = false; ///< --trace-detail: per-descriptor spans
     std::string checkpointPath; ///< --checkpoint=: sweep JSONL file
     bool resume = false; ///< --resume: reuse completed checkpoint points
@@ -136,6 +134,29 @@ parseNumber(const std::string &flag, const std::string &value)
 }
 
 /**
+ * Parse the count @p value of @p flag: a whole number that fits @p T.
+ * @throws ConfigError unless the whole value is such a number.
+ */
+template <typename T = unsigned>
+inline T
+parseCount(const std::string &flag, const std::string &value)
+{
+    size_t used = 0;
+    unsigned long long v = 0;
+    try {
+        v = std::stoull(value, &used);
+    } catch (const std::exception &) {
+        used = 0;
+    }
+    if (used == 0 || used != value.size() || value[0] == '-' ||
+        v > std::numeric_limits<T>::max()) {
+        PGCN_THROW(ConfigError,
+                   flag << ": '" << value << "' is not a count");
+    }
+    return static_cast<T>(v);
+}
+
+/**
  * Parse a --faults= specification: comma-separated key=value pairs,
  * e.g. "dram_drop=1e-5,net_drop=1e-4,timeout_ns=500,max_retries=8".
  * One implementation shared by every sweep driver so the vocabulary
@@ -144,6 +165,8 @@ parseNumber(const std::string &flag, const std::string &value)
  * Keys: seed, dram_jitter, service_jitter, net_jitter, dma_jitter,
  * dram_drop, net_drop, dma_drop, stuck_core, timeout_ns, backoff_ns,
  * max_retries, stuck_reset_ns.
+ *
+ * seed and max_retries take counts (parseCount); the rest take numbers.
  *
  * @throws ConfigError on an unknown key, a malformed pair, or a value
  *         FaultConfig::validate() rejects.
@@ -167,33 +190,35 @@ parseFaultSpec(const std::string &spec)
                                         << item << "' is not key=value");
         }
         const std::string key = item.substr(0, eq);
-        const double v = parseNumber("--faults " + key, item.substr(eq + 1));
+        const std::string value = item.substr(eq + 1);
+        const std::string flag = "--faults " + key;
+        const auto number = [&] { return parseNumber(flag, value); };
         if (key == "seed")
-            cfg.seed = static_cast<uint64_t>(v);
+            cfg.seed = parseCount<uint64_t>(flag, value);
         else if (key == "dram_jitter")
-            cfg.dramLatencyJitter = v;
+            cfg.dramLatencyJitter = number();
         else if (key == "service_jitter")
-            cfg.serviceRateJitter = v;
+            cfg.serviceRateJitter = number();
         else if (key == "net_jitter")
-            cfg.networkLatencyJitter = v;
+            cfg.networkLatencyJitter = number();
         else if (key == "dma_jitter")
-            cfg.dmaOverheadJitter = v;
+            cfg.dmaOverheadJitter = number();
         else if (key == "dram_drop")
-            cfg.dramDropRate = v;
+            cfg.dramDropRate = number();
         else if (key == "net_drop")
-            cfg.netDropRate = v;
+            cfg.netDropRate = number();
         else if (key == "dma_drop")
-            cfg.dmaDropRate = v;
+            cfg.dmaDropRate = number();
         else if (key == "stuck_core")
-            cfg.stuckCoreRate = v;
+            cfg.stuckCoreRate = number();
         else if (key == "timeout_ns")
-            cfg.timeoutNs = v;
+            cfg.timeoutNs = number();
         else if (key == "backoff_ns")
-            cfg.backoffNs = v;
+            cfg.backoffNs = number();
         else if (key == "max_retries")
-            cfg.maxRetries = static_cast<unsigned>(v);
+            cfg.maxRetries = parseCount(flag, value);
         else if (key == "stuck_reset_ns")
-            cfg.stuckResetNs = v;
+            cfg.stuckResetNs = number();
         else {
             PGCN_THROW(ConfigError,
                        "--faults: unknown key '"
@@ -209,28 +234,6 @@ parseFaultSpec(const std::string &spec)
     // the same messages a programmatic misconfiguration would get.
     cfg.validate();
     return cfg;
-}
-
-/**
- * Parse the unsigned count @p value of @p flag.
- * @throws ConfigError unless the whole value is a number.
- */
-inline unsigned
-parseCount(const std::string &flag, const std::string &value)
-{
-    size_t used = 0;
-    unsigned long v = 0;
-    try {
-        v = std::stoul(value, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (used == 0 || used != value.size() || value[0] == '-' ||
-        v > std::numeric_limits<unsigned>::max()) {
-        PGCN_THROW(ConfigError,
-                   flag << ": '" << value << "' is not a count");
-    }
-    return static_cast<unsigned>(v);
 }
 
 /** Parse a --domains value: a count, or "auto" (= 0 sentinel). */
@@ -308,9 +311,6 @@ parseBenchArgs(int argc, char **argv,
             args.tracePath = arg.substr(8);
         } else if (arg.rfind("--metrics=", 0) == 0) {
             args.metricsPath = arg.substr(10);
-        } else if (arg.rfind("--sample-ns=", 0) == 0) {
-            args.samplePeriodNs =
-                parseNumber("--sample-ns", arg.substr(12));
         } else if (arg == "--trace-detail") {
             args.traceDetail = true;
         } else if (arg.rfind("--checkpoint=", 0) == 0) {
@@ -375,6 +375,14 @@ parseBenchArgs(int argc, char **argv,
         PGCN_THROW(ConfigError, "--resume needs --checkpoint=");
     if (args.checkpointPath.empty() && !args.sweepJsonPath.empty())
         PGCN_THROW(ConfigError, "--sweep-json= needs --checkpoint=");
+    // Per-descriptor spans land only in the trace, and occupancy
+    // timelines come from the monitors.
+    if (args.traceDetail && args.tracePath.empty())
+        PGCN_THROW(ConfigError, "--trace-detail needs --trace=");
+    if (!args.occupancyPath.empty() && !args.monitors) {
+        PGCN_THROW(ConfigError, "--occupancy= needs the monitors that "
+                                "--no-monitors turns off");
+    }
     return args;
 }
 
@@ -482,7 +490,6 @@ makeSession(const BenchArgs &args)
     if (!args.telemetryRequested())
         return nullptr;
     telemetry::Session::Options opt;
-    opt.samplePeriodNs = args.samplePeriodNs;
     opt.detailedTrace = args.traceDetail;
     return std::make_unique<telemetry::Session>(opt);
 }
@@ -668,11 +675,6 @@ class SweepDriver
         if (args.jobs != 1)
             std::cout << "(sweep running " << runner_.jobs()
                       << " points wide)\n";
-        // Calling-thread model evaluations (calibration runs, table
-        // rendering that re-queries the models) record into the bench
-        // session; pool workers re-bind to their own sessions.
-        if (session_)
-            telemetry::bindModelTelemetry(&session_->registry());
     }
 
     /** Enqueue one keyed point; returns its submission index. */
@@ -784,7 +786,6 @@ class SweepDriver
         if (session_) {
             runner_.mergeTelemetryInto(*session_);
             finishSession(*session_, args_);
-            telemetry::bindModelTelemetry(nullptr);
         }
         if (!args_.historyPath.empty())
             emitManifest(total);
@@ -867,7 +868,6 @@ class SweepDriver
         parallel::SweepOptions opt;
         opt.jobs = args.jobs;
         opt.telemetry = args.telemetryRequested();
-        opt.sessionOptions.samplePeriodNs = args.samplePeriodNs;
         opt.sessionOptions.detailedTrace = args.traceDetail;
         opt.faults = args.faults;
         opt.pointAttempts = args.pointAttempts;

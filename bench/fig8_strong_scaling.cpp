@@ -298,7 +298,7 @@ benchMain(int argc, char **argv)
 
     // ---- Raw occupancy timelines (one row per non-empty bucket per
     // resource, prefixed with the owning sweep point).
-    if (!args.occupancyPath.empty() && args.monitors) {
+    if (!args.occupancyPath.empty()) {
         std::ofstream occ(args.occupancyPath);
         occ << "point," << sim::MonitorHub::csvHeader() << '\n';
         const auto dump = [&](size_t hub_idx, size_t point_idx,

@@ -11,7 +11,6 @@
 #include "common/logging.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/diagnostics.hpp"
-#include "telemetry/model_bind.hpp"
 
 namespace pgcn::parallel {
 
@@ -123,12 +122,6 @@ SweepRunner::run(JsonlCheckpoint &ckpt)
                 ctx.pointIndex = i;
                 ctx.session =
                     options_.telemetry ? sessions_[tid].get() : nullptr;
-                // Point the analytic models' thread-local sinks at this
-                // worker's session, so model evaluations inside the
-                // compute land next to the point's simulation metrics.
-                telemetry::bindModelTelemetry(
-                    ctx.session != nullptr ? &ctx.session->registry()
-                                           : nullptr);
                 // Worker-local capture plus self-healing: transient
                 // errors retry in-process with exponential backoff;
                 // permanent ones resolve as a quarantine so --resume

@@ -100,7 +100,7 @@ simulateDenseMm(uint64_t num_vertices, uint64_t k_in, uint64_t k_out,
             denseThreadProc(m, tid, begin, end, k_in, k_out, m.drawStuck());
     }
 
-    const sim::SimTime makespan = m.run(session);
+    const sim::SimTime makespan = m.run();
 
     DenseRunStats stats;
     stats.makespanNs = makespan;

@@ -59,7 +59,7 @@ struct DenseRunStats
  * @param k_out Output feature dimension.
  * @param cfg PIUMA system description.
  * @param session Optional telemetry sink (kernel span, counters and
- *        gauge time series); null disables all recording.
+ *        histograms); null disables all recording.
  * @param controls Optional robustness controls (fault injector,
  *        Engine::RunLimits and monitor hub), as for simulateSpmm.
  *        Null means no perturbation and no limits, bit-identical to

@@ -15,20 +15,17 @@ DmaEngine::attachTelemetry(telemetry::Session *session)
         return;
     session_ = session;
     telemetry::Registry &reg = session->registry();
-    const std::string core = std::to_string(core_);
     tlmDescriptors_ = &reg.counter("piuma.dma.descriptors");
     tlmBusyNs_ = &reg.counter("piuma.dma.busy_ns");
     // enqueue-to-retire per descriptor: dispatch overhead + window
     // wait + bandwidth service; long tails flag queueing collapse.
     tlmDescNs_ = &reg.histogram("piuma.dma.descriptor_ns",
                                 0.0, 500.0, 100);
-    reg.registerGauge("piuma.core" + core + ".dma.queue_depth",
-                      telemetry::GaugeKind::Value,
-                      [this] { return static_cast<double>(queue_.size()); });
     detailedTrace_ = session->detailedTrace();
     if (detailedTrace_) {
         const uint32_t tid = telemetry::tracks::kDmaBase + core_;
-        session->trace().setThreadName(tid, "core" + core + ".dma");
+        session->trace().setThreadName(
+            tid, "core" + std::to_string(core_) + ".dma");
         spanName_ = session->trace().intern("dma.descriptor");
     }
 }

@@ -99,8 +99,8 @@ class DmaEngine
     const DmaStats &stats() const { return stats_; }
 
     /**
-     * Start recording into @p session: a piuma.core<i>.dma.queue_depth
-     * gauge, shared piuma.dma.{descriptors,busy_ns} counters, a
+     * Start recording into @p session: shared
+     * piuma.dma.{descriptors,busy_ns} counters, a
      * per-descriptor latency histogram, and — when the session asks
      * for a detailed trace — one span per descriptor on this core's
      * trace track. Null (or never calling) leaves run() untouched.

@@ -43,20 +43,6 @@ Machine::attachSession(telemetry::Session &session, const std::string &kernel)
 {
     session.beginKernel(kernel);
     memory.attachTelemetry(&session);
-    telemetry::Registry &reg = session.registry();
-    // Sessions force one domain, so reading engine 0 is the whole set.
-    reg.registerGauge("sim.queue_depth", telemetry::GaugeKind::Value,
-                      [this] {
-                          return static_cast<double>(
-                              domains.engine(0).queueDepth());
-                      });
-    reg.registerGauge("piuma.mtp.issue_util", telemetry::GaugeKind::Rate,
-                      [this] {
-                          double busy = 0.0;
-                          for (const auto &r : mtpIssue)
-                              busy += r.busyTime();
-                          return busy / static_cast<double>(mtpIssue.size());
-                      });
 }
 
 void
@@ -72,13 +58,8 @@ Machine::recordFault(const char *what, unsigned core, unsigned slice)
 }
 
 sim::SimTime
-Machine::run(telemetry::Session *session)
+Machine::run()
 {
-    // The sampler rides the dispatch loop (it never schedules events),
-    // so the run still ends exactly when the workload drains.
-    if (session != nullptr && session->samplePeriodNs() > 0.0)
-        domains.attachObserver(&session->sampler(), session->samplePeriodNs());
-
     const auto wall_start = std::chrono::steady_clock::now();
     const sim::SimTime makespan = domains.run();
     wallSeconds = std::chrono::duration<double>(

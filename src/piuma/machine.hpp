@@ -105,9 +105,8 @@ struct Machine
     void attachMonitor(sim::MonitorHub &hub);
 
     /**
-     * Open kernel span @p kernel on @p session and record into it:
-     * memory counters plus the sim.queue_depth and
-     * piuma.mtp.issue_util gauges.
+     * Open kernel span @p kernel on @p session and record the memory
+     * counters into it.
      */
     void attachSession(telemetry::Session &session,
                        const std::string &kernel);
@@ -253,17 +252,16 @@ struct Machine
     }
 
     /**
-     * Drain the run (sampling @p session's gauges when it asks for a
-     * period) and time it on the host. Unrecoverable faults surface
-     * here, after the drain: the per-core thread and DMA-engine
-     * records reduce as earliest detection wins, ties to the lowest
-     * core (its threads before its DMA engine), and a lost posted
-     * write (MemorySystem::postedFault) wins only when strictly
+     * Drain the run and time it on the host. Unrecoverable faults
+     * surface here, after the drain: the per-core thread and
+     * DMA-engine records reduce as earliest detection wins, ties to
+     * the lowest core (its threads before its DMA engine), and a lost
+     * posted write (MemorySystem::postedFault) wins only when strictly
      * earlier. Returns the makespan.
      *
      * @throws sim::SimFaultError naming the first fault.
      */
-    sim::SimTime run(telemetry::Session *session);
+    sim::SimTime run();
 
     /// Raise SimFaultError for @p site at @p when_ns.
     [[noreturn]] void fail(const std::string &site,

@@ -430,27 +430,6 @@ MemorySystem::attachTelemetry(telemetry::Session *session)
     // and still shape p99 via interpolation against the observed max.
     tlmLatency_ = &reg.histogram("piuma.mem.access_latency_ns",
                                  0.0, 2000.0, 100);
-
-    // Per-slice DRAM utilisation timelines: busy-ns is cumulative, so
-    // a Rate gauge turns it into utilisation over each sample window.
-    for (size_t i = 0; i < slices_.size(); ++i) {
-        reg.registerGauge(
-            "piuma.mem.slice" + std::to_string(i) + ".util",
-            telemetry::GaugeKind::Rate,
-            [this, i] { return sliceBusyNs(i); });
-    }
-    reg.registerGauge("piuma.mem.read_gbps", telemetry::GaugeKind::Rate,
-                      [this] { return bytesRead(); });
-    reg.registerGauge("piuma.mem.write_gbps", telemetry::GaugeKind::Rate,
-                      [this] { return bytesWritten(); });
-    reg.registerGauge("piuma.net.port_util", telemetry::GaugeKind::Rate,
-                      [this] {
-                          double sum = 0.0;
-                          for (size_t i = 0; i < netPorts_.size(); ++i)
-                              sum += portBusyNs(i);
-                          return sum / static_cast<double>(
-                                           netPorts_.size());
-                      });
 }
 
 void

@@ -601,11 +601,10 @@ class MemorySystem
 
     /**
      * Start recording into @p session: piuma.mem.{reads,writes,
-     * remote_accesses} counters, a piuma.mem.access_latency_ns
-     * histogram, per-slice utilisation and aggregate GB/s rate gauges.
-     * Pass null (or never call) to leave the hot path untouched.
-     * Sessions are single-threaded: entry points run one domain
-     * whenever one is attached (see domainPlan()).
+     * remote_accesses} counters and a piuma.mem.access_latency_ns
+     * histogram. Pass null (or never call) to leave the hot path
+     * untouched. Sessions are single-threaded: entry points run one
+     * domain whenever one is attached (see domainPlan()).
      */
     void attachTelemetry(telemetry::Session *session);
 
@@ -633,12 +632,6 @@ class MemorySystem
 
     /** Number of DRAM slices (== cores). */
     size_t numSlices() const { return slices_.size(); }
-
-    /** Cumulative busy ns of slice controller @p i (gauge source). */
-    double sliceBusyNs(size_t i) const { return slices_[i].busyTime(); }
-
-    /** Cumulative busy ns of network port @p i (gauge source). */
-    double portBusyNs(size_t i) const { return netPorts_[i].busyTime(); }
 
   private:
     /**

@@ -1,47 +1,12 @@
 #include "piuma/node_model.hpp"
 
 #include <cmath>
-#include <string>
 
 #include "graph/generators.hpp"
 #include "graph/normalize.hpp"
 #include "piuma/spmm_programs.hpp"
-#include "telemetry/model_bind.hpp"
-#include "telemetry/registry.hpp"
 
 namespace pgcn::piuma {
-
-namespace {
-
-/** Attached metric sink; null = model evaluations record nothing.
- *  Thread-local: sweep workers bind their own Session's registry via
- *  telemetry::bindModelTelemetry, so concurrent sweep points never
- *  share (or race on) a sink. */
-thread_local telemetry::Registry *g_model_registry = nullptr;
-
-/** Expose this TU's setter to the thread-binding rendezvous. */
-[[maybe_unused]] const bool g_binder_registered =
-    telemetry::registerModelTelemetryBinder(&setNodeModelTelemetry);
-
-/** Accumulate one model evaluation into the attached registry. */
-double
-recordModelTime(const char *kernel, double time_ns)
-{
-    if (g_model_registry != nullptr) {
-        const std::string base = std::string("piuma.model.") + kernel;
-        g_model_registry->counter(base + "_ns").add(time_ns);
-        g_model_registry->counter(base + "_calls").increment();
-    }
-    return time_ns;
-}
-
-} // namespace
-
-void
-setNodeModelTelemetry(telemetry::Registry *registry)
-{
-    g_model_registry = registry;
-}
 
 double
 peakDenseGflops(const PiumaConfig &cfg, const NodeModelParams &params)
@@ -59,9 +24,8 @@ spmmTimeNs(const PiumaConfig &cfg, const model::SpmmWorkload &w,
                     << params.spmmEfficiency);
     const double bw = cfg.aggregateBandwidth();
     const auto est = model::estimateSpmm(w, bw, bw);
-    return recordModelTime("spmm",
-                           est.timeNs / params.spmmEfficiency +
-                               params.kernelLaunchOverheadNs);
+    return est.timeNs / params.spmmEfficiency +
+           params.kernelLaunchOverheadNs;
 }
 
 double
@@ -79,10 +43,9 @@ denseMmTimeNs(const PiumaConfig &cfg, uint64_t num_vertices, uint64_t k_in,
     // Heterogeneous SoC: the accelerator complements (does not
     // replace) the scalar pipelines.
     peak += params.denseAcceleratorGflops;
-    return recordModelTime("dense",
-                           model::rooflineTimeNs(flop, bytes, peak,
-                                                 cfg.aggregateBandwidth()) +
-                               params.kernelLaunchOverheadNs);
+    return model::rooflineTimeNs(flop, bytes, peak,
+                                 cfg.aggregateBandwidth()) +
+           params.kernelLaunchOverheadNs;
 }
 
 double
@@ -101,8 +64,7 @@ glueTimeNs(const PiumaConfig &cfg, uint64_t num_vertices, uint64_t k,
 {
     const double bytes = 2.0 * static_cast<double>(num_vertices) *
                          static_cast<double>(k) * 4.0;
-    return recordModelTime("glue", bytes / cfg.aggregateBandwidth() +
-                                       params.kernelLaunchOverheadNs);
+    return bytes / cfg.aggregateBandwidth() + params.kernelLaunchOverheadNs;
 }
 
 double

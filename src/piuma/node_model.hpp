@@ -17,24 +17,7 @@
 #include "model/spmm_model.hpp"
 #include "piuma/config.hpp"
 
-namespace pgcn::telemetry {
-class Registry;
-} // namespace pgcn::telemetry
-
 namespace pgcn::piuma {
-
-/**
- * Route every subsequent node-model evaluation into @p registry:
- * spmmTimeNs / denseMmTimeNs / glueTimeNs accumulate their returned
- * times into the piuma.model.{spmm,dense,glue}_ns counters (plus a
- * .calls counter each). Null detaches. Counter deltas around a
- * timeGcn() evaluation give the per-kernel breakdown without
- * re-deriving it from returned structs (fig10 consumes this). The
- * binding is per-thread: sweep workers each bind their own session
- * registry (telemetry::bindModelTelemetry does this for all models at
- * once), and unbound threads record nothing.
- */
-void setNodeModelTelemetry(telemetry::Registry *registry);
 
 /** Timing knobs for the node-level model. */
 struct NodeModelParams

@@ -321,40 +321,6 @@ spmmThreadProc(SpmmRun &run, unsigned tid, bool stuck)
     }
 }
 
-/**
- * Register the SpMM gauges on top of the machine's: live MTP threads
- * and the stall-attribution rates (delta stall-ns per simulated ns ==
- * mean number of threads stalled on that cause during the sample
- * window). Sessions force one domain, so summing the shards mid-run
- * never races a writer.
- */
-void
-attachRunGauges(SpmmRun &run, telemetry::Session &session)
-{
-    telemetry::Registry &reg = session.registry();
-    reg.registerGauge("piuma.mtp.threads_live",
-                      telemetry::GaugeKind::Value, [&run] {
-                          unsigned live = 0;
-                          for (unsigned c : run.liveThreadsPerCore)
-                              live += c;
-                          return static_cast<double>(live);
-                      });
-    const std::pair<const char *, double Machine::CoreStats::*> stalls[] = {
-        {"piuma.mtp.stall.nnz", &Machine::CoreStats::nnzStallNs},
-        {"piuma.mtp.stall.row_offset", &Machine::CoreStats::rowOffsetStallNs},
-        {"piuma.mtp.stall.feature", &Machine::CoreStats::featureStallNs},
-        {"piuma.mtp.stall.dma_queue", &Machine::CoreStats::dmaQueueStallNs},
-    };
-    for (const auto &[name, field] : stalls) {
-        reg.registerGauge(name, telemetry::GaugeKind::Rate, [&run, field] {
-            double sum = 0.0;
-            for (const auto &cs : run.coreStats)
-                sum += cs.*field;
-            return sum;
-        });
-    }
-}
-
 /** Publish the run's final aggregates as registry counters. */
 void
 publishRunCounters(const SpmmRunStats &stats, telemetry::Registry &reg)
@@ -406,7 +372,6 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
         run.attachSession(*session, std::string("spmm/") +
                                         spmmAlgorithmName(alg) + "/k=" +
                                         std::to_string(embedding_dim));
-        attachRunGauges(run, *session);
     }
 
     if (alg == SpmmAlgorithm::Dma) {
@@ -414,8 +379,8 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
         for (unsigned c = 0; c < cfg.numCores; ++c)
             run.dmaEngines.emplace_back(run.engineOfCore(c), run.memory, cfg,
                                         c);
-        // Wire up after every engine is emplaced: the telemetry gauges
-        // capture `this`, which must not move again.
+        // Wire up after every engine is emplaced: each engine's run()
+        // coroutine holds `this`, which must not move again.
         for (unsigned c = 0; c < cfg.numCores; ++c) {
             DmaEngine &engine = run.dmaEngines[c];
             if (session != nullptr)
@@ -434,7 +399,7 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
                                                         run.drawStuck());
     }
 
-    const sim::SimTime makespan = run.run(session);
+    const sim::SimTime makespan = run.run();
 
     SpmmRunStats stats;
     stats.makespanNs = makespan;

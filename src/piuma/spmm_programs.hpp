@@ -158,10 +158,9 @@ struct SpmmRunStats
  * @param cfg PIUMA system description.
  * @param alg Which implementation to run.
  * @param session Optional telemetry sink: the run records a kernel
- *        span, hot-path counters/histograms, and gauge time series
- *        into it. Null (the default) disables all recording and must
- *        not change the simulated result (the determinism tests pin
- *        this).
+ *        span and hot-path counters/histograms into it. Null (the
+ *        default) disables all recording and must not change the
+ *        simulated result (the determinism tests pin this).
  * @param controls Optional robustness controls: a seeded fault
  *        injector perturbing model timings and/or dropping
  *        transactions, descriptors, and threads (recovered under the

@@ -92,7 +92,7 @@ simulateRandomWalk(const Csr &csr, uint64_t num_walks,
         }
     }
 
-    const sim::SimTime makespan = m.run(nullptr);
+    const sim::SimTime makespan = m.run();
 
     WalkRunStats stats;
     stats.makespanNs = makespan;

@@ -280,12 +280,6 @@ DomainSet::setRunLimits(const Engine::RunLimits &limits)
         e->setRunLimits(limits);
 }
 
-void
-DomainSet::attachObserver(Engine::Observer *observer, SimTime first_sample)
-{
-    engines_[0]->attachObserver(observer, first_sample);
-}
-
 SimTime
 DomainSet::now() const
 {

@@ -185,12 +185,6 @@ class DomainSet
      */
     void setRunLimits(const Engine::RunLimits &limits);
 
-    /**
-     * Attach a telemetry observer to domain 0 — at one domain, the
-     * whole run.
-     */
-    void attachObserver(Engine::Observer *observer, SimTime first_sample);
-
     /** Current simulated time (the maximum domain clock). */
     SimTime now() const;
 

@@ -126,26 +126,6 @@ class Engine
 {
   public:
     /**
-     * A passive telemetry observer: run() calls onSample() the first
-     * time dispatch reaches each requested simulated timestamp.
-     * Observers must only *read* simulation state — scheduling events
-     * or mutating agents from a hook would break the determinism
-     * contract. When not attached, the cost is one predictable branch
-     * per dispatched event.
-     */
-    struct Observer
-    {
-        virtual ~Observer() = default;
-
-        /**
-         * Called with the engine's current time once dispatch first
-         * reaches the requested sample point. Returns the next
-         * simulated time at which to be called (must be > @p now).
-         */
-        virtual SimTime onSample(SimTime now, Engine &engine) = 0;
-    };
-
-    /**
      * A blocking primitive (e.g. BoundedQueue) that can hold suspended
      * coroutines *outside* the event queue. Registered instances are
      * consulted when the event queue drains: any remaining blocked
@@ -317,18 +297,6 @@ class Engine
                << "' since t=" << a.blockedSinceNs << " ns";
         }
         return os.str();
-    }
-
-    /**
-     * Attach @p observer, to be first invoked when simulated time
-     * reaches @p first_sample. Pass nullptr to detach. No-op when
-     * telemetry is compiled out.
-     */
-    void
-    attachObserver(Observer *observer, SimTime first_sample)
-    {
-        observer_ = observer;
-        observerNext_ = first_sample;
     }
 
     /** Current simulated time (ns). */
@@ -744,12 +712,6 @@ class Engine
                 throw;
             }
         }
-        // Telemetry sampling rides the dispatch loop instead of
-        // scheduling its own events, so an attached observer can
-        // never alter event order or keep the queue alive.
-        if (observer_ != nullptr && now_ >= observerNext_)
-            [[unlikely]]
-            observerNext_ = observer_->onSample(now_, *this);
         ++eventsProcessed_;
         --pending_;
         curDepth_ = ev.depth;
@@ -1041,8 +1003,6 @@ class Engine
     uint64_t callbackEvents_ = 0;
     size_t pending_ = 0;
     size_t peakQueueDepth_ = 0;
-    Observer *observer_ = nullptr; ///< telemetry sample hook
-    SimTime observerNext_ = 0.0;   ///< next requested sample time
     RunLimits limits_{};
     bool limitsActive_ = false;
     std::chrono::steady_clock::time_point wallStart_{};

@@ -23,19 +23,6 @@ Registry::histogram(std::string_view name, double lo, double hi,
         .first->second;
 }
 
-void
-Registry::registerGauge(std::string name, GaugeKind kind,
-                        std::function<double()> fn)
-{
-    gauges_.push_back(Gauge{std::move(name), kind, std::move(fn), 0.0});
-}
-
-void
-Registry::clearGauges()
-{
-    gauges_.clear();
-}
-
 double
 Registry::counterValue(std::string_view name) const
 {

@@ -1,9 +1,9 @@
 /**
  * @file
- * The metric registry: named monotonic counters, sampled gauges, and
- * fixed-bucket histograms shared by every instrumented component.
+ * The metric registry: named monotonic counters and fixed-bucket
+ * histograms shared by every instrumented component.
  *
- * Names are hierarchical dot-paths (`piuma.core3.dma.queue_depth`),
+ * Names are hierarchical dot-paths (`piuma.dma.busy_ns`),
  * so downstream tooling can group by prefix. The registration path
  * (map lookup) runs once per component per run; instrumented hot
  * paths hold a Counter* / Histogram* and pay one pointer-null check
@@ -15,11 +15,9 @@
 #ifndef PGCN_TELEM_REGISTRY_HPP
 #define PGCN_TELEM_REGISTRY_HPP
 
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/stats.hpp"
 
@@ -46,34 +44,8 @@ class Counter
 };
 
 /**
- * How the time-series sampler interprets a gauge callback's value.
- */
-enum class GaugeKind
-{
-    /** An instantaneous level (queue depth, live threads). */
-    Value,
-    /**
-     * A cumulative quantity (busy nanoseconds, bytes moved); the
-     * sampler reports its delta divided by the elapsed simulated time
-     * — e.g. busy-ns becomes utilisation, bytes becomes GB/s.
-     */
-    Rate,
-};
-
-/** A registered gauge: name, sampling interpretation, callback. */
-struct Gauge
-{
-    std::string name;
-    GaugeKind kind;
-    std::function<double()> fn;
-    double lastValue = 0.0; ///< sampler state for Rate gauges
-};
-
-/**
  * The registry. Counters and histograms live for the registry's
- * lifetime and merge across simulation runs; gauges reference
- * run-local component state and are cleared between kernel runs (see
- * Session::beginKernel).
+ * lifetime and merge across simulation runs.
  */
 class Registry
 {
@@ -96,18 +68,6 @@ class Registry
      */
     Histogram &histogram(std::string_view name, double lo, double hi,
                          size_t buckets = 64);
-
-    /**
-     * Register a gauge for periodic sampling. Callbacks must be pure
-     * observers: the sampler runs between simulated events, and a
-     * callback that mutated simulation state would break the
-     * determinism contract.
-     */
-    void registerGauge(std::string name, GaugeKind kind,
-                       std::function<double()> fn);
-
-    /** Drop all gauges (their component owners are being destroyed). */
-    void clearGauges();
 
     /** Value of counter @p name, or 0 if it was never registered. */
     double counterValue(std::string_view name) const;
@@ -136,14 +96,10 @@ class Registry
     /**
      * Fold @p other into this registry: counters are summed,
      * histograms merged bucket-wise (shape is taken from @p other on
-     * first sight of a name). Gauges are not merged — they reference
-     * @p other's component state. Used to consolidate per-worker
+     * first sight of a name). Used to consolidate per-worker
      * registries after a parallel sweep.
      */
     void mergeFrom(const Registry &other);
-
-    /** The live gauges, in registration order (sampler access). */
-    std::vector<Gauge> &gauges() { return gauges_; }
 
     /** Number of registered counters. */
     size_t counterCount() const { return counters_.size(); }
@@ -154,7 +110,6 @@ class Registry
     // summary dump deterministic.
     std::map<std::string, Counter, std::less<>> counters_;
     std::map<std::string, Histogram, std::less<>> histograms_;
-    std::vector<Gauge> gauges_;
 };
 
 } // namespace pgcn::telemetry

@@ -26,10 +26,7 @@ csvRow(std::ostream &os, double t_ns, const std::string &metric, double value)
 
 Session::Session() : Session(Options()) {}
 
-Session::Session(Options options)
-    : options_(options),
-      sampler_(registry_, &trace_,
-               options.samplePeriodNs > 0.0 ? options.samplePeriodNs : 1.0)
+Session::Session(Options options) : options_(options)
 {
     trace_.setProcessName("pgcn-sim");
     trace_.setThreadName(tracks::kKernels, "kernels");
@@ -39,12 +36,8 @@ double
 Session::beginKernel(std::string_view name)
 {
     PGCN_ASSERT(!kernelOpen_, "beginKernel() while a kernel span is open");
-    // Gauges registered by the previous run reference component state
-    // that no longer exists; the new run re-registers its own.
-    registry_.clearGauges();
     currentKernel_ = trace_.intern(name);
     trace_.begin(offsetNs_, currentKernel_, tracks::kKernels);
-    sampler_.beginRun(offsetNs_);
     kernelOpen_ = true;
     return offsetNs_;
 }
@@ -68,7 +61,6 @@ Session::mergeWorker(const Session &worker, size_t worker_index)
     const uint32_t tid_offset =
         static_cast<uint32_t>(worker_index + 1) * tracks::kWorkerStride;
     trace_.mergeFrom(worker.trace_, tid_offset, prefix);
-    sampler_.mergeFrom(worker.sampler_, prefix);
     registry_.mergeFrom(worker.registry_);
     // Final-counter rows in the metrics CSV stamp at the end of the
     // longest worker timeline.
@@ -88,11 +80,7 @@ Session::writeMetricsCsv(const std::string &path) const
     if (!os)
         PGCN_THROW(IoError, "cannot open metrics CSV for writing: " << path);
 
-    // Time series first (includes the header row), ...
-    sampler_.writeCsv(os);
-
-    // ... then final counter values and histogram summaries, stamped
-    // at the end of the global timeline.
+    os << "t_ns,metric,value\n";
     const double end = offsetNs_;
     registry_.forEachCounter(
         [&](const std::string &name, const Counter &counter) {

@@ -1,6 +1,6 @@
 /**
  * @file
- * A telemetry session: the registry + sampler + trace writer bundle a
+ * A telemetry session: the registry + trace writer bundle a
  * bench binary (or test) owns for one invocation. Instrumented
  * simulation entry points accept `Session *` (null = telemetry off,
  * the default) and record into it; the owner writes the trace JSON
@@ -18,7 +18,6 @@
 #include <string_view>
 
 #include "telemetry/registry.hpp"
-#include "telemetry/sampler.hpp"
 #include "telemetry/trace.hpp"
 
 namespace pgcn::telemetry {
@@ -42,11 +41,6 @@ class Session
     struct Options
     {
         /**
-         * Simulated ns between gauge samples; 0 disables periodic
-         * sampling entirely (counters and spans still record).
-         */
-        double samplePeriodNs = 1000.0;
-        /**
          * Emit per-descriptor DMA spans. Invaluable in Perfetto for
          * small runs, but O(descriptors) trace size — leave off for
          * full sweeps.
@@ -66,19 +60,12 @@ class Session
     TraceWriter &trace() { return trace_; }
     const TraceWriter &trace() const { return trace_; }
 
-    /** The periodic gauge sampler (meaningful when periodNs > 0). */
-    Sampler &sampler() { return sampler_; }
-
-    /** Simulated ns between gauge samples (0 = sampling disabled). */
-    double samplePeriodNs() const { return options_.samplePeriodNs; }
-
     /** Whether per-descriptor DMA spans were requested. */
     bool detailedTrace() const { return options_.detailedTrace; }
 
     /**
      * Open a kernel span named @p name and return the global-time
-     * offset of the run's t=0. Clears stale gauges from the previous
-     * run (their owning components are gone).
+     * offset of the run's t=0.
      */
     double beginKernel(std::string_view name);
 
@@ -94,11 +81,10 @@ class Session
     /**
      * Fold a sweep worker's session into this one: trace events move
      * to worker-tagged tracks ("w<index>/" prefix, tids shifted by
-     * (index + 1) * tracks::kWorkerStride), sampler rows get the same
-     * prefix on their metric names, and registry counters/histograms
-     * are summed/merged. Call after the worker has finished (no open
-     * kernel span); merge workers in index order for a deterministic
-     * combined trace.
+     * (index + 1) * tracks::kWorkerStride), and registry
+     * counters/histograms are summed/merged. Call after the worker
+     * has finished (no open kernel span); merge workers in index order
+     * for a deterministic combined trace.
      */
     void mergeWorker(const Session &worker, size_t worker_index);
 
@@ -106,10 +92,10 @@ class Session
     void writeTrace(const std::string &path) const;
 
     /**
-     * Write the metrics CSV to @p path: the sampler's time series
-     * followed by final counter values and histogram summaries
-     * (count/sum/min/max/p50/p95/p99), all in `t_ns,metric,value`
-     * long format.
+     * Write the metrics CSV to @p path: final counter values and
+     * histogram summaries (count/sum/min/max/p50/p95/p99) under a
+     * `t_ns,metric,value` header, stamped at the end of the global
+     * timeline.
      */
     void writeMetricsCsv(const std::string &path) const;
 
@@ -117,7 +103,6 @@ class Session
     Options options_;
     Registry registry_;
     TraceWriter trace_;
-    Sampler sampler_;
     double offsetNs_ = 0.0;
     TraceWriter::NameId currentKernel_ = 0;
     bool kernelOpen_ = false;

@@ -81,19 +81,13 @@ TraceWriter::setThreadName(uint32_t tid, std::string_view name)
 void
 TraceWriter::begin(double ts_ns, NameId name, uint32_t tid)
 {
-    events_.push_back(Event{ts_ns, 0.0, name, tid, 'B'});
+    events_.push_back(Event{ts_ns, name, tid, 'B'});
 }
 
 void
 TraceWriter::end(double ts_ns, NameId name, uint32_t tid)
 {
-    events_.push_back(Event{ts_ns, 0.0, name, tid, 'E'});
-}
-
-void
-TraceWriter::counter(double ts_ns, NameId name, double value)
-{
-    events_.push_back(Event{ts_ns, value, name, 0, 'C'});
+    events_.push_back(Event{ts_ns, name, tid, 'E'});
 }
 
 void
@@ -111,23 +105,13 @@ TraceWriter::mergeFrom(const TraceWriter &other, uint32_t tid_offset,
     // Lazily remap interned names so a million-event detailed trace
     // pays one intern per distinct name, not per event.
     constexpr NameId kUnmapped = UINT32_MAX;
-    std::vector<NameId> plain(other.names_.size(), kUnmapped);
-    std::vector<NameId> prefixed(other.names_.size(), kUnmapped);
+    std::vector<NameId> remap(other.names_.size(), kUnmapped);
     events_.reserve(events_.size() + other.events_.size());
     for (const Event &e : other.events_) {
-        if (e.phase == 'C') {
-            NameId &id = prefixed[e.name];
-            if (id == kUnmapped)
-                id = intern(std::string(track_prefix) +
-                            other.names_[e.name]);
-            events_.push_back(Event{e.tsNs, e.value, id, e.tid, 'C'});
-        } else {
-            NameId &id = plain[e.name];
-            if (id == kUnmapped)
-                id = intern(other.names_[e.name]);
-            events_.push_back(
-                Event{e.tsNs, e.value, id, e.tid + tid_offset, e.phase});
-        }
+        NameId &id = remap[e.name];
+        if (id == kUnmapped)
+            id = intern(other.names_[e.name]);
+        events_.push_back(Event{e.tsNs, id, e.tid + tid_offset, e.phase});
     }
 }
 
@@ -159,10 +143,7 @@ TraceWriter::write(std::ostream &os) const
         os << "{\"name\":\"" << escapeJson(names_[e.name])
            << "\",\"ph\":\"" << e.phase
            << "\",\"ts\":" << formatDouble(e.tsNs / 1000.0)
-           << ",\"pid\":0,\"tid\":" << e.tid;
-        if (e.phase == 'C')
-            os << ",\"args\":{\"value\":" << formatDouble(e.value) << "}";
-        os << "}";
+           << ",\"pid\":0,\"tid\":" << e.tid << "}";
     }
     os << "\n]}\n";
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Chrome-trace-event exporter: accumulates duration (B/E), counter
- * (C) and metadata (M) events in memory and serialises them as the
+ * Chrome-trace-event exporter: accumulates duration (B/E) and
+ * metadata (M) events in memory and serialises them as the
  * JSON object format that chrome://tracing and https://ui.perfetto.dev
  * load directly.
  *
@@ -57,9 +57,6 @@ class TraceWriter
     /** Close the innermost span of @p name at @p ts_ns on @p tid. */
     void end(double ts_ns, NameId name, uint32_t tid);
 
-    /** Record one point of counter series @p name at @p ts_ns. */
-    void counter(double ts_ns, NameId name, double value);
-
     /** Convenience overloads interning on the fly (setup paths). */
     void
     begin(double ts_ns, std::string_view name, uint32_t tid)
@@ -71,22 +68,15 @@ class TraceWriter
     {
         end(ts_ns, intern(name), tid);
     }
-    void
-    counter(double ts_ns, std::string_view name, double value)
-    {
-        counter(ts_ns, intern(name), value);
-    }
 
-    /** Events recorded so far (metadata + spans + counters). */
+    /** Events recorded so far (metadata + spans). */
     size_t eventCount() const { return meta_.size() + events_.size(); }
 
     /**
      * Fold @p other's events into this writer on worker-tagged
      * tracks: span/metadata tids are shifted by @p tid_offset and
-     * thread-track names prefixed with @p track_prefix; counter
-     * events — whose Perfetto track identity is the *name*, not the
-     * tid — get the prefix on the name instead, so each worker's
-     * series stays a separate counter track. @p other's process_name
+     * thread-track names prefixed with @p track_prefix. @p other's
+     * process_name
      * metadata is dropped (the destination owns the process track).
      * Merging workers in index order keeps the combined trace
      * deterministic: equal-timestamp events keep merge order under
@@ -110,10 +100,9 @@ class TraceWriter
     struct Event
     {
         double tsNs;
-        double value; ///< counter value (C events only)
         NameId name;
         uint32_t tid;
-        char phase; ///< 'B', 'E' or 'C'
+        char phase; ///< 'B' or 'E'
     };
 
     /** One metadata event (process/thread naming). */

@@ -2,44 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
-
-#include "telemetry/model_bind.hpp"
-#include "telemetry/registry.hpp"
 
 namespace pgcn::xeon {
-
-namespace {
-
-/** Attached metric sink; null = model evaluations record nothing.
- *  Thread-local: sweep workers bind their own Session's registry via
- *  telemetry::bindModelTelemetry, so concurrent sweep points never
- *  share (or race on) a sink. */
-thread_local telemetry::Registry *g_model_registry = nullptr;
-
-/** Expose this TU's setter to the thread-binding rendezvous. */
-[[maybe_unused]] const bool g_binder_registered =
-    telemetry::registerModelTelemetryBinder(&setTelemetryRegistry);
-
-/** Accumulate one model evaluation into the attached registry. */
-double
-recordModelValue(const char *metric, double value)
-{
-    if (g_model_registry != nullptr) {
-        const std::string base = std::string("xeon.model.") + metric;
-        g_model_registry->counter(base).add(value);
-        g_model_registry->counter(base + "_calls").increment();
-    }
-    return value;
-}
-
-} // namespace
-
-void
-setTelemetryRegistry(telemetry::Registry *registry)
-{
-    g_model_registry = registry;
-}
 
 double
 streamBandwidth(const XeonConfig &cfg, unsigned threads)
@@ -104,7 +68,7 @@ spmmTrafficBytes(const XeonConfig &cfg, const model::SpmmWorkload &w,
         v * k * sizes.feature +
         reuse_accesses * k * sizes.feature * (1.0 - hit);
     const double write = v * k * sizes.feature;
-    return recordModelValue("spmm_traffic_bytes", csr + feature + write);
+    return csr + feature + write;
 }
 
 double
@@ -123,10 +87,8 @@ spmmTimeNs(const XeonConfig &cfg, const model::SpmmWorkload &w,
     const double cached_bytes = reuse_accesses *
                                 static_cast<double>(w.embeddingDim) *
                                 4.0 * hit;
-    return recordModelValue("spmm_ns",
-                            spmmTrafficBytes(cfg, w, skewed) / bw +
-                                cached_bytes / cfg.llcBandwidthGBps +
-                                cfg.frameworkOverheadNs);
+    return spmmTrafficBytes(cfg, w, skewed) / bw +
+           cached_bytes / cfg.llcBandwidthGBps + cfg.frameworkOverheadNs;
 }
 
 double
@@ -141,10 +103,9 @@ denseMmTimeNs(const XeonConfig &cfg, uint64_t num_vertices, uint64_t k_in,
     const double peak =
         cfg.peakCoreGflops() * std::min(threads, cfg.physicalCores()) *
         cfg.denseEfficiency;
-    return recordModelValue(
-        "dense_ns", model::rooflineTimeNs(flop, bytes, peak,
-                                          streamBandwidth(cfg, threads)) +
-                        cfg.frameworkOverheadNs);
+    return model::rooflineTimeNs(flop, bytes, peak,
+                                 streamBandwidth(cfg, threads)) +
+           cfg.frameworkOverheadNs;
 }
 
 double
@@ -157,8 +118,7 @@ glueTimeNs(const XeonConfig &cfg, uint64_t num_vertices, uint64_t k,
     // (approximated as 4x DRAM bandwidth); otherwise at DRAM speed.
     const double hit = featureCacheHitRate(cfg, num_vertices, k);
     const double bw = streamBandwidth(cfg, threads) * (1.0 + 3.0 * hit);
-    return recordModelValue("glue_ns",
-                            bytes / bw + cfg.frameworkOverheadNs);
+    return bytes / bw + cfg.frameworkOverheadNs;
 }
 
 double

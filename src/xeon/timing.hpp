@@ -11,22 +11,7 @@
 #include "model/spmm_model.hpp"
 #include "xeon/config.hpp"
 
-namespace pgcn::telemetry {
-class Registry;
-} // namespace pgcn::telemetry
-
 namespace pgcn::xeon {
-
-/**
- * Route every subsequent Xeon model evaluation into @p registry:
- * spmmTimeNs / denseMmTimeNs / glueTimeNs accumulate into the
- * xeon.model.{spmm,dense,glue}_ns counters (plus a .calls counter
- * each), and spmmTrafficBytes into xeon.model.spmm_traffic_bytes.
- * Null detaches. The binding is per-thread: sweep workers each bind
- * their own session registry (telemetry::bindModelTelemetry does this
- * for all models at once), and unbound threads record nothing.
- */
-void setTelemetryRegistry(telemetry::Registry *registry);
 
 /**
  * Effective memory bandwidth (bytes/ns == GB/s) with @p threads

@@ -305,7 +305,6 @@ TEST(SweepRunner, WorkerSessionsMergeIntoCaller)
     SweepOptions options;
     options.jobs = 3;
     options.telemetry = true;
-    options.sessionOptions.samplePeriodNs = 0.0;
     SweepRunner runner(options);
     for (size_t i = 0; i < 9; ++i) {
         runner.add("t/" + std::to_string(i),

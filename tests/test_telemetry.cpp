@@ -1,10 +1,9 @@
 /**
  * @file
  * Tests for src/telemetry: registry semantics (find-or-create, stable
- * references, gauge lifecycle), the Chrome-trace exporter (golden
- * JSON, timestamp sorting, structural validity), the periodic gauge
- * sampler (Value vs Rate interpretation), the session's global clock,
- * and the instrumented SpMM path — telemetry on must not perturb the
+ * references), the Chrome-trace exporter (golden JSON, timestamp
+ * sorting, structural validity), the session's global clock, and the
+ * instrumented SpMM path — telemetry on must not perturb the
  * simulated result, and the emitted trace must be a well-formed,
  * bit-reproducible Chrome-trace file with matched B/E span pairs.
  */
@@ -22,19 +21,15 @@
 #include "graph/generators.hpp"
 #include "graph/normalize.hpp"
 #include "piuma/spmm_programs.hpp"
-#include "sim/engine.hpp"
 #include "telemetry/registry.hpp"
 #include "test_paths.hpp"
-#include "telemetry/sampler.hpp"
 #include "telemetry/session.hpp"
 #include "telemetry/trace.hpp"
 
 namespace {
 
 using namespace pgcn;
-using telemetry::GaugeKind;
 using telemetry::Registry;
-using telemetry::Sampler;
 using telemetry::Session;
 using telemetry::TraceWriter;
 
@@ -238,7 +233,7 @@ expectWellFormedTrace(const std::string &json)
     for (const ParsedEvent &e : parseEvents(json)) {
         if (e.phase == 'M')
             continue; // metadata leads the file and carries no ts
-        EXPECT_TRUE(e.phase == 'B' || e.phase == 'E' || e.phase == 'C')
+        EXPECT_TRUE(e.phase == 'B' || e.phase == 'E')
             << "unexpected phase " << e.phase;
         EXPECT_GE(e.ts, last) << "timestamps must be monotonic";
         last = e.ts;
@@ -301,16 +296,6 @@ TEST(Registry, HistogramShapeFixedByFirstRegistration)
     EXPECT_EQ(reg.findHistogram("absent"), nullptr);
 }
 
-TEST(Registry, GaugesRegisterAndClear)
-{
-    Registry reg;
-    reg.registerGauge("depth", GaugeKind::Value, [] { return 7.0; });
-    reg.registerGauge("busy", GaugeKind::Rate, [] { return 1.0; });
-    EXPECT_EQ(reg.gauges().size(), 2u);
-    reg.clearGauges();
-    EXPECT_TRUE(reg.gauges().empty());
-}
-
 TEST(Registry, VisitsCountersInLexicographicOrder)
 {
     Registry reg;
@@ -348,7 +333,6 @@ TEST(Trace, GoldenJson)
     tw.setProcessName("pgcn-sim");
     tw.setThreadName(0, "kernels");
     tw.begin(0.0, "spmm \"demo\"", 0);
-    tw.counter(500.0, "sim.queue_depth", 2.0);
     tw.end(1500.0, "spmm \"demo\"", 0);
 
     // Hand-authored expectation pinning the serialised format:
@@ -358,7 +342,6 @@ TEST(Trace, GoldenJson)
 {"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"pgcn-sim"}},
 {"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"kernels"}},
 {"name":"spmm \"demo\"","ph":"B","ts":0,"pid":0,"tid":0},
-{"name":"sim.queue_depth","ph":"C","ts":0.5,"pid":0,"tid":0,"args":{"value":2}},
 {"name":"spmm \"demo\"","ph":"E","ts":1.5,"pid":0,"tid":0}
 ]}
 )";
@@ -383,66 +366,6 @@ TEST(Trace, SortsByTimestampAtWriteTime)
 }
 
 // ---------------------------------------------------------------------
-// Sampler.
-// ---------------------------------------------------------------------
-
-TEST(SamplerTest, ValueAndRateGauges)
-{
-    Registry reg;
-    double depth = 3.0;
-    double busy_ns = 0.0;
-    reg.registerGauge("queue.depth", GaugeKind::Value,
-                      [&] { return depth; });
-    reg.registerGauge("core.util", GaugeKind::Rate,
-                      [&] { return busy_ns; });
-
-    sim::Engine engine;
-    Sampler sampler(reg, nullptr, 100.0);
-    sampler.beginRun(0.0);
-
-    busy_ns = 50.0; // 50 ns busy over the first 100 ns
-    EXPECT_DOUBLE_EQ(sampler.onSample(100.0, engine), 200.0);
-
-    depth = 5.0;
-    busy_ns = 80.0; // +30 ns busy over the next 150 ns
-    EXPECT_DOUBLE_EQ(sampler.onSample(250.0, engine), 350.0);
-    EXPECT_EQ(sampler.rowCount(), 4u);
-
-    std::ostringstream os;
-    sampler.writeCsv(os);
-    const std::string expected = "t_ns,metric,value\n"
-                                 "100,queue.depth,3\n"
-                                 "100,core.util,0.5\n"
-                                 "250,queue.depth,5\n"
-                                 "250,core.util,0.2\n";
-    EXPECT_EQ(os.str(), expected);
-}
-
-TEST(SamplerTest, BeginRunResetsRateBaseline)
-{
-    Registry reg;
-    double bytes = 0.0;
-    reg.registerGauge("gbps", GaugeKind::Rate, [&] { return bytes; });
-
-    sim::Engine engine;
-    Sampler sampler(reg, nullptr, 100.0);
-    sampler.beginRun(0.0);
-    bytes = 100.0;
-    sampler.onSample(100.0, engine);
-
-    // Second run: offset shifts, rate baseline restarts at zero.
-    sampler.beginRun(1000.0);
-    bytes = 40.0;
-    sampler.onSample(100.0, engine);
-
-    std::ostringstream os;
-    sampler.writeCsv(os);
-    EXPECT_EQ(os.str(), "t_ns,metric,value\n"
-                        "100,gbps,1\n"
-                        "1100,gbps,0.4\n");
-}
-
-// ---------------------------------------------------------------------
 // Session.
 // ---------------------------------------------------------------------
 
@@ -459,16 +382,6 @@ TEST(SessionTest, GlobalClockConcatenatesKernels)
     expectWellFormedTrace(json);
     EXPECT_NE(json.find("\"a\""), std::string::npos);
     EXPECT_NE(json.find("\"b\""), std::string::npos);
-}
-
-TEST(SessionTest, BeginKernelClearsStaleGauges)
-{
-    Session session;
-    session.registry().registerGauge("stale", GaugeKind::Value,
-                                     [] { return 0.0; });
-    session.beginKernel("k");
-    EXPECT_TRUE(session.registry().gauges().empty());
-    session.endKernel(1.0);
 }
 
 // ---------------------------------------------------------------------
@@ -494,7 +407,6 @@ Session::Options
 detailedOptions()
 {
     Session::Options opt;
-    opt.samplePeriodNs = 200.0;
     opt.detailedTrace = true;
     return opt;
 }
@@ -549,13 +461,11 @@ TEST(SpmmTelemetry, TraceIsStructurallyValid)
                         piuma::SpmmAlgorithm::Dma, &session);
     const std::string json = serialise(session.trace());
     expectWellFormedTrace(json);
-    // Kernel span on track 0, per-descriptor spans on the DMA tracks,
-    // and sampled counter series must all be present.
+    // Kernel span on track 0 and per-descriptor spans on the DMA
+    // tracks; counters and histograms go to the metrics CSV only.
     EXPECT_NE(json.find("\"spmm/dma/k=16\""), std::string::npos);
     EXPECT_NE(json.find("\"dma.descriptor\""), std::string::npos);
-    EXPECT_NE(json.find("\"sim.queue_depth\""), std::string::npos);
-    EXPECT_NE(json.find("\"piuma.mtp.threads_live\""),
-              std::string::npos);
+    EXPECT_EQ(json.find("\"ph\":\"C\""), std::string::npos);
     EXPECT_GT(session.trace().eventCount(), 100u);
 }
 
@@ -576,7 +486,6 @@ TEST(SpmmTelemetry, MetricsCsvHasSeriesCountersAndSummaries)
     Session session(detailedOptions());
     piuma::simulateSpmm(tinyGraph(), 16, twoCores(),
                         piuma::SpmmAlgorithm::Dma, &session);
-    EXPECT_GT(session.sampler().rowCount(), 0u);
 
     const std::string path = pgcn_test::testPath("metrics.csv");
     session.writeMetricsCsv(path);
@@ -587,9 +496,19 @@ TEST(SpmmTelemetry, MetricsCsvHasSeriesCountersAndSummaries)
     const std::string csv = ss.str();
     EXPECT_EQ(csv.rfind("t_ns,metric,value\n", 0), 0u);
     EXPECT_NE(csv.find("piuma.spmm.makespan_ns"), std::string::npos);
-    EXPECT_NE(csv.find("piuma.mem.slice0.util"), std::string::npos);
+    EXPECT_NE(csv.find("piuma.dma.descriptors"), std::string::npos);
     EXPECT_NE(csv.find("piuma.mem.access_latency_ns.p95"),
               std::string::npos);
+    // Final values only: every row is stamped at the end of the run.
+    char end[64];
+    std::snprintf(end, sizeof(end), "%.9g,", session.runOffsetNs());
+    std::istringstream rows(csv);
+    std::string row;
+    std::getline(rows, row); // header
+    size_t n = 0;
+    for (; std::getline(rows, row); ++n)
+        EXPECT_EQ(row.rfind(end, 0), 0u) << row;
+    EXPECT_GT(n, 0u);
     std::remove(path.c_str());
 }
 
