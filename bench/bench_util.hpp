@@ -9,18 +9,17 @@
  *    histogram summaries);
  *  - sweep robustness: --checkpoint=<jsonl>, --resume,
  *    --sweep-json=<path> (a killed sweep recomputes only the missing
- *    points);
- *  - execution: --jobs N points wide and --domains/--domain-mode
- *    within a point, byte-identical to a serial run (see
+ *    points; the sweep JSON is the bench's one machine-readable
+ *    output);
+ *  - execution: --jobs N points wide and --domains 1|N|auto within a
+ *    point, byte-identical to a serial run (see
  *    parallel/sweep_runner.hpp);
  *  - faults: --faults=dram_drop=1e-5,... (parseFaultSpec) and
- *    --retries=N in-process attempts for transient failures;
- *  - provenance: --history=<jsonl> appends one RunManifest line (git
- *    SHA, build flags, SIMD tier, NUMA topology, config/graph digests,
- *    per-point metrics) for tools/pgcn_report.py.
- * A bench declares its own flags to the same parser (LocalFlag); any
- * other argument is a ConfigError. Benches that run no sweep take no
- * arguments at all (runFixedBenchMain).
+ *    --retries=N in-process attempts for transient failures.
+ * A bench declares its own flags to the same parser (LocalFlag), e.g.
+ * fig8's --occupancy= and --no-monitors; any other argument is a
+ * ConfigError. Benches that run no sweep take no arguments at all
+ * (runFixedBenchMain).
  */
 #ifndef PGCN_BENCH_BENCH_UTIL_HPP
 #define PGCN_BENCH_BENCH_UTIL_HPP
@@ -38,8 +37,6 @@
 #include <utility>
 #include <vector>
 
-#include <thread>
-
 #include "common/checkpoint.hpp"
 #include "common/error.hpp"
 #include "common/manifest.hpp"
@@ -49,8 +46,6 @@
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "graph/normalize.hpp"
-#include "kernels/simd.hpp"
-#include "parallel/numa.hpp"
 #include "parallel/sweep_runner.hpp"
 #include "sim/fault.hpp"
 #include "telemetry/session.hpp"
@@ -60,7 +55,7 @@ namespace pgcn::bench {
 /** Parsed bench command line: the shared flags every sweep bench takes. */
 struct BenchArgs
 {
-    std::string benchName;   ///< basename of argv[0] (manifest key)
+    std::string benchName;   ///< basename of argv[0] (checkpoint stamp)
     std::string tracePath;   ///< --trace=: Chrome-trace JSON
     std::string metricsPath; ///< --metrics=: counter/histogram CSV
     bool traceDetail = false; ///< --trace-detail: per-descriptor spans
@@ -70,29 +65,14 @@ struct BenchArgs
     unsigned jobs = 1; ///< --jobs: sweep workers (0 = hw concurrency)
     /// --domains=: host threads (event domains) each simulated point
     /// shards its machine into ("auto" = 0 = pick per point from the
-    /// simulated die count and host concurrency); more than one
-    /// needs --domain-mode=parallel or auto. Output is bit-identical
-    /// to one domain (the CI smoke `cmp`s the sweep JSON); composes
-    /// freely with --jobs (points in parallel × domains within one).
+    /// simulated die count and host concurrency). The count sets the
+    /// mode (SweepOptions::domains): 1 is one serial engine, N > 1 is
+    /// N threads under the conservative lookahead bound (rejected when
+    /// the config makes it illegal), auto is threaded whenever legal.
+    /// Output is bit-identical to one domain (the CI smoke `cmp`s the
+    /// sweep JSON); composes freely with --jobs (points in parallel ×
+    /// domains within one).
     unsigned domains = 1;
-    /// --domain-mode=sequenced|parallel|auto: how domains execute.
-    /// sequenced = one serial engine (the oracle);
-    /// parallel = one host thread per domain under the conservative
-    /// lookahead bound (rejected when the config makes it illegal);
-    /// auto = parallel whenever legal, one engine otherwise.
-    sim::DomainMode domainMode = sim::DomainMode::Sequenced;
-    /// --model-only: skip host-kernel (wall-clock) points; record only
-    /// analytic/DES model points. For sanitizer CI runs, where host
-    /// timings are meaningless and slow.
-    bool modelOnly = false;
-    /// --history=: append one RunManifest JSONL line per invocation.
-    std::string historyPath;
-    /// --occupancy=: per-resource occupancy-timeline CSV (benches that
-    /// attach a sim::MonitorHub, e.g. fig8).
-    std::string occupancyPath;
-    /// --no-monitors clears this: skip attaching span monitors even
-    /// where the bench supports them (A/B runs, overhead checks).
-    bool monitors = true;
     /// --faults=: base fault-injection config for every sweep point
     /// (see parseFaultSpec); unset = no injection.
     std::optional<sim::FaultConfig> faults;
@@ -100,8 +80,8 @@ struct BenchArgs
     /// failures (SweepOptions::pointAttempts).
     unsigned pointAttempts = 3;
     /// The arguments, as typed, that change a point's values:
-    /// --faults=, --model-only, --no-monitors and every bench-local
-    /// flag. The checkpoint stamp covers them (checkpointStamp).
+    /// --faults= and every bench-local flag. The checkpoint stamp
+    /// covers them (checkpointStamp).
     std::vector<std::string> valueFlags;
 
     /** True when any telemetry output was asked for. */
@@ -243,36 +223,6 @@ parseDomainCount(const std::string &value)
     return value == "auto" ? 0 : parseCount("--domains", value);
 }
 
-/** Parse a --domain-mode value. @throws ConfigError on junk. */
-inline sim::DomainMode
-parseDomainMode(const std::string &value)
-{
-    if (value == "sequenced")
-        return sim::DomainMode::Sequenced;
-    if (value == "parallel")
-        return sim::DomainMode::Parallel;
-    if (value == "auto")
-        return sim::DomainMode::Auto;
-    PGCN_THROW(ConfigError, "--domain-mode: '"
-                                << value
-                                << "' is not sequenced|parallel|auto");
-}
-
-/** Manifest/report spelling of a DomainMode. */
-inline const char *
-domainModeName(sim::DomainMode mode)
-{
-    switch (mode) {
-    case sim::DomainMode::Parallel:
-        return "parallel";
-    case sim::DomainMode::Auto:
-        return "auto";
-    case sim::DomainMode::Sequenced:
-        break;
-    }
-    return "sequenced";
-}
-
 /**
  * A flag one bench adds to the shared set. A @p name ending in '='
  * takes a value ("--mega="); any other name is a bare switch
@@ -288,7 +238,7 @@ struct LocalFlag
 /**
  * Parse the shared flags plus the bench's own @p local ones.
  * @throws ConfigError on an unknown --flag (a typo such as
- *         --domain-mod=parallel would otherwise run a different
+ *         --domain=4 would otherwise run a different
  *         configuration than asked), a positional argument (a flag
  *         typed without its "--" would otherwise run the default
  *         sweep), a malformed value, or a flag that needs another
@@ -327,20 +277,6 @@ parseBenchArgs(int argc, char **argv,
             args.domains = parseDomainCount(arg.substr(10));
         } else if (arg == "--domains" && i + 1 < argc) {
             args.domains = parseDomainCount(argv[++i]);
-        } else if (arg.rfind("--domain-mode=", 0) == 0) {
-            args.domainMode = parseDomainMode(arg.substr(14));
-        } else if (arg == "--domain-mode" && i + 1 < argc) {
-            args.domainMode = parseDomainMode(argv[++i]);
-        } else if (arg == "--model-only") {
-            args.modelOnly = true;
-            args.valueFlags.push_back(arg);
-        } else if (arg.rfind("--history=", 0) == 0) {
-            args.historyPath = arg.substr(10);
-        } else if (arg.rfind("--occupancy=", 0) == 0) {
-            args.occupancyPath = arg.substr(12);
-        } else if (arg == "--no-monitors") {
-            args.monitors = false;
-            args.valueFlags.push_back(arg);
         } else if (arg.rfind("--faults=", 0) == 0) {
             args.faults = parseFaultSpec(arg.substr(9));
             args.valueFlags.push_back(arg);
@@ -362,27 +298,14 @@ parseBenchArgs(int argc, char **argv,
                                         << "' (benches take --flags only)");
         }
     }
-    // Caught here rather than per sweep point, where the run would
-    // quarantine every point and still exit 0.
-    if (args.domains > 1 && args.domainMode == sim::DomainMode::Sequenced) {
-        PGCN_THROW(ConfigError, "--domains " << args.domains
-                                             << " needs --domain-mode="
-                                                "parallel or auto: "
-                                                "sequenced runs one engine");
-    }
     // Both act on the checkpoint; without one they would do nothing.
     if (args.checkpointPath.empty() && args.resume)
         PGCN_THROW(ConfigError, "--resume needs --checkpoint=");
     if (args.checkpointPath.empty() && !args.sweepJsonPath.empty())
         PGCN_THROW(ConfigError, "--sweep-json= needs --checkpoint=");
-    // Per-descriptor spans land only in the trace, and occupancy
-    // timelines come from the monitors.
+    // Per-descriptor spans land only in the trace.
     if (args.traceDetail && args.tracePath.empty())
         PGCN_THROW(ConfigError, "--trace-detail needs --trace=");
-    if (!args.occupancyPath.empty() && !args.monitors) {
-        PGCN_THROW(ConfigError, "--occupancy= needs the monitors that "
-                                "--no-monitors turns off");
-    }
     return args;
 }
 
@@ -390,8 +313,8 @@ parseBenchArgs(int argc, char **argv,
  * The configuration stamp of a bench's checkpoint: a digest of the
  * bench name, the code (git SHA and dirty flag) and the flags that
  * change a point's values (BenchArgs::valueFlags, in any order).
- * Flags that shape only execution or output (--jobs, --domains,
- * --domain-mode, --retries, output paths, telemetry) are left out,
+ * Shared flags that shape only execution or output (--jobs,
+ * --domains, --retries, output paths, telemetry) are left out,
  * so a sweep may resume with a different --jobs or --domains.
  */
 inline std::string
@@ -539,15 +462,6 @@ class SimThroughput
         }
     }
 
-    /** DES events dispatched across all recorded runs. */
-    uint64_t events() const { return events_; }
-
-    /** Host wall-clock spent inside Engine::run() (seconds). */
-    double wallSeconds() const { return wallSeconds_; }
-
-    /** Deepest pending-event queue seen in any run. */
-    uint64_t peakQueueDepth() const { return peakQueueDepth_; }
-
     /** Simulated runs recorded so far. */
     uint64_t runs() const { return runs_; }
 
@@ -607,35 +521,6 @@ class SimThroughput
 };
 
 /**
- * True for metric names that measure the host, not the simulation.
- * These are excluded from the manifest's counter digest so that the
- * digest agrees across machines whenever the simulated results do.
- */
-inline bool
-hostDependentMetric(const std::string &name)
-{
-    return name.find("wall") != std::string::npos ||
-           name.find("per_sec") != std::string::npos ||
-           name.find("host") != std::string::npos;
-}
-
-/**
- * Structural digest of a CSR graph (hex) for RunManifest::graphHash:
- * vertex/edge counts plus the row-offset and column arrays. Values
- * are omitted — normalisation weights are a function of structure.
- */
-inline std::string
-graphDigest(const graph::Csr &g)
-{
-    uint64_t h = fnv1a64(static_cast<uint64_t>(g.numVertices()));
-    h = fnv1a64(static_cast<uint64_t>(g.numEdges()), h);
-    h = fnv1a64(g.rowOffsets().data(),
-                g.rowOffsets().size() * sizeof(g.rowOffsets()[0]), h);
-    h = fnv1a64(g.cols().data(), g.cols().size() * sizeof(g.cols()[0]), h);
-    return hashHex(h);
-}
-
-/**
  * The shared sweep driver every figure/ablation bench runs on: one
  * object wrapping the checkpoint, the parallel sweep runner, the
  * telemetry session and the per-worker simulator-throughput
@@ -681,25 +566,7 @@ class SweepDriver
     size_t
     add(const std::string &key, parallel::SweepRunner::Compute compute)
     {
-        keys_.push_back(key);
         return runner_.add(key, std::move(compute));
-    }
-
-    /** Record the input graph's structural digest for the manifest. */
-    void
-    noteGraph(const graph::Csr &g)
-    {
-        manifestGraphHash_ = graphDigest(g);
-    }
-
-    /** Record the synthetic-input RNG seed for the manifest. */
-    void noteSeed(uint64_t seed) { manifestSeed_ = seed; }
-
-    /** Attach a free-form key/value annotation to the manifest. */
-    void
-    annotate(const std::string &key, const std::string &value)
-    {
-        manifestExtra_.emplace_back(key, value);
     }
 
     /** The executing worker's throughput accumulator (race-free). */
@@ -771,8 +638,8 @@ class SweepDriver
 
     /**
      * Wrap up after rendering: print aggregate simulator throughput
-     * (when any DES ran), then write the consolidated sweep JSON, the
-     * merged trace/metrics outputs and the run manifest.
+     * (when any DES ran), then write the consolidated sweep JSON and
+     * the merged trace/metrics outputs.
      */
     void
     finish()
@@ -787,81 +654,9 @@ class SweepDriver
             runner_.mergeTelemetryInto(*session_);
             finishSession(*session_, args_);
         }
-        if (!args_.historyPath.empty())
-            emitManifest(total);
     }
 
   private:
-    /**
-     * Append one RunManifest line to --history=. Metrics are every
-     * point's checkpoint values keyed "pointKey/metric"; the counter
-     * digest folds only host-independent metrics so bit-identical
-     * simulations produce the same digest on any machine.
-     */
-    void
-    emitManifest(const SimThroughput &total)
-    {
-        RunManifest m;
-        m.bench = args_.benchName;
-        m.timestamp = nowIso8601();
-        m.gitSha = version::kGitSha;
-        m.gitDirty = version::kGitDirty;
-        m.buildType = version::kBuildType;
-        m.compiler = version::kCompiler;
-        m.simdTier =
-            kernels::simd::tierName(kernels::simd::activeTier());
-        m.numaNodes = parallel::detectNumaTopology().numNodes();
-        m.hostThreads = std::thread::hardware_concurrency();
-        m.graphHash = manifestGraphHash_;
-        m.seed = manifestSeed_;
-
-        uint64_t cfg_hash = kFnv1aOffset;
-        for (const std::string &key : keys_)
-            cfg_hash = fnv1a64(key, cfg_hash);
-        cfg_hash = fnv1a64(uint64_t{args_.modelOnly}, cfg_hash);
-        m.configHash = hashHex(cfg_hash);
-
-        uint64_t digest = kFnv1aOffset;
-        for (size_t i = 0; i < keys_.size(); ++i) {
-            const JsonlCheckpoint::Values *vals = result(i);
-            if (vals == nullptr)
-                continue;
-            for (const auto &[name, value] : *vals) {
-                m.metrics.emplace_back(keys_[i] + "/" + name, value);
-                if (!hostDependentMetric(name)) {
-                    digest = fnv1a64(keys_[i] + "/" + name, digest);
-                    digest = fnv1a64(value, digest);
-                }
-            }
-        }
-        m.counterDigest = hashHex(digest);
-
-        if (total.runs() > 0) {
-            m.metrics.emplace_back("sim/events",
-                                   static_cast<double>(total.events()));
-            m.metrics.emplace_back("sim/events_per_sec",
-                                   total.eventsPerSec());
-            m.metrics.emplace_back("sim/wall_seconds",
-                                   total.wallSeconds());
-        }
-        // Host-execution provenance only: jobs/domains shape wall
-        // clock, never results, so they belong in the manifest (and
-        // pgcn_report's provenance line) but NOT in the sweep JSON —
-        // the cross-count `cmp` smoke depends on that.
-        m.extra.emplace_back("jobs", std::to_string(runner_.jobs()));
-        m.extra.emplace_back("domains", args_.domains == 0
-                                            ? std::string("auto")
-                                            : std::to_string(args_.domains));
-        m.extra.emplace_back("domain_mode",
-                             domainModeName(args_.domainMode));
-        for (const auto &kv : manifestExtra_)
-            m.extra.push_back(kv);
-
-        if (m.appendTo(args_.historyPath))
-            std::cout << "(run manifest appended to " << args_.historyPath
-                      << ")\n";
-    }
-
     static parallel::SweepOptions
     makeOptions(const BenchArgs &args)
     {
@@ -872,7 +667,6 @@ class SweepDriver
         opt.faults = args.faults;
         opt.pointAttempts = args.pointAttempts;
         opt.domains = args.domains;
-        opt.domainMode = args.domainMode;
         return opt;
     }
 
@@ -882,10 +676,6 @@ class SweepDriver
     parallel::SweepRunner runner_;
     std::vector<SimThroughput> throughput_;
     parallel::SweepRunner::Outcome outcome_;
-    std::vector<std::string> keys_;
-    std::string manifestGraphHash_;
-    uint64_t manifestSeed_ = 0;
-    std::vector<std::pair<std::string, std::string>> manifestExtra_;
 };
 
 /**

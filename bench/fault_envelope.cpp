@@ -36,6 +36,8 @@
  *             quarantine path: the sweep survives, the point lands in
  *             the checkpoint as quarantined, and --resume never
  *             re-runs it.
+ *   --no-monitors  run without the per-point sim::MonitorHub, so the
+ *             lat.hide column reads "-" (A/B runs, overhead checks).
  *
  * Determinism: each point's injector is seeded base + pointIndex, so
  * a fixed (seed, config) is bit-reproducible across runs and --jobs
@@ -77,10 +79,12 @@ benchMain(int argc, char **argv)
 {
     bool small = false;
     bool poison = false;
+    bool monitors = true;
     const bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv,
         {{"--small", [&](const std::string &) { small = true; }},
-         {"--poison", [&](const std::string &) { poison = true; }}});
+         {"--poison", [&](const std::string &) { poison = true; }},
+         {"--no-monitors", [&](const std::string &) { monitors = false; }}});
     bench::SweepDriver driver(args);
 
     // Base fault config: --faults= may add jitters or override the
@@ -108,9 +112,6 @@ benchMain(int argc, char **argv)
         graphs.push_back({"products", products.adjacency});
         graphs.push_back({"arxiv", arxiv.adjacency});
     }
-    driver.noteGraph(graphs.front().csr);
-    driver.noteSeed(base.seed);
-
     // Rates stop where retry exhaustion becomes near-certain: a
     // combined per-attempt drop probability p survives a budget of R
     // re-issues only while p^(R+1) x #requests << 1, so the swept top
@@ -160,7 +161,7 @@ benchMain(int argc, char **argv)
                 const Rate &rate = rates[ri];
                 const graph::Csr &csr = graphs[gi].csr;
                 sim::MonitorHub *hub =
-                    args.monitors ? &hubs[hub_i++] : nullptr;
+                    monitors ? &hubs[hub_i++] : nullptr;
                 const std::string key = graphs[gi].name + "/" +
                                         pol.name +
                                         "/rate=" + rate.label;
@@ -324,9 +325,6 @@ benchMain(int argc, char **argv)
             std::cerr << "poison point unexpectedly succeeded\n";
     }
 
-    driver.annotate("algorithm", "dma");
-    driver.annotate("campaign",
-                    small ? "fault-envelope-small" : "fault-envelope");
     driver.finish();
     return 0;
 }

@@ -15,10 +15,10 @@
  * so it supports --checkpoint=<jsonl> / --resume / --sweep-json=<path>
  * for crash-resilient restarts and --jobs N to spread the independent
  * points across worker threads (identical output, see
- * bench::SweepDriver). --domains N --domain-mode=parallel additionally
- * splits each simulated machine into per-node event domains on their
- * own threads (sim::DomainSet); output stays byte-identical for any
- * count — the two knobs compose.
+ * bench::SweepDriver). --domains N additionally splits each simulated
+ * machine into per-node event domains on their own threads
+ * (sim::DomainSet); output stays byte-identical for any count — the
+ * two knobs compose.
  */
 #include <iostream>
 #include <string>

@@ -17,11 +17,10 @@
  * --sweep-json=<path> (a killed sweep recomputes only the missing
  * simulations) and --jobs N (independent points run on worker
  * threads; the checkpoint and consolidated JSON stay byte-identical
- * to a serial run, see bench::SweepDriver). --domains N
- * --domain-mode=parallel splits each simulated machine into per-node
- * event domains on their own threads (sim::DomainSet), again with
- * byte-identical output — the CI smoke `cmp`s the sweep JSON of
- * --domains 4 against the serial engine.
+ * to a serial run, see bench::SweepDriver). --domains N splits each
+ * simulated machine into per-node event domains on their own threads
+ * (sim::DomainSet), again with byte-identical output — the CI smoke
+ * `cmp`s the sweep JSON of --domains 4 against the serial engine.
  *
  * Every DES point runs with a sim::MonitorHub attached (disable with
  * --no-monitors), so the middle panel also reports, per core count:
@@ -30,14 +29,16 @@
  * stall time covered by runnable threads), critical-path parallelism,
  * and which bound limits scaling at that point (critical-path vs a
  * saturated resource vs latency). --occupancy=<csv> dumps the raw
- * per-resource occupancy timelines; --history=<jsonl> appends the run
- * manifest consumed by tools/pgcn_report.py.
+ * per-resource occupancy timelines of every point; it needs the
+ * monitors and a fresh run (no --resume, no --mega=), where each
+ * point's hub is filled. CI diffs stdout against
+ * results/fig8_strong_scaling.txt.
  *
  * --mega=<cores> replaces the whole figure with ONE full-machine-scale
  * DES point (scale-14 RMAT proxy, K=16, DMA SpMM) at the given core
  * count — the EXPERIMENTS.md big-machine walkthrough, where --domains
- * and --domain-mode=parallel are measured against the paper's 16K-core
- * / 1M-thread configuration instead of the figure's 1-32 core column.
+ * is measured against the paper's 16K-core / 1M-thread configuration
+ * instead of the figure's 1-32 core column.
  */
 #include <fstream>
 #include <iostream>
@@ -60,10 +61,36 @@ int
 benchMain(int argc, char **argv)
 {
     std::optional<unsigned> mega_cores;
+    std::string occupancy_path;
+    bool monitors = true;
     const bench::BenchArgs args = bench::parseBenchArgs(
-        argc, argv, {{"--mega=", [&](const std::string &v) {
-                          mega_cores = bench::parseCount("--mega", v);
-                      }}});
+        argc, argv,
+        {{"--mega=",
+          [&](const std::string &v) {
+              mega_cores = bench::parseCount("--mega", v);
+          }},
+         {"--occupancy=",
+          [&](const std::string &v) { occupancy_path = v; }},
+         {"--no-monitors", [&](const std::string &) { monitors = false; }}});
+    // The CSV dumps each point's hub, which only a point simulated in
+    // this run fills: a reused point's hub stays empty, and --mega runs
+    // its one point without monitors.
+    if (!occupancy_path.empty()) {
+        if (!monitors) {
+            PGCN_THROW(ConfigError, "--occupancy= needs the monitors that "
+                                    "--no-monitors turns off");
+        }
+        if (args.resume) {
+            PGCN_THROW(ConfigError, "--occupancy= needs a fresh run: "
+                                    "points reused by --resume have no "
+                                    "timelines");
+        }
+        if (mega_cores) {
+            PGCN_THROW(ConfigError, "--occupancy= does not apply to "
+                                    "--mega=, which runs without "
+                                    "monitors");
+        }
+    }
     bench::SweepDriver driver(args);
     const auto xeon_cfg = xeon::XeonConfig::platinum8380();
 
@@ -78,7 +105,6 @@ benchMain(int argc, char **argv)
         std::cout << "mega proxy: |V|=" << big.numVertices()
                   << " |E|=" << big.numEdges() << " cores=" << *mega_cores
                   << "\n\n";
-        driver.noteGraph(big);
         driver.add(
             "mega/cores=" + std::to_string(*mega_cores),
             [&driver, &big, cores = *mega_cores](
@@ -98,8 +124,6 @@ benchMain(int argc, char **argv)
                 };
             });
         driver.run();
-        driver.annotate("graph", "rmat14-mega");
-        driver.annotate("algorithm", "dma");
         driver.finish();
         return 0;
     }
@@ -124,13 +148,10 @@ benchMain(int argc, char **argv)
               << " |E|=" << proxy.adjacency.numEdges()
               << " (scale factor " << proxy.scaleFactor << ")\n\n";
 
-    driver.noteGraph(proxy.adjacency);
-
     // ---- Enqueue the DES points for the middle and right panels.
     // One MonitorHub per point, preallocated so worker threads write
     // disjoint hubs; the occupancy CSV is then dumped in submission
-    // order on the calling thread (resumed points leave empty hubs —
-    // their simulations never re-ran).
+    // order on the calling thread.
     constexpr unsigned kDim = 256;
     const std::vector<unsigned> scaling_cores{1u, 2u, 4u, 8u, 16u, 32u};
     const std::vector<unsigned> right_dims{8u, 64u, 256u};
@@ -140,7 +161,7 @@ benchMain(int argc, char **argv)
     std::vector<size_t> middle_idx;
     for (size_t i = 0; i < scaling_cores.size(); ++i) {
         const unsigned cores = scaling_cores[i];
-        sim::MonitorHub *hub = args.monitors ? &hubs[i] : nullptr;
+        sim::MonitorHub *hub = monitors ? &hubs[i] : nullptr;
         middle_idx.push_back(driver.add(
             "middle/cores=" + std::to_string(cores),
             [&driver, &proxy, cores,
@@ -176,7 +197,7 @@ benchMain(int argc, char **argv)
     for (size_t i = 0; i < right_dims.size(); ++i) {
         const unsigned k = right_dims[i];
         sim::MonitorHub *hub =
-            args.monitors ? &hubs[scaling_cores.size() + i] : nullptr;
+            monitors ? &hubs[scaling_cores.size() + i] : nullptr;
         right_idx.push_back(driver.add(
             "right/k=" + std::to_string(k),
             [&driver, &proxy, k, hub](const parallel::SweepContext &ctx) {
@@ -298,8 +319,8 @@ benchMain(int argc, char **argv)
 
     // ---- Raw occupancy timelines (one row per non-empty bucket per
     // resource, prefixed with the owning sweep point).
-    if (!args.occupancyPath.empty()) {
-        std::ofstream occ(args.occupancyPath);
+    if (!occupancy_path.empty()) {
+        std::ofstream occ(occupancy_path);
         occ << "point," << sim::MonitorHub::csvHeader() << '\n';
         const auto dump = [&](size_t hub_idx, size_t point_idx,
                               const std::string &key) {
@@ -317,12 +338,10 @@ benchMain(int argc, char **argv)
         for (size_t i = 0; i < right_dims.size(); ++i)
             dump(scaling_cores.size() + i, right_idx[i],
                  "right/k=" + std::to_string(right_dims[i]));
-        std::cout << "(occupancy csv written to " << args.occupancyPath
+        std::cout << "(occupancy csv written to " << occupancy_path
                   << ")\n";
     }
 
-    driver.annotate("graph", "products-proxy");
-    driver.annotate("algorithm", "dma");
     driver.finish();
     return 0;
 }

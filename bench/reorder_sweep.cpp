@@ -93,7 +93,10 @@ bestSeconds(Fn &&fn)
 int
 benchMain(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    bool model_only = false;
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv,
+        {{"--model-only", [&](const std::string &) { model_only = true; }}});
     bench::SweepDriver driver(args);
 
     struct GraphCase
@@ -154,7 +157,7 @@ benchMain(int argc, char **argv)
         for (const OrderedGraph &view : c.hostViews) {
             const std::string order = graph::reorderPassName(view.pass);
 
-            if (!args.modelOnly) {
+            if (!model_only) {
                 // Host kernels, single-threaded for stable CI numbers:
                 // the gate compares orderings, not thread scaling.
                 for (const char *kernel : {"tiled", "nnz"}) {

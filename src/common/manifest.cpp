@@ -3,11 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
-
-#include "common/logging.hpp"
 
 namespace pgcn {
 
@@ -50,18 +46,6 @@ jsonEscape(const std::string &text)
         }
     }
     return out;
-}
-
-/** Shortest round-trippable decimal for a double. */
-std::string
-jsonNumber(double value)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    // %.17g can produce "nan"/"inf", which are not JSON; clamp to null.
-    if (std::strchr(buf, 'n') != nullptr || std::strchr(buf, 'i') != nullptr)
-        return "null";
-    return buf;
 }
 
 } // namespace
@@ -133,18 +117,8 @@ RunManifest::toJsonLine() const
     os << ",\"simd_tier\":\"" << jsonEscape(simdTier) << '"';
     os << ",\"numa_nodes\":" << numaNodes;
     os << ",\"host_threads\":" << hostThreads;
-    os << ",\"config_hash\":\"" << jsonEscape(configHash) << '"';
-    os << ",\"graph_hash\":\"" << jsonEscape(graphHash) << '"';
     os << ",\"seed\":" << seed;
-    os << ",\"counter_digest\":\"" << jsonEscape(counterDigest) << '"';
-    os << ",\"metrics\":{";
-    for (size_t i = 0; i < metrics.size(); ++i) {
-        if (i != 0)
-            os << ',';
-        os << '"' << jsonEscape(metrics[i].first)
-           << "\":" << jsonNumber(metrics[i].second);
-    }
-    os << "},\"extra\":{";
+    os << ",\"extra\":{";
     for (size_t i = 0; i < extra.size(); ++i) {
         if (i != 0)
             os << ',';
@@ -153,27 +127,6 @@ RunManifest::toJsonLine() const
     }
     os << "}}";
     return os.str();
-}
-
-bool
-RunManifest::appendTo(const std::string &path) const
-{
-    std::error_code ec;
-    const auto parent = std::filesystem::path(path).parent_path();
-    if (!parent.empty())
-        std::filesystem::create_directories(parent, ec);
-
-    std::ofstream out(path, std::ios::app);
-    if (!out) {
-        warn("could not append run manifest to " + path);
-        return false;
-    }
-    out << toJsonLine() << '\n';
-    if (!out) {
-        warn("short write appending run manifest to " + path);
-        return false;
-    }
-    return true;
 }
 
 } // namespace pgcn

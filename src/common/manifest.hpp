@@ -1,19 +1,15 @@
 /**
  * @file
- * Run provenance manifests for the benchmark history log.
+ * Run provenance manifests and the FNV-1a digests behind them.
  *
- * Every benchmark run emits one RunManifest describing exactly what
- * ran (bench name, config and graph digests, seed), on what (git SHA,
- * build type, compiler, SIMD tier, NUMA topology), and what came out
- * (headline metrics plus a digest of the deterministic simulation
- * counters). Manifests append as single JSON lines to
- * results/history.jsonl, so the file is a grep-able, diff-able
- * flight recorder: tools/pgcn_report.py folds it into scalability
- * reports and regression checks.
+ * A RunManifest describes what ran (bench name, seed) and on what
+ * (git SHA, build type, compiler, SIMD tier, NUMA topology) as one
+ * JSON line; perfbench attaches it to every run record. The digests
+ * also stamp bench checkpoints (bench_util.hpp checkpointStamp).
  *
  * This header sits in pgcn_common and deliberately knows nothing
- * about kernels, NUMA, or the simulator: callers (bench_util) fill
- * the platform fields from the layers they already link.
+ * about kernels, NUMA, or the simulator: callers fill the platform
+ * fields from the layers they already link.
  */
 #ifndef PGCN_COMMON_MANIFEST_HPP
 #define PGCN_COMMON_MANIFEST_HPP
@@ -56,7 +52,7 @@ std::string hashHex(uint64_t hash);
 
 /**
  * Provenance record for one benchmark run. Plain data: fill what you
- * know, leave the rest at the defaults, then toJsonLine()/appendTo().
+ * know, leave the rest at the defaults, then toJsonLine().
  */
 struct RunManifest
 {
@@ -78,37 +74,16 @@ struct RunManifest
     unsigned numaNodes = 0;
     /** Hardware threads on the host. */
     unsigned hostThreads = 0;
-    /** Digest of the sweep/benchmark configuration (hex). */
-    std::string configHash;
-    /** Digest of the input graph structure (hex; empty if no graph). */
-    std::string graphHash;
     /** RNG seed for synthetic inputs. */
     uint64_t seed = 0;
-    /**
-     * Digest over the deterministic simulation counters (hex). Bit
-     * -identical runs agree on this; host-dependent metrics (wall
-     * seconds, events/sec) are excluded by the caller.
-     */
-    std::string counterDigest;
-    /** Headline metrics, e.g. {"fig8/des/cores=16/gflops", 12.5}. */
-    std::vector<std::pair<std::string, double>> metrics;
-    /** Free-form annotations, e.g. {"jobs", "8"}. */
+    /** Free-form annotations, e.g. {"l2_bytes", "2097152"}. */
     std::vector<std::pair<std::string, std::string>> extra;
 
     /**
      * Serialise to one line of JSON (no trailing newline). Key order
-     * is fixed so textual diffs of history.jsonl stay readable.
+     * is fixed so textual diffs of two records stay readable.
      */
     std::string toJsonLine() const;
-
-    /**
-     * Append this manifest as one JSON line to @p path, creating the
-     * file and parent directory if needed.
-     *
-     * @param path Destination JSONL file (e.g. results/history.jsonl).
-     * @return True on success; false (with a warn()) on I/O failure.
-     */
-    bool appendTo(const std::string &path) const;
 };
 
 /** Current wall-clock time as ISO-8601 UTC ("2026-02-07T12:34:56Z"). */

@@ -140,7 +140,10 @@ SweepRunner::run(JsonlCheckpoint &ckpt)
                     sim::SimControls controls;
                     controls.limits = options_.limits;
                     controls.domains = options_.domains;
-                    controls.domainMode = options_.domainMode;
+                    controls.domainMode =
+                        options_.domains == 1   ? sim::DomainMode::Sequenced
+                        : options_.domains == 0 ? sim::DomainMode::Auto
+                                                : sim::DomainMode::Parallel;
                     if (options_.faults) {
                         sim::FaultConfig cfg = *options_.faults;
                         cfg.seed += static_cast<uint64_t>(i);

@@ -83,17 +83,16 @@ struct SweepOptions
     unsigned pointAttempts = 3;
     /// Host-side exponential backoff base between transient retries.
     double retryBackoffSeconds = 0.1;
-    /// Event domains each simulated point shards its machine into
-    /// (0 = auto: the model picks per point from its core count and
-    /// the host's concurrency). Purely a wall-clock knob: point output
-    /// is bit-identical for any value (see sim/domain.hpp), which the
-    /// domain differential tests pin against the checkpoint bytes.
+    /// Event domains each simulated point shards its machine into,
+    /// which also sets how they execute: 1 is one serial engine (the
+    /// bit-identity oracle, DomainMode::Sequenced), N > 1 is N host
+    /// threads under the conservative lookahead bound (Parallel), and
+    /// 0 = auto lets the model pick per point from its die count and
+    /// the host's concurrency, threaded whenever legal (Auto). Purely
+    /// a wall-clock knob: point output is bit-identical for any value
+    /// (see sim/domain.hpp), which the domain differential tests pin
+    /// against the checkpoint bytes.
     unsigned domains = 1;
-    /// How the domains execute: Sequenced (one serial engine, the
-    /// bit-identity oracle; domains must be 1), Parallel (one host
-    /// thread per domain under the conservative lookahead bound), or
-    /// Auto (Parallel whenever the point's config makes it legal).
-    sim::DomainMode domainMode = sim::DomainMode::Sequenced;
 };
 
 /**

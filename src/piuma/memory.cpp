@@ -113,8 +113,8 @@ MemorySystem::domainPlan(const PiumaConfig &cfg,
         if (requested > 1) {
             PGCN_THROW(ConfigError,
                        "--domains " << requested
-                                    << " needs --domain-mode=parallel or "
-                                       "auto: sequenced runs one engine");
+                                    << " needs DomainMode::Parallel or "
+                                       "Auto: Sequenced runs one engine");
         }
         return one;
     }
@@ -128,19 +128,23 @@ MemorySystem::domainPlan(const PiumaConfig &cfg,
                                     : nullptr);
     if (want == sim::DomainMode::Parallel && !(lookahead > 0.0)) {
         PGCN_THROW(ConfigError,
-                   "--domain-mode=parallel is illegal for this "
-                   "config: the model lookahead bound is "
-                       << lookahead
-                       << " ns (timeout must exceed the worst-case "
-                          "request hop; network jitter must leave "
-                          "the minimum hop positive)");
+                   "--domains " << requested
+                                << " is illegal for this config: the "
+                                   "model lookahead bound is "
+                                << lookahead
+                                << " ns (timeout must exceed the "
+                                   "worst-case request hop; network "
+                                   "jitter must leave the minimum hop "
+                                   "positive; --domains auto falls "
+                                   "back to one engine)");
     }
     if (domains == 1 || !(lookahead > 0.0))
         return one;
     if (attached) {
         if (want == sim::DomainMode::Parallel)
-            warn("domain-mode=parallel runs on one domain: an attached "
-                 "telemetry session or monitor hub is single-threaded");
+            warn("--domains " + std::to_string(requested) +
+                 " runs on one domain: an attached telemetry session "
+                 "or monitor hub is single-threaded");
         return one;
     }
     // +inf (a single core) never gets here: domains <= numCores.

@@ -378,7 +378,7 @@ class MonitorHub
     /**
      * Dump every timeline as CSV rows
      * `kind,index,bucket,t_start_ns,bucket_ns,busy_ns` for offline
-     * heatmap rendering (tools/pgcn_report.py). @p prefix is prepended
+     * heatmap rendering (fig8 --occupancy=). @p prefix is prepended
      * verbatim to each row — the caller labels the sweep point.
      */
     void

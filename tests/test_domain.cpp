@@ -199,7 +199,7 @@ TEST(DomainModeParallel, GoldenDmaSpmmAtFourDomains)
     EXPECT_DOUBLE_EQ(s.bytesWritten, 23936.0);
 }
 
-// Telemetry counters — the source of the manifest's counter digest —
+// Telemetry counters — what --metrics= writes —
 // must agree name for name and bit for bit whatever domain count is
 // requested (an attached session keeps the run on one engine).
 TEST(DomainSerial, TelemetryCountersIdentical)
@@ -312,7 +312,6 @@ TEST(DomainSoak, CheckpointBytesInvariantAcrossDomainCounts)
             parallel::SweepOptions options;
             options.jobs = 1;
             options.domains = d;
-            options.domainMode = modeFor(d);
             if (faulted) {
                 FaultConfig fc;
                 fc.seed = 7;
@@ -350,7 +349,6 @@ TEST(DomainSoak, ComposesWithParallelSweepJobs)
         parallel::SweepOptions options;
         options.jobs = jobs;
         options.domains = domains;
-        options.domainMode = modeFor(domains);
         parallel::SweepRunner runner(options);
         addSoakPoints(runner, csr);
         JsonlCheckpoint ckpt(path, /*resume=*/false);
@@ -675,7 +673,6 @@ TEST(DomainModeParallel, CheckpointBytesMatchSequencedSweep)
             parallel::SweepOptions options;
             options.jobs = 1;
             options.domains = mode == DomainMode::Parallel ? 4 : 1;
-            options.domainMode = mode;
             if (faulted) {
                 FaultConfig fc;
                 fc.seed = 7;
@@ -955,7 +952,7 @@ TEST(DomainPlan, ExplicitParallelThrowsWhenModelMakesItIllegal)
 {
     // Two dies + drops with a timeout shorter than the cross-die hop:
     // a retry re-arrival can precede the window edge, so the bound is
-    // non-positive and an explicit --domain-mode=parallel must be a
+    // non-positive and an explicit --domains N (Parallel) must be a
     // loud ConfigError, never a silent downgrade.
     PiumaConfig cfg;
     cfg.numCores = 16;
