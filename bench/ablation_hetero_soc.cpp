@@ -7,8 +7,8 @@
  * and what fusion saves on top.
  *
  * Runs on the shared sweep driver (--jobs N / --checkpoint= /
- * --resume / --sweep-json=); the points are analytical, so the flags
- * mostly matter for command-line uniformity across benches.
+ * --resume / --sweep-json=). The points are analytical, so the
+ * telemetry, --faults= and --domains flags are errors here.
  */
 #include <iostream>
 #include <string>
@@ -24,7 +24,8 @@ namespace {
 int
 benchMain(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    const bench::BenchArgs args =
+        bench::parseBenchArgs(argc, argv, {}, /*simulates=*/false);
     bench::SweepDriver driver(args);
 
     struct HeteroPoint

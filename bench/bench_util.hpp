@@ -14,12 +14,12 @@
  *  - execution: --jobs N points wide and --domains 1|N|auto within a
  *    point, byte-identical to a serial run (see
  *    parallel/sweep_runner.hpp);
- *  - faults: --faults=dram_drop=1e-5,... (parseFaultSpec) and
- *    --retries=N in-process attempts for transient failures.
+ *  - faults: --faults=dram_drop=1e-5,... (parseFaultSpec).
  * A bench declares its own flags to the same parser (LocalFlag), e.g.
  * fig8's --occupancy= and --no-monitors; any other argument is a
- * ConfigError. Benches that run no sweep take no arguments at all
- * (runFixedBenchMain).
+ * ConfigError. A bench whose sweep simulates nothing rejects the
+ * flags that act on simulated points (kSimFlags). Benches that run no
+ * sweep take no arguments at all (runFixedBenchMain).
  */
 #ifndef PGCN_BENCH_BENCH_UTIL_HPP
 #define PGCN_BENCH_BENCH_UTIL_HPP
@@ -76,12 +76,9 @@ struct BenchArgs
     /// --faults=: base fault-injection config for every sweep point
     /// (see parseFaultSpec); unset = no injection.
     std::optional<sim::FaultConfig> faults;
-    /// --retries=: in-process attempts per sweep point for transient
-    /// failures (SweepOptions::pointAttempts).
-    unsigned pointAttempts = 3;
     /// The arguments, as typed, that change a point's values:
-    /// --faults= and every bench-local flag. The checkpoint stamp
-    /// covers them (checkpointStamp).
+    /// --faults= and every bench-local flag but an output path. The
+    /// checkpoint stamp covers them (checkpointStamp).
     std::vector<std::string> valueFlags;
 
     /** True when any telemetry output was asked for. */
@@ -227,13 +224,23 @@ parseDomainCount(const std::string &value)
  * A flag one bench adds to the shared set. A @p name ending in '='
  * takes a value ("--mega="); any other name is a bare switch
  * ("--small"). @p apply receives the value, empty for a switch, and
- * throws ConfigError on a malformed one.
+ * throws ConfigError on a malformed one. An @p output flag only names
+ * a file the bench writes, so the checkpoint stamp leaves it out.
  */
 struct LocalFlag
 {
     std::string name;
     std::function<void(const std::string &)> apply;
+    bool output = false;
 };
+
+/**
+ * The shared flags that act only on simulated points: telemetry,
+ * fault injection and event domains. A bench whose sweep runs
+ * analytic models only has nothing for them to act on.
+ */
+inline constexpr const char *kSimFlags[] = {
+    "--trace=", "--metrics=", "--trace-detail", "--faults=", "--domains"};
 
 /**
  * Parse the shared flags plus the bench's own @p local ones.
@@ -241,12 +248,14 @@ struct LocalFlag
  *         --domain=4 would otherwise run a different
  *         configuration than asked), a positional argument (a flag
  *         typed without its "--" would otherwise run the default
- *         sweep), a malformed value, or a flag that needs another
- *         one it was not given.
+ *         sweep), a malformed value, a flag that needs another one
+ *         it was not given, or one of kSimFlags when @p simulates is
+ *         false.
  */
 inline BenchArgs
 parseBenchArgs(int argc, char **argv,
-               const std::vector<LocalFlag> &local = {})
+               const std::vector<LocalFlag> &local = {},
+               bool simulates = true)
 {
     BenchArgs args;
     if (argc > 0 && argv[0] != nullptr) {
@@ -257,6 +266,14 @@ parseBenchArgs(int argc, char **argv,
     }
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        for (const char *flag : kSimFlags) {
+            if (!simulates && arg.rfind(flag, 0) == 0) {
+                PGCN_THROW(ConfigError,
+                           flag << " acts on simulated points, and "
+                                << args.benchName
+                                << " simulates none");
+            }
+        }
         if (arg.rfind("--trace=", 0) == 0) {
             args.tracePath = arg.substr(8);
         } else if (arg.rfind("--metrics=", 0) == 0) {
@@ -280,8 +297,6 @@ parseBenchArgs(int argc, char **argv,
         } else if (arg.rfind("--faults=", 0) == 0) {
             args.faults = parseFaultSpec(arg.substr(9));
             args.valueFlags.push_back(arg);
-        } else if (arg.rfind("--retries=", 0) == 0) {
-            args.pointAttempts = parseCount("--retries", arg.substr(10));
         } else if (arg.rfind("--", 0) == 0) {
             const auto flag = std::find_if(
                 local.begin(), local.end(), [&](const LocalFlag &f) {
@@ -291,7 +306,8 @@ parseBenchArgs(int argc, char **argv,
             if (flag == local.end())
                 PGCN_THROW(ConfigError, "unknown flag: " << arg);
             flag->apply(arg.substr(flag->name.size()));
-            args.valueFlags.push_back(arg);
+            if (!flag->output)
+                args.valueFlags.push_back(arg);
         } else {
             PGCN_THROW(ConfigError, "unexpected positional argument '"
                                         << arg
@@ -313,9 +329,9 @@ parseBenchArgs(int argc, char **argv,
  * The configuration stamp of a bench's checkpoint: a digest of the
  * bench name, the code (git SHA and dirty flag) and the flags that
  * change a point's values (BenchArgs::valueFlags, in any order).
- * Shared flags that shape only execution or output (--jobs,
- * --domains, --retries, output paths, telemetry) are left out,
- * so a sweep may resume with a different --jobs or --domains.
+ * Flags that shape only execution or output (--jobs, --domains,
+ * output paths, telemetry) are left out, so a sweep may resume with
+ * a different --jobs or --domains, or without fig8's --occupancy=.
  */
 inline std::string
 checkpointStamp(const BenchArgs &args)
@@ -598,10 +614,6 @@ class SweepDriver
         if (outcome_.quarantined > 0)
             std::cout << "(quarantine: " << outcome_.quarantined
                       << " poisoned point(s) skipped, not re-run)\n";
-        if (outcome_.retried > 0)
-            std::cout << "(self-heal: " << outcome_.retried
-                      << " transient in-process retr"
-                      << (outcome_.retried == 1 ? "y" : "ies") << ")\n";
         for (const auto &err : outcome_.errors)
             std::cerr << "sweep point '" << err.key
                       << "' failed: " << err.message
@@ -665,7 +677,6 @@ class SweepDriver
         opt.telemetry = args.telemetryRequested();
         opt.sessionOptions.detailedTrace = args.traceDetail;
         opt.faults = args.faults;
-        opt.pointAttempts = args.pointAttempts;
         opt.domains = args.domains;
         return opt;
     }

@@ -12,8 +12,8 @@
  * quadratically, Dense MM linearly).
  *
  * The grid evaluation runs on the shared sweep driver (--jobs N /
- * --checkpoint= / --resume / --sweep-json=), matching the DES benches'
- * command line.
+ * --checkpoint= / --resume / --sweep-json=). It simulates nothing, so
+ * the telemetry, --faults= and --domains flags are errors here.
  */
 #include <cmath>
 #include <iostream>
@@ -44,7 +44,8 @@ spmmFraction(const xeon::XeonConfig &cfg, uint64_t v, uint64_t e)
 int
 benchMain(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    const bench::BenchArgs args =
+        bench::parseBenchArgs(argc, argv, {}, /*simulates=*/false);
     bench::SweepDriver driver(args);
     const auto cfg = xeon::XeonConfig::platinum8380();
 

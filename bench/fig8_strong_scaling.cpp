@@ -70,7 +70,8 @@ benchMain(int argc, char **argv)
               mega_cores = bench::parseCount("--mega", v);
           }},
          {"--occupancy=",
-          [&](const std::string &v) { occupancy_path = v; }},
+          [&](const std::string &v) { occupancy_path = v; },
+          /*output=*/true},
          {"--no-monitors", [&](const std::string &) { monitors = false; }}});
     // The CSV dumps each point's hub, which only a point simulated in
     // this run fills: a reused point's hub stays empty, and --mega runs

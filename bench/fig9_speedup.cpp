@@ -15,9 +15,9 @@
  * The PIUMA node model's SpMM efficiency is calibrated against the
  * discrete-event simulator before the sweep (printed below). The
  * (dataset, K) sweep itself runs on the shared sweep driver, so it
- * accepts --jobs N / --checkpoint= / --resume like the DES benches
- * (the points are cheap analytical evaluations; the flags mostly
- * matter for output-format uniformity).
+ * accepts --jobs N / --checkpoint= / --resume / --sweep-json=. Its
+ * points are analytical, so the telemetry, --faults= and --domains
+ * flags are errors here.
  */
 #include <algorithm>
 #include <iostream>
@@ -34,7 +34,8 @@ namespace {
 int
 benchMain(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    const bench::BenchArgs args =
+        bench::parseBenchArgs(argc, argv, {}, /*simulates=*/false);
     bench::SweepDriver driver(args);
 
     // Calibrate the node model against the DES on an 8-core die.

@@ -1,7 +1,7 @@
 /**
  * @file
  * Google-benchmark microbenchmarks for the functional host kernels:
- * SpMM variants (reference / vertex / edge / NNZ-balanced / tiled),
+ * SpMM variants (reference / vertex / edge / NNZ-balanced),
  * the packed SIMD dense GEMM, a whole GcnModel::infer pass, graph
  * generation and normalisation.
  * Run under PGCN_SIMD=scalar for the scalar baselines. These measure
@@ -32,7 +32,6 @@
 #include "graph/normalize.hpp"
 #include "kernels/simd.hpp"
 #include "kernels/spmm.hpp"
-#include "kernels/tiled_spmm.hpp"
 #include "piuma/spmm_programs.hpp"
 #include "tensor/dense_mm.hpp"
 #include "xeon/config.hpp"
@@ -175,28 +174,6 @@ BENCHMARK(BM_SpmmNnzBalanced)
     ->Args({12, 32})
     ->Args({14, 32})
     ->Args({14, 128});
-
-void
-BM_SpmmTiled(benchmark::State &state)
-{
-    const auto csr = benchGraph(static_cast<uint32_t>(state.range(0)));
-    const auto k = static_cast<uint64_t>(state.range(1));
-    const auto budget_kib = static_cast<double>(state.range(2));
-    tensor::DenseMatrix h(csr.numVertices(), k);
-    h.fillRandom(1);
-    tensor::DenseMatrix out;
-    parallel::ThreadPool pool;
-    kernels::TiledSpmm tiled(csr, k, budget_kib * 1024.0);
-    for (auto _ : state) {
-        tiled.apply(h, out, pool);
-        benchmark::DoNotOptimize(out.data());
-    }
-    setSpmmCounters(state, csr, k);
-    state.counters["tiles"] = static_cast<double>(tiled.numTiles());
-}
-BENCHMARK(BM_SpmmTiled)
-    ->Args({14, 128, 1 << 20}) // one tile
-    ->Args({14, 128, 256});    // many small tiles
 
 void
 setGemmCounters(benchmark::State &state, uint64_t n)

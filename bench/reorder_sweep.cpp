@@ -3,8 +3,8 @@
  * Reordering ablation: how much locality can a vertex relabeling buy,
  * measured in BOTH worlds from one sweep —
  *
- *  - host: wall-clock GF/s of the tiled and nnz-balanced SpMM kernels
- *    on Table-I proxies under every reordering pass (graph/reorder.hpp),
+ *  - host: wall-clock GF/s of the nnz-balanced SpMM kernel on
+ *    Table-I proxies under every reordering pass (graph/reorder.hpp),
  *  - model: the PIUMA DES remote-access fraction and slice-traffic
  *    skew for the same orderings, under both row placements (hashed =
  *    the paper's order-blind DGAS; blocked + interleave off = the
@@ -19,7 +19,7 @@
  * The modeled half has a ctest twin: island and RCM order must both
  * cut the blocked remote-access fraction below shuffle's
  * (DgasAblation.BlockedPlacementRewardsIslandizedOrder). The host
- * GF/s columns are wall-clock and gated nowhere.
+ * GF/s column is wall-clock and gated nowhere.
  *
  * Runs on the shared sweep driver (--jobs N / --checkpoint= /
  * --resume / --sweep-json=). --model-only skips the host wall-clock
@@ -34,7 +34,6 @@
 #include "graph/graph_stats.hpp"
 #include "graph/reorder.hpp"
 #include "kernels/spmm.hpp"
-#include "kernels/tiled_spmm.hpp"
 #include "parallel/thread_pool.hpp"
 #include "piuma/spmm_programs.hpp"
 #include "tensor/dense_matrix.hpp"
@@ -45,7 +44,7 @@ namespace {
 
 constexpr unsigned kHostDim = 128; ///< host kernel feature width
 constexpr unsigned kSimDim = 32;   ///< DES feature width (cheaper)
-constexpr double kTileBudget = 2.0 * 1024 * 1024; ///< tiled-SpMM LLC share
+constexpr double kTileBudget = 2.0 * 1024 * 1024; ///< LLC share per island
 
 /** One reordered view of a proxy graph, built once on the caller. */
 struct OrderedGraph
@@ -148,8 +147,8 @@ benchMain(int argc, char **argv)
         graph::ReorderPass pass;
         size_t idx;
     };
-    std::vector<std::vector<PointRef>> hostTiled(cases.size()),
-        hostNnz(cases.size()), locality(cases.size()),
+    std::vector<std::vector<PointRef>> hostNnz(cases.size()),
+        locality(cases.size()),
         simHashed(cases.size()), simBlocked(cases.size());
 
     for (size_t g = 0; g < cases.size(); ++g) {
@@ -158,55 +157,29 @@ benchMain(int argc, char **argv)
             const std::string order = graph::reorderPassName(view.pass);
 
             if (!model_only) {
-                // Host kernels, single-threaded for stable CI numbers:
-                // the gate compares orderings, not thread scaling.
-                for (const char *kernel : {"tiled", "nnz"}) {
-                    const bool tiled = std::string(kernel) == "tiled";
-                    const std::string key = "host/" + c.name +
-                                            "/order=" + order +
-                                            "/kernel=" + kernel;
-                    const size_t idx = driver.add(
-                        key,
-                        [&view, tiled](const parallel::SweepContext &) {
-                            const graph::Csr &a = view.csr;
-                            parallel::ThreadPool pool(1);
-                            tensor::DenseMatrix h(a.numVertices(),
-                                                  kHostDim);
-                            h.fillRandom(99);
-                            tensor::DenseMatrix out;
-                            double secs = 0.0;
-                            if (tiled) {
-                                const bool island =
-                                    view.pass ==
-                                    graph::ReorderPass::Island;
-                                const kernels::TiledSpmm op =
-                                    island
-                                        ? kernels::TiledSpmm(
-                                              a, kHostDim,
-                                              view.boundaries)
-                                        : kernels::TiledSpmm(
-                                              a, kHostDim,
-                                              kTileBudget);
-                                secs = bestSeconds([&] {
-                                    op.apply(h, out, pool);
-                                });
-                            } else {
-                                secs = bestSeconds([&] {
-                                    kernels::spmmNnzBalanced(
-                                        a, h, out, pool,
-                                        view.boundaries);
-                                });
-                            }
-                            const double flop =
-                                2.0 * static_cast<double>(a.numEdges()) *
-                                kHostDim;
-                            return JsonlCheckpoint::Values{
-                                {"gflops", flop / secs / 1e9},
-                                {"seconds", secs}};
+                // Host kernel, single-threaded for stable numbers: the
+                // column compares orderings, not thread scaling.
+                const std::string key = "host/" + c.name + "/order=" +
+                                        order + "/kernel=nnz";
+                const size_t idx = driver.add(
+                    key, [&view](const parallel::SweepContext &) {
+                        const graph::Csr &a = view.csr;
+                        parallel::ThreadPool pool(1);
+                        tensor::DenseMatrix h(a.numVertices(), kHostDim);
+                        h.fillRandom(99);
+                        tensor::DenseMatrix out;
+                        const double secs = bestSeconds([&] {
+                            kernels::spmmNnzBalanced(a, h, out, pool,
+                                                     view.boundaries);
                         });
-                    (tiled ? hostTiled : hostNnz)[g].push_back(
-                        PointRef{g, view.pass, idx});
-                }
+                        const double flop =
+                            2.0 * static_cast<double>(a.numEdges()) *
+                            kHostDim;
+                        return JsonlCheckpoint::Values{
+                            {"gflops", flop / secs / 1e9},
+                            {"seconds", secs}};
+                    });
+                hostNnz[g].push_back(PointRef{g, view.pass, idx});
             }
 
             // Locality metrics (order-dependent, cheap, deterministic).
@@ -270,7 +243,7 @@ benchMain(int argc, char **argv)
     driver.run();
 
     Table table("Reordering: host kernels and modeled locality",
-                {"graph", "order", "tiled GF/s", "nnz GF/s",
+                {"graph", "order", "nnz GF/s",
                  "nbr dist", "tile WS", "conduct",
                  "remote% hash", "remote% blk", "slice skew blk"});
     for (size_t g = 0; g < cases.size(); ++g) {
@@ -286,7 +259,6 @@ benchMain(int argc, char **argv)
             table.row()
                 .cell(cases[g].name)
                 .cell(graph::reorderPassName(pass))
-                .cell(value(hostTiled[g], "gflops"), 2)
                 .cell(value(hostNnz[g], "gflops"), 2)
                 .cell(value(locality[g], "avg_neighbor_distance"), 0)
                 .cell(value(locality[g], "avg_tile_working_set"), 0)

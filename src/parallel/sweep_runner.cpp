@@ -3,38 +3,14 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "parallel/thread_pool.hpp"
-#include "sim/diagnostics.hpp"
 
 namespace pgcn::parallel {
-
-namespace {
-
-/**
- * Would re-running the same point plausibly succeed? Host I/O errors
- * (a full disk, a flaky filesystem) and wall-clock budget breaches (a
- * loaded machine) are environmental; everything else — config/shape
- * errors, unrecoverable injected faults, deterministic event/sim-time
- * budget breaches — fails identically on every attempt.
- */
-bool
-isTransient(const Error &e)
-{
-    if (dynamic_cast<const IoError *>(&e) != nullptr)
-        return true;
-    if (const auto *lim = dynamic_cast<const sim::SimLimitError *>(&e))
-        return std::string_view(lim->what()).find("wall-clock") !=
-               std::string_view::npos;
-    return false;
-}
-
-} // namespace
 
 SweepRunner::SweepRunner(SweepOptions options) : options_(options)
 {
@@ -138,7 +114,6 @@ SweepRunner::run(JsonlCheckpoint &ckpt)
                     // why they classify as permanent.
                     std::optional<sim::FaultInjector> faults;
                     sim::SimControls controls;
-                    controls.limits = options_.limits;
                     controls.domains = options_.domains;
                     controls.domainMode =
                         options_.domains == 1   ? sim::DomainMode::Sequenced
@@ -158,7 +133,12 @@ SweepRunner::run(JsonlCheckpoint &ckpt)
                         out.results[i] = std::move(values);
                         break;
                     } catch (const Error &e) {
-                        if (isTransient(e) && attempt + 1 < attempts) {
+                        // A host I/O error (a full disk, a flaky
+                        // filesystem) is environmental; everything else
+                        // fails identically on every attempt.
+                        const bool transient =
+                            dynamic_cast<const IoError *>(&e) != nullptr;
+                        if (transient && attempt + 1 < attempts) {
                             warn("sweep point '" + points_[i].key +
                                  "' failed transiently (attempt " +
                                  std::to_string(attempt + 1) + "/" +
@@ -178,7 +158,7 @@ SweepRunner::run(JsonlCheckpoint &ckpt)
                             dynamic_cast<const ConfigError *>(&e) !=
                             nullptr;
                         point_errors[i] = e.what();
-                        if (isTransient(e)) {
+                        if (transient) {
                             // Environmental failure: do not poison the
                             // checkpoint, a later resume may succeed.
                             writer.skip(i);

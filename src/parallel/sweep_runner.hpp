@@ -22,10 +22,10 @@
  *    after the pool drains, in submission order — one diverging point
  *    neither poisons its siblings nor stalls the pool;
  *  - failures self-heal where that can help: transient errors (host
- *    I/O, wall-clock budget breaches) get bounded in-process retries
- *    with exponential backoff, while permanent ones (config errors,
- *    unrecoverable injected faults) are quarantined into the
- *    checkpoint so a --resume run never re-executes a poisoned point.
+ *    I/O) get bounded in-process retries with exponential backoff,
+ *    while permanent ones (config errors, unrecoverable injected
+ *    faults) are quarantined into the checkpoint so a --resume run
+ *    never re-executes a poisoned point.
  *
  * The result: `--jobs 8` and `--jobs 1` produce byte-identical
  * checkpoint and consolidated-JSON files, differing only in wall
@@ -73,13 +73,11 @@ struct SweepOptions
     /// seeded `faults->seed + pointIndex` so results do not depend on
     /// worker assignment. Disabled when unset.
     std::optional<sim::FaultConfig> faults;
-    /// Watchdog budgets applied to every point (zeros = unlimited).
-    sim::Engine::RunLimits limits{};
     /// Self-healing: in-process attempts per point for *transient*
-    /// failures (host I/O errors, wall-clock budget breaches). 1 =
-    /// fail fast. Permanent failures (config errors, unrecoverable
-    /// injected faults, deterministic budget breaches) never retry —
-    /// they would fail identically — and are quarantined instead.
+    /// failures (host I/O errors). 1 = fail fast. Permanent failures
+    /// (config errors, unrecoverable injected faults, budget breaches)
+    /// never retry — they would fail identically — and are quarantined
+    /// instead.
     unsigned pointAttempts = 3;
     /// Host-side exponential backoff base between transient retries.
     double retryBackoffSeconds = 0.1;
