@@ -4,9 +4,9 @@
  * sweep-model construction, and the one command line every sweep bench
  * takes. A bench prints its tables and a simulator-throughput line to
  * stdout, and writes only the files its flags name:
- *  - telemetry: --trace=<path>, --metrics=<path>, --trace-detail (a
- *    Perfetto-loadable trace and a CSV of final counter values and
- *    histogram summaries);
+ *  - telemetry: --trace=<path>, --metrics=<path> (a Perfetto-loadable
+ *    trace of one span per simulated kernel run and a CSV of final
+ *    counter values, both recorded from each run's returned stats);
  *  - sweep robustness: --checkpoint=<jsonl>, --resume,
  *    --sweep-json=<path> (a killed sweep recomputes only the missing
  *    points; the sweep JSON is the bench's one machine-readable
@@ -57,8 +57,7 @@ struct BenchArgs
 {
     std::string benchName;   ///< basename of argv[0] (checkpoint stamp)
     std::string tracePath;   ///< --trace=: Chrome-trace JSON
-    std::string metricsPath; ///< --metrics=: counter/histogram CSV
-    bool traceDetail = false; ///< --trace-detail: per-descriptor spans
+    std::string metricsPath; ///< --metrics=: final-counter CSV
     std::string checkpointPath; ///< --checkpoint=: sweep JSONL file
     bool resume = false; ///< --resume: reuse completed checkpoint points
     std::string sweepJsonPath;  ///< --sweep-json=: consolidated sweep JSON
@@ -240,7 +239,7 @@ struct LocalFlag
  * analytic models only has nothing for them to act on.
  */
 inline constexpr const char *kSimFlags[] = {
-    "--trace=", "--metrics=", "--trace-detail", "--faults=", "--domains"};
+    "--trace=", "--metrics=", "--faults=", "--domains"};
 
 /**
  * Parse the shared flags plus the bench's own @p local ones.
@@ -278,8 +277,6 @@ parseBenchArgs(int argc, char **argv,
             args.tracePath = arg.substr(8);
         } else if (arg.rfind("--metrics=", 0) == 0) {
             args.metricsPath = arg.substr(10);
-        } else if (arg == "--trace-detail") {
-            args.traceDetail = true;
         } else if (arg.rfind("--checkpoint=", 0) == 0) {
             args.checkpointPath = arg.substr(13);
         } else if (arg == "--resume") {
@@ -319,9 +316,6 @@ parseBenchArgs(int argc, char **argv,
         PGCN_THROW(ConfigError, "--resume needs --checkpoint=");
     if (args.checkpointPath.empty() && !args.sweepJsonPath.empty())
         PGCN_THROW(ConfigError, "--sweep-json= needs --checkpoint=");
-    // Per-descriptor spans land only in the trace.
-    if (args.traceDetail && args.tracePath.empty())
-        PGCN_THROW(ConfigError, "--trace-detail needs --trace=");
     return args;
 }
 
@@ -421,16 +415,14 @@ runFixedBenchMain(int argc, char **argv, Fn &&body)
 
 /**
  * A telemetry session per the parsed flags, or null when none was
- * requested (the null pointer keeps every simulation hook disabled).
+ * requested (a null session records nothing).
  */
 inline std::unique_ptr<telemetry::Session>
 makeSession(const BenchArgs &args)
 {
     if (!args.telemetryRequested())
         return nullptr;
-    telemetry::Session::Options opt;
-    opt.detailedTrace = args.traceDetail;
-    return std::make_unique<telemetry::Session>(opt);
+    return std::make_unique<telemetry::Session>();
 }
 
 /** Write the session's requested outputs (trace JSON, metrics CSV). */
@@ -675,7 +667,6 @@ class SweepDriver
         parallel::SweepOptions opt;
         opt.jobs = args.jobs;
         opt.telemetry = args.telemetryRequested();
-        opt.sessionOptions.detailedTrace = args.traceDetail;
         opt.faults = args.faults;
         opt.domains = args.domains;
         return opt;

@@ -136,7 +136,8 @@ BM_SpmmVertexParallel(benchmark::State &state)
 BENCHMARK(BM_SpmmVertexParallel)
     ->Args({12, 32})
     ->Args({14, 32})
-    ->Args({14, 128});
+    ->Args({14, 128})
+    ->UseRealTime();
 
 void
 BM_SpmmEdgeParallel(benchmark::State &state)
@@ -153,7 +154,10 @@ BM_SpmmEdgeParallel(benchmark::State &state)
     }
     setSpmmCounters(state, csr, k);
 }
-BENCHMARK(BM_SpmmEdgeParallel)->Args({12, 32})->Args({14, 32});
+BENCHMARK(BM_SpmmEdgeParallel)
+    ->Args({12, 32})
+    ->Args({14, 32})
+    ->UseRealTime();
 
 void
 BM_SpmmNnzBalanced(benchmark::State &state)
@@ -173,7 +177,8 @@ BM_SpmmNnzBalanced(benchmark::State &state)
 BENCHMARK(BM_SpmmNnzBalanced)
     ->Args({12, 32})
     ->Args({14, 32})
-    ->Args({14, 128});
+    ->Args({14, 128})
+    ->UseRealTime();
 
 void
 setGemmCounters(benchmark::State &state, uint64_t n)

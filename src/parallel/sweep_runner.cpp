@@ -79,8 +79,7 @@ SweepRunner::run(JsonlCheckpoint &ckpt)
     if (options_.telemetry) {
         sessions_.reserve(num_workers);
         for (unsigned w = 0; w < num_workers; ++w)
-            sessions_.push_back(std::make_unique<telemetry::Session>(
-                options_.sessionOptions));
+            sessions_.push_back(std::make_unique<telemetry::Session>());
     }
 
     // Dynamic chunk-1 scheduling: sweep points differ wildly in cost

@@ -67,8 +67,6 @@ struct SweepOptions
     unsigned jobs = 1;
     /// Give each worker its own telemetry Session.
     bool telemetry = false;
-    /// Options for the per-worker sessions (when telemetry is on).
-    telemetry::Session::Options sessionOptions{};
     /// Base fault configuration; each point runs with a fresh injector
     /// seeded `faults->seed + pointIndex` so results do not depend on
     /// worker assignment. Disabled when unset.

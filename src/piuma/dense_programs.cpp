@@ -87,10 +87,6 @@ simulateDenseMm(uint64_t num_vertices, uint64_t k_in, uint64_t k_out,
     Machine m(cfg, sim::DomainSet::Options{}, controls);
     if (controls != nullptr && controls->monitor != nullptr)
         m.attachMonitor(*controls->monitor);
-    if (session != nullptr) {
-        m.attachSession(*session, "dense/k_in=" + std::to_string(k_in) +
-                                      "/k_out=" + std::to_string(k_out));
-    }
 
     const unsigned total_threads = cfg.totalThreads();
     for (unsigned tid = 0; tid < total_threads; ++tid) {
@@ -116,13 +112,22 @@ simulateDenseMm(uint64_t num_vertices, uint64_t k_in, uint64_t k_out,
     m.fillRecoveryStats(stats);
     m.fillHostStats(stats);
 
-    if (session != nullptr) {
-        telemetry::Registry &reg = session->registry();
-        reg.counter("piuma.dense.makespan_ns").add(stats.makespanNs);
-        reg.counter("piuma.dense.flop").add(stats.flop);
-        m.endSession(*session, makespan);
-    }
+    if (session != nullptr)
+        recordRun(*session, stats, k_in, k_out);
     return stats;
+}
+
+void
+recordRun(telemetry::Session &session, const DenseRunStats &stats,
+          uint64_t k_in, uint64_t k_out)
+{
+    session.beginKernel("dense/k_in=" + std::to_string(k_in) +
+                        "/k_out=" + std::to_string(k_out));
+    telemetry::Registry &reg = session.registry();
+    reg.counter("piuma.dense.makespan_ns").add(stats.makespanNs);
+    reg.counter("piuma.dense.flop").add(stats.flop);
+    reg.counter("sim.events").add(static_cast<double>(stats.simEvents));
+    session.endKernel(stats.makespanNs);
 }
 
 } // namespace pgcn::piuma

@@ -58,8 +58,8 @@ struct DenseRunStats
  * @param k_in Input feature dimension.
  * @param k_out Output feature dimension.
  * @param cfg PIUMA system description.
- * @param session Optional telemetry sink (kernel span, counters and
- *        histograms); null disables all recording.
+ * @param session Optional telemetry sink: once the run has returned,
+ *        recordRun() records it there; null records nothing.
  * @param controls Optional robustness controls (fault injector,
  *        Engine::RunLimits and monitor hub), as for simulateSpmm.
  *        Null means no perturbation and no limits, bit-identical to
@@ -76,6 +76,15 @@ DenseRunStats simulateDenseMm(uint64_t num_vertices, uint64_t k_in,
                               uint64_t k_out, const PiumaConfig &cfg,
                               telemetry::Session *session = nullptr,
                               const sim::SimControls *controls = nullptr);
+
+/**
+ * Record a returned dense run into @p session: a kernel span
+ * "dense/k_in=<k_in>/k_out=<k_out>" of @p stats' makespan on the
+ * session's clock, and the piuma.dense.* and sim.events counters
+ * taken from @p stats.
+ */
+void recordRun(telemetry::Session &session, const DenseRunStats &stats,
+               uint64_t k_in, uint64_t k_out);
 
 } // namespace pgcn::piuma
 

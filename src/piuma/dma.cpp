@@ -4,31 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
-
 namespace pgcn::piuma {
-
-void
-DmaEngine::attachTelemetry(telemetry::Session *session)
-{
-    if (session == nullptr)
-        return;
-    session_ = session;
-    telemetry::Registry &reg = session->registry();
-    tlmDescriptors_ = &reg.counter("piuma.dma.descriptors");
-    tlmBusyNs_ = &reg.counter("piuma.dma.busy_ns");
-    // enqueue-to-retire per descriptor: dispatch overhead + window
-    // wait + bandwidth service; long tails flag queueing collapse.
-    tlmDescNs_ = &reg.histogram("piuma.dma.descriptor_ns",
-                                0.0, 500.0, 100);
-    detailedTrace_ = session->detailedTrace();
-    if (detailedTrace_) {
-        const uint32_t tid = telemetry::tracks::kDmaBase + core_;
-        session->trace().setThreadName(
-            tid, "core" + std::to_string(core_) + ".dma");
-        spanName_ = session->trace().intern("dma.descriptor");
-    }
-}
 
 void
 DmaEngine::noteFault(const std::string &detail, sim::SimTime when)
@@ -150,18 +126,6 @@ DmaEngine::run()
         stats_.busyNs += engine_.now() - started;
         if (monitor_ != nullptr) [[unlikely]]
             monitor_->addSpan(started, engine_.now());
-        if (session_ != nullptr) [[unlikely]] {
-            const sim::SimTime now = engine_.now();
-            tlmDescriptors_->increment();
-            tlmBusyNs_->add(now - started);
-            tlmDescNs_->add(now - started);
-            if (detailedTrace_) {
-                const double off = session_->runOffsetNs();
-                const uint32_t tid = telemetry::tracks::kDmaBase + core_;
-                session_->trace().begin(off + started, spanName_, tid);
-                session_->trace().end(off + now, spanName_, tid);
-            }
-        }
     }
 
     // Drain: the engine is not finished until its last transfers

@@ -26,7 +26,6 @@
 
 #include "piuma/memory.hpp"
 #include "sim/queue.hpp"
-#include "telemetry/session.hpp"
 
 namespace pgcn::piuma {
 
@@ -99,15 +98,6 @@ class DmaEngine
     const DmaStats &stats() const { return stats_; }
 
     /**
-     * Start recording into @p session: shared
-     * piuma.dma.{descriptors,busy_ns} counters, a
-     * per-descriptor latency histogram, and — when the session asks
-     * for a detailed trace — one span per descriptor on this core's
-     * trace track. Null (or never calling) leaves run() untouched.
-     */
-    void attachTelemetry(telemetry::Session *session);
-
-    /**
      * Attach a fault injector perturbing the per-descriptor dispatch
      * overhead and, when a DMA drop rate is configured, failing
      * descriptors that the engine then re-issues under the modeled
@@ -157,13 +147,6 @@ class DmaEngine
     unsigned core_;
     sim::BoundedQueue<DmaDescriptor> queue_;
     DmaStats stats_;
-    // Telemetry sinks; null keeps run() free of recording entirely.
-    telemetry::Session *session_ = nullptr;
-    telemetry::Counter *tlmDescriptors_ = nullptr;
-    telemetry::Counter *tlmBusyNs_ = nullptr;
-    Histogram *tlmDescNs_ = nullptr;
-    telemetry::TraceWriter::NameId spanName_ = 0;
-    bool detailedTrace_ = false;
     sim::Timeline *monitor_ = nullptr; ///< busy-span occupancy sink
     /// Forked per-engine fault stream; empty keeps the configured
     /// dispatch overhead and a fault-free descriptor stream.

@@ -80,9 +80,8 @@ simulateGcn(const graph::Csr &csr, const std::vector<GcnSimLayer> &layers,
     const GcnHostPlan plan =
         gcnHostPlan(cfg, n, MemorySystem::hostThreads());
     // Each SpMM layer runs on auto domains within the plan's cap: one
-    // per group of whole dies when that is legal, one engine otherwise
-    // or when a telemetry session is attached. The output is the same
-    // at any count.
+    // per group of whole dies when that is legal, one engine
+    // otherwise. The output is the same at any count.
     sim::SimControls layer_plan;
     layer_plan.domains = plan.layerDomains;
     layer_plan.domainMode = sim::DomainMode::Auto;
@@ -92,19 +91,23 @@ simulateGcn(const graph::Csr &csr, const std::vector<GcnSimLayer> &layers,
     result.spmmLayers.resize(n);
     auto layer = [&](size_t l) {
         result.denseLayers[l] = simulateDenseMm(
-            csr.numVertices(), layers[l].kIn, layers[l].kOut, cfg, session);
+            csr.numVertices(), layers[l].kIn, layers[l].kOut, cfg);
         result.spmmLayers[l] =
             simulateSpmm(csr, static_cast<unsigned>(layers[l].kOut), cfg,
-                         alg, session, &layer_plan);
+                         alg, nullptr, &layer_plan);
     };
-    // A session strings the layers onto one clock, so they stay in
-    // layer order on the calling thread.
-    runLayers(n, session != nullptr ? 1 : plan.workers, layer);
+    runLayers(n, plan.workers, layer);
 
-    // Reduce in layer order: the same sums as a layer-by-layer loop.
+    // Reduce and record in layer order: the same sums and the same
+    // trace as a layer-by-layer loop.
     for (size_t l = 0; l < n; ++l) {
         const DenseRunStats &dense = result.denseLayers[l];
         const SpmmRunStats &spmm = result.spmmLayers[l];
+        if (session != nullptr) {
+            recordRun(*session, dense, layers[l].kIn, layers[l].kOut);
+            recordRun(*session, spmm, alg,
+                      static_cast<unsigned>(layers[l].kOut));
+        }
         result.denseNs += dense.makespanNs;
         result.spmmNs += spmm.makespanNs;
         result.simEvents += dense.simEvents + spmm.simEvents;

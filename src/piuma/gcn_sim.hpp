@@ -82,8 +82,8 @@ GcnHostPlan gcnHostPlan(const PiumaConfig &cfg, size_t layers,
  * bulk-synchronous runtime schedules them; every kernel starts from
  * a fresh machine at t = 0 and the totals are sums over layers.
  *
- * Host order: with no session and at least two layers, the layers are
- * independent simulations, so gcnHostPlan(cfg, layers.size(),
+ * Host order: with at least two layers, the layers are independent
+ * simulations, so gcnHostPlan(cfg, layers.size(),
  * MemorySystem::hostThreads()) workers simulate them at the same time
  * (a layer's dense update, then its SpMM, on one worker) and the
  * results are reduced in layer order after every worker has joined.
@@ -98,10 +98,11 @@ GcnHostPlan gcnHostPlan(const PiumaConfig &cfg, size_t layers,
  *        core::GcnModelConfig::layerDims()).
  * @param cfg PIUMA system description.
  * @param alg SpMM implementation for the aggregation phase.
- * @param session Optional telemetry sink, passed through to every
- *        kernel run; the session's global clock strings the layers
- *        into one trace timeline. Attaching one runs the layers one
- *        after another on the calling thread, each on one engine.
+ * @param session Optional telemetry sink: after every layer has run,
+ *        each layer's dense and SpMM runs are recorded in layer order
+ *        (recordRun), so the session's clock strings them into one
+ *        trace timeline. It changes neither the host order nor the
+ *        domain plans.
  */
 GcnSimResult simulateGcn(const graph::Csr &csr,
                          const std::vector<GcnSimLayer> &layers,

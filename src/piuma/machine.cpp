@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "sim/diagnostics.hpp"
-#include "telemetry/session.hpp"
 
 namespace pgcn::piuma {
 
@@ -36,13 +35,6 @@ Machine::attachMonitor(sim::MonitorHub &hub)
     for (unsigned m = 0; m < static_cast<unsigned>(mtpIssue.size()); ++m)
         mtpIssue[m].attachMonitor(hub.issueTimeline(m / cfg.mtpsPerCore));
     memory.attachMonitor(&hub);
-}
-
-void
-Machine::attachSession(telemetry::Session &session, const std::string &kernel)
-{
-    session.beginKernel(kernel);
-    memory.attachTelemetry(&session);
 }
 
 void
@@ -102,14 +94,6 @@ Machine::fail(const std::string &site, sim::SimTime when_ns) const
     throw sim::SimFaultError(
         site, when_ns,
         faults != nullptr ? faults->config().maxRetries + 1 : 1);
-}
-
-void
-Machine::endSession(telemetry::Session &session, sim::SimTime makespan) const
-{
-    session.registry().counter("sim.events").add(
-        static_cast<double>(domains.eventsProcessed()));
-    session.endKernel(makespan);
 }
 
 } // namespace pgcn::piuma

@@ -26,10 +26,6 @@
 #include "sim/monitor.hpp"
 #include "sim/resource.hpp"
 
-namespace pgcn::telemetry {
-class Session;
-} // namespace pgcn::telemetry
-
 namespace pgcn::piuma {
 
 /**
@@ -103,13 +99,6 @@ struct Machine
 
     /// Mirror issue, slice and port occupancy onto @p hub.
     void attachMonitor(sim::MonitorHub &hub);
-
-    /**
-     * Open kernel span @p kernel on @p session and record the memory
-     * counters into it.
-     */
-    void attachSession(telemetry::Session &session,
-                       const std::string &kernel);
 
     /**
      * Draw the next thread's stuck-core hazard from the main injector
@@ -296,9 +285,6 @@ struct Machine
         s.recoveryNs = recovery + memory.postedRecoveryNs();
         s.goodputBytes = memory.bytesRead() + memory.bytesWritten();
     }
-
-    /// Publish sim.events and close the kernel span at @p makespan.
-    void endSession(telemetry::Session &session, sim::SimTime makespan) const;
 };
 
 } // namespace pgcn::piuma

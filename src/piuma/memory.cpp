@@ -4,8 +4,6 @@
 #include <string>
 #include <thread>
 
-#include "common/stats.hpp"
-#include "telemetry/session.hpp"
 
 namespace pgcn::piuma {
 
@@ -102,7 +100,7 @@ MemorySystem::autoDomainCount(const PiumaConfig &cfg, unsigned host_threads)
 
 sim::DomainSet::Options
 MemorySystem::domainPlan(const PiumaConfig &cfg,
-                         const sim::SimControls *controls, bool attached)
+                         const sim::SimControls *controls)
 {
     const sim::DomainMode want = controls != nullptr
                                      ? controls->domainMode
@@ -140,11 +138,11 @@ MemorySystem::domainPlan(const PiumaConfig &cfg,
     }
     if (domains == 1 || !(lookahead > 0.0))
         return one;
-    if (attached) {
+    if (controls->monitor != nullptr) {
         if (want == sim::DomainMode::Parallel)
             warn("--domains " + std::to_string(requested) +
-                 " runs on one domain: an attached telemetry session "
-                 "or monitor hub is single-threaded");
+                 " runs on one domain: an attached monitor hub is "
+                 "single-threaded");
         return one;
     }
     // +inf (a single core) never gets here: domains <= numCores.
@@ -367,8 +365,6 @@ MemorySystem::completeChunk(PendingAccess &pa, const MemoryAccess &chunk)
     PGCN_ASSERT(pa.remaining > 0, "response for a completed access");
     if (--pa.remaining != 0)
         return;
-    if (tlmLatency_ != nullptr) [[unlikely]]
-        noteLatency(pa);
     if (!pa.waiter)
         return;
     const std::coroutine_handle<> h = ParkedWaiters::unpark(pa);
@@ -418,39 +414,6 @@ MemorySystem::maxSliceUtilization(sim::SimTime end) const
     for (const auto &s : slices_)
         worst = std::max(worst, s.utilization(end));
     return worst;
-}
-
-void
-MemorySystem::attachTelemetry(telemetry::Session *session)
-{
-    if (session == nullptr)
-        return;
-    telemetry::Registry &reg = session->registry();
-    tlmReads_ = &reg.counter("piuma.mem.reads");
-    tlmWrites_ = &reg.counter("piuma.mem.writes");
-    tlmRemote_ = &reg.counter("piuma.mem.remote_accesses");
-    // Covers the uncongested case (DRAM latency + a network hop) up
-    // through heavy queueing; worse outliers land in the overflow bin
-    // and still shape p99 via interpolation against the observed max.
-    tlmLatency_ = &reg.histogram("piuma.mem.access_latency_ns",
-                                 0.0, 2000.0, 100);
-}
-
-void
-MemorySystem::noteIssue(telemetry::Counter &op, bool local)
-{
-    op.increment();
-    if (!local)
-        tlmRemote_->increment();
-}
-
-void
-MemorySystem::noteLatency(const PendingAccess &pa)
-{
-    // Histogrammed at completion: under the response-path protocol
-    // the latency isn't known at issue. Sessions force one domain,
-    // so this only ever runs single-threaded.
-    tlmLatency_->add(pa.acc.responseAt - pa.issuedAt);
 }
 
 double

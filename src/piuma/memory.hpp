@@ -57,14 +57,6 @@
 #include "sim/monitor.hpp"
 #include "sim/resource.hpp"
 
-namespace pgcn {
-class Histogram;
-namespace telemetry {
-class Counter;
-class Session;
-} // namespace telemetry
-} // namespace pgcn
-
 namespace pgcn::piuma {
 
 /** Timing outcome of one memory access. */
@@ -196,14 +188,13 @@ class MemorySystem
      * it throws ConfigError. Parallel and Auto expand the domains==0
      * sentinel via autoDomainCount(), clamp the count to the cores and
      * run on that many threads at the plan's modelLookaheadNs() —
-     * except that they fall back to one domain when @p attached (a
-     * telemetry session or monitor hub, both single-threaded) or when
-     * that bound is not positive. An explicit Parallel request with a
-     * non-positive bound throws ConfigError instead.
+     * except that they fall back to one domain when the controls carry
+     * a monitor hub (single-threaded) or when that bound is not
+     * positive. An explicit Parallel request with a non-positive bound
+     * throws ConfigError instead.
      */
     static sim::DomainSet::Options
-    domainPlan(const PiumaConfig &cfg, const sim::SimControls *controls,
-               bool attached);
+    domainPlan(const PiumaConfig &cfg, const sim::SimControls *controls);
 
     /** Domain owning core/slice @p entity under this set's count. */
     unsigned
@@ -238,25 +229,8 @@ class MemorySystem
     {
         beginAccess(requester_core, pa);
         issueShards_[requester_core].bytesRead += bytes;
-        if (tlmReads_ != nullptr) [[unlikely]]
-            noteIssue(*tlmReads_, requester_core == slice);
         issueChunk(requester_core, slice, bytes, bytes / sliceRate_,
                    bytes / portRate_, pipelined, &pa);
-        finishIfDone(pa);
-    }
-
-    /** Write counterpart of readAsync(); see it for the contract. */
-    void
-    writeAsync(unsigned requester_core, unsigned slice, double bytes,
-               bool pipelined, PendingAccess &pa)
-    {
-        beginAccess(requester_core, pa);
-        issueShards_[requester_core].bytesWritten += bytes;
-        if (tlmWrites_ != nullptr) [[unlikely]]
-            noteIssue(*tlmWrites_, requester_core == slice);
-        issueChunk(requester_core, slice, bytes, bytes / sliceRate_,
-                   bytes / portRate_, pipelined, &pa);
-        finishIfDone(pa);
     }
 
     /**
@@ -272,23 +246,17 @@ class MemorySystem
     {
         beginAccess(requester_core, pa);
         issueShards_[requester_core].bytesRead += bytes;
-        if (tlmReads_ != nullptr) [[unlikely]]
-            noteIssue(*tlmReads_, requester_core == start_slice);
         issueStriped(requester_core, start_slice, bytes, pipelined, &pa);
-        finishIfDone(pa);
     }
 
-    /** Striped counterpart of writeAsync(); see readStripedAsync(). */
+    /** Write counterpart of readStripedAsync(). */
     void
     writeStripedAsync(unsigned requester_core, unsigned start_slice,
                       double bytes, bool pipelined, PendingAccess &pa)
     {
         beginAccess(requester_core, pa);
         issueShards_[requester_core].bytesWritten += bytes;
-        if (tlmWrites_ != nullptr) [[unlikely]]
-            noteIssue(*tlmWrites_, requester_core == start_slice);
         issueStriped(requester_core, start_slice, bytes, pipelined, &pa);
-        finishIfDone(pa);
     }
 
     /**
@@ -304,8 +272,6 @@ class MemorySystem
                        double bytes, bool pipelined = false)
     {
         issueShards_[requester_core].bytesWritten += bytes;
-        if (tlmWrites_ != nullptr) [[unlikely]]
-            noteIssue(*tlmWrites_, requester_core == start_slice);
         issueStriped(requester_core, start_slice, bytes, pipelined,
                      nullptr);
     }
@@ -361,8 +327,6 @@ class MemorySystem
         unsigned slice;
         double bytes;
         bool pipelined;
-        bool striped;
-        bool isRead;
         PendingAccess pa{};
 
         // Unqualified (not &&-only): `co_await mem.read(...)`
@@ -372,16 +336,7 @@ class MemorySystem
         auto
         operator co_await()
         {
-            if (striped) {
-                isRead ? mem.readStripedAsync(core, slice, bytes,
-                                              pipelined, pa)
-                       : mem.writeStripedAsync(core, slice, bytes,
-                                               pipelined, pa);
-            } else {
-                isRead ? mem.readAsync(core, slice, bytes, pipelined, pa)
-                       : mem.writeAsync(core, slice, bytes, pipelined,
-                                        pa);
-            }
+            mem.readAsync(core, slice, bytes, pipelined, pa);
             return mem.await(pa);
         }
     };
@@ -391,37 +346,8 @@ class MemorySystem
     read(unsigned requester_core, unsigned slice, double bytes,
          bool pipelined = false)
     {
-        return AccessRequest{*this,     requester_core, slice, bytes,
-                             pipelined, false,          true};
-    }
-
-    /** Awaited write; posted writes use writeStripedPosted(). */
-    AccessRequest
-    write(unsigned requester_core, unsigned slice, double bytes,
-          bool pipelined = false)
-    {
-        return AccessRequest{*this,     requester_core, slice, bytes,
-                             pipelined, false,          false};
-    }
-
-    /** Striped read sugar; see readStripedAsync(). */
-    AccessRequest
-    readStriped(unsigned requester_core, unsigned start_slice,
-                double bytes, bool pipelined = false)
-    {
-        return AccessRequest{*this,     requester_core, start_slice,
-                             bytes,     pipelined,      true,
-                             true};
-    }
-
-    /** Striped awaited write sugar; see writeStripedAsync(). */
-    AccessRequest
-    writeStriped(unsigned requester_core, unsigned start_slice,
-                 double bytes, bool pipelined = false)
-    {
-        return AccessRequest{*this,     requester_core, start_slice,
-                             bytes,     pipelined,      true,
-                             false};
+        return AccessRequest{*this, requester_core, slice, bytes,
+                             pipelined};
     }
 
     /** Total bytes read across all slices. */
@@ -445,7 +371,7 @@ class MemorySystem
     }
 
     /**
-     * Slice transactions issued so far (always on, unlike telemetry).
+     * Slice transactions issued so far.
      * Striped objects count one transaction per 8-byte-interleave
      * chunk, so the remote fraction reflects where the bytes actually
      * went, not where the object nominally started.
@@ -598,15 +524,6 @@ class MemorySystem
      * when the paper's "network is not the bottleneck" claim holds.
      */
     double averageNetworkUtilization(sim::SimTime end) const;
-
-    /**
-     * Start recording into @p session: piuma.mem.{reads,writes,
-     * remote_accesses} counters and a piuma.mem.access_latency_ns
-     * histogram. Pass null (or never call) to leave the hot path
-     * untouched. Sessions are single-threaded: entry points run one
-     * domain whenever one is attached (see domainPlan()).
-     */
-    void attachTelemetry(telemetry::Session *session);
 
     /**
      * Mirror every slice-controller and network-port reservation onto
@@ -799,9 +716,6 @@ class MemorySystem
         pa.issuedAt = engineOf(core).now();
     }
 
-    /** Cold path: count one access into the attached registry. */
-    void noteIssue(telemetry::Counter &op, bool local);
-
     /** Striped fan-out (or a single chunk when interleave is off). */
     void
     issueStriped(unsigned requester_core, unsigned start_slice,
@@ -890,19 +804,6 @@ class MemorySystem
         into.failed = into.failed || chunk.failed;
     }
 
-    /** Access fully resolved at issue (all chunks local & clean). */
-    void
-    finishIfDone(PendingAccess &pa)
-    {
-        if (pa.remaining != 0)
-            return;
-        if (tlmLatency_ != nullptr) [[unlikely]]
-            noteLatency(pa);
-    }
-
-    /** Cold path: histogram the completed access's latency. */
-    void noteLatency(const PendingAccess &pa);
-
     sim::DomainSet &domains_;
     const PiumaConfig &cfg_;
     unsigned numCores_;
@@ -917,12 +818,6 @@ class MemorySystem
     double portRate_ = 1.0;       ///< cached netPortBandwidthGBps
     std::vector<IssueShard> issueShards_; ///< per requester core
     std::vector<SliceShard> sliceShards_; ///< per slice
-    // Telemetry sinks; null (the default) keeps the issue hot path
-    // to one predictable branch per wrapper.
-    telemetry::Counter *tlmReads_ = nullptr;
-    telemetry::Counter *tlmWrites_ = nullptr;
-    telemetry::Counter *tlmRemote_ = nullptr;
-    Histogram *tlmLatency_ = nullptr;
     /// Fault injector (fork source only); null keeps timings exact.
     sim::FaultInjector *faults_ = nullptr;
     /// Per-requester-core request-hop jitter streams.

@@ -321,30 +321,6 @@ spmmThreadProc(SpmmRun &run, unsigned tid, bool stuck)
     }
 }
 
-/** Publish the run's final aggregates as registry counters. */
-void
-publishRunCounters(const SpmmRunStats &stats, telemetry::Registry &reg)
-{
-    reg.counter("piuma.spmm.makespan_ns").add(stats.makespanNs);
-    reg.counter("piuma.spmm.flop").add(stats.flop);
-    reg.counter("piuma.spmm.bytes_read").add(stats.bytesRead);
-    reg.counter("piuma.spmm.bytes_written").add(stats.bytesWritten);
-    reg.counter("piuma.spmm.nnz_reads")
-        .add(static_cast<double>(stats.nnzReads));
-    reg.counter("piuma.spmm.stall.nnz_ns").add(stats.nnzStallNs);
-    reg.counter("piuma.spmm.stall.row_offset_ns")
-        .add(stats.rowOffsetStallNs);
-    reg.counter("piuma.spmm.stall.feature_ns").add(stats.featureStallNs);
-    reg.counter("piuma.spmm.stall.dma_queue_ns")
-        .add(stats.dmaQueueStallNs);
-    reg.counter("piuma.spmm.issue_ns").add(stats.issueNs);
-    // Stall-attribution taxonomy + critical path (PR 7 observability).
-    reg.counter("piuma.spmm.stall.memory_ns").add(stats.stallMemoryNs);
-    reg.counter("piuma.spmm.stall.network_ns").add(stats.stallNetworkNs);
-    reg.counter("sim.critical_path_events")
-        .add(static_cast<double>(stats.criticalPathEvents));
-}
-
 } // namespace
 
 SpmmRunStats
@@ -358,21 +334,13 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
     if (csr.numVertices() == 0)
         PGCN_THROW(ShapeError, "cannot simulate SpMM on an empty matrix");
 
-    // A telemetry session or monitor hub shares single-threaded
-    // geometry with the run; their presence keeps it on one domain
-    // (domainPlan warns when Parallel was explicit).
+    // A monitor hub shares single-threaded geometry with the run, so
+    // domainPlan keeps a monitored run on one domain.
     sim::MonitorHub *hub = controls != nullptr ? controls->monitor : nullptr;
     SpmmRun run(csr, embedding_dim, cfg,
-                MemorySystem::domainPlan(cfg, controls,
-                                         session != nullptr || hub != nullptr),
-                controls);
+                MemorySystem::domainPlan(cfg, controls), controls);
     if (hub != nullptr)
         run.attachMonitor(*hub);
-    if (session != nullptr) {
-        run.attachSession(*session, std::string("spmm/") +
-                                        spmmAlgorithmName(alg) + "/k=" +
-                                        std::to_string(embedding_dim));
-    }
 
     if (alg == SpmmAlgorithm::Dma) {
         run.dmaEngines.reserve(cfg.numCores);
@@ -383,8 +351,6 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
         // coroutine holds `this`, which must not move again.
         for (unsigned c = 0; c < cfg.numCores; ++c) {
             DmaEngine &engine = run.dmaEngines[c];
-            if (session != nullptr)
-                engine.attachTelemetry(session);
             if (run.faults != nullptr)
                 engine.setFaultInjector(run.faults);
             if (hub != nullptr)
@@ -487,11 +453,45 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
     stats.windows = run.domains.windows();
     stats.crossDomainPosts = run.domains.crossDomainPosts();
 
-    if (session != nullptr) {
-        publishRunCounters(stats, session->registry());
-        run.endSession(*session, makespan);
-    }
+    if (session != nullptr)
+        recordRun(*session, stats, alg, embedding_dim);
     return stats;
+}
+
+void
+recordRun(telemetry::Session &session, const SpmmRunStats &stats,
+          SpmmAlgorithm alg, unsigned embedding_dim)
+{
+    session.beginKernel(std::string("spmm/") + spmmAlgorithmName(alg) +
+                        "/k=" + std::to_string(embedding_dim));
+    telemetry::Registry &reg = session.registry();
+    reg.counter("piuma.spmm.makespan_ns").add(stats.makespanNs);
+    reg.counter("piuma.spmm.flop").add(stats.flop);
+    reg.counter("piuma.spmm.bytes_read").add(stats.bytesRead);
+    reg.counter("piuma.spmm.bytes_written").add(stats.bytesWritten);
+    reg.counter("piuma.spmm.mem_accesses")
+        .add(static_cast<double>(stats.memAccesses));
+    reg.counter("piuma.spmm.remote_accesses")
+        .add(static_cast<double>(stats.memRemoteAccesses));
+    reg.counter("piuma.spmm.nnz_reads")
+        .add(static_cast<double>(stats.nnzReads));
+    reg.counter("piuma.spmm.stall.nnz_ns").add(stats.nnzStallNs);
+    reg.counter("piuma.spmm.stall.row_offset_ns")
+        .add(stats.rowOffsetStallNs);
+    reg.counter("piuma.spmm.stall.feature_ns").add(stats.featureStallNs);
+    reg.counter("piuma.spmm.stall.dma_queue_ns")
+        .add(stats.dmaQueueStallNs);
+    reg.counter("piuma.spmm.issue_ns").add(stats.issueNs);
+    reg.counter("piuma.spmm.stall.memory_ns").add(stats.stallMemoryNs);
+    reg.counter("piuma.spmm.stall.network_ns").add(stats.stallNetworkNs);
+    if (alg == SpmmAlgorithm::Dma) {
+        reg.counter("piuma.dma.descriptors")
+            .add(static_cast<double>(stats.dmaDescriptors));
+    }
+    reg.counter("sim.critical_path_events")
+        .add(static_cast<double>(stats.criticalPathEvents));
+    reg.counter("sim.events").add(static_cast<double>(stats.simEvents));
+    session.endKernel(stats.makespanNs);
 }
 
 } // namespace pgcn::piuma

@@ -157,10 +157,9 @@ struct SpmmRunStats
  * @param embedding_dim K, the feature-vector length.
  * @param cfg PIUMA system description.
  * @param alg Which implementation to run.
- * @param session Optional telemetry sink: the run records a kernel
- *        span and hot-path counters/histograms into it. Null (the
- *        default) disables all recording and must not change the
- *        simulated result (the determinism tests pin this).
+ * @param session Optional telemetry sink: once the run has returned,
+ *        recordRun() records it there. Null (the default) records
+ *        nothing; either way the simulated result is the same.
  * @param controls Optional robustness controls: a seeded fault
  *        injector perturbing model timings and/or dropping
  *        transactions, descriptors, and threads (recovered under the
@@ -180,6 +179,16 @@ SpmmRunStats simulateSpmm(const graph::Csr &csr, unsigned embedding_dim,
                           const PiumaConfig &cfg, SpmmAlgorithm alg,
                           telemetry::Session *session = nullptr,
                           const sim::SimControls *controls = nullptr);
+
+/**
+ * Record a returned SpMM run into @p session: a kernel span
+ * "spmm/<alg>/k=<embedding_dim>" of @p stats' makespan on the
+ * session's clock, and counters (piuma.spmm.*, piuma.dma.descriptors
+ * for the DMA algorithm, sim.events, sim.critical_path_events) taken
+ * from @p stats, so they are the same at any domain count.
+ */
+void recordRun(telemetry::Session &session, const SpmmRunStats &stats,
+               SpmmAlgorithm alg, unsigned embedding_dim);
 
 /**
  * Classify what bounds further scaling of @p stats' run: a saturated

@@ -13,8 +13,8 @@
  * same seed and completely absent (identical event stream to the
  * unperturbed engine) when no injector is attached.
  *
- * The hooks follow the telemetry pattern: a null injector pointer
- * costs one predictable branch on the access path and nothing else.
+ * A null injector pointer costs one predictable branch on the access
+ * path and nothing else.
  */
 #ifndef PGCN_SIM_FAULT_HPP
 #define PGCN_SIM_FAULT_HPP
@@ -414,9 +414,8 @@ enum class DomainMode
     /// Requires the model's lookahead bound to be positive; results
     /// are bit-identical to Sequenced by the keyed-seq construction.
     Parallel,
-    /// Parallel when the lookahead bound is positive and no
-    /// single-threaded attachment (telemetry session / monitor hub)
-    /// is present; one engine otherwise.
+    /// Parallel when the lookahead bound is positive and no monitor
+    /// hub (single-threaded) is attached; one engine otherwise.
     Auto,
 };
 

@@ -24,9 +24,8 @@
  *    the spans up into occupancies and the latency-hiding
  *    effectiveness metric.
  *
- * Cost model: monitors follow the telemetry idiom — attach-based, a
- * null pointer plus one predictable branch on each hook when not
- * attached. They observe reservation spans that the model computes
+ * Cost model: monitors are attach-based — a null pointer plus one
+ * predictable branch on each hook when not attached. They observe reservation spans that the model computes
  * anyway and never schedule events, so an attached monitor cannot
  * perturb dispatch order: simulated results are bit-identical with
  * monitors on or off.
@@ -93,9 +92,8 @@ struct TimelineGeometry
 
 /**
  * One bucketed span accumulator: bins_[i] holds the busy nanoseconds
- * that fell inside [i*width, (i+1)*width). Not thread-safe — like the
- * telemetry Registry it belongs to exactly one (single-threaded)
- * simulation run.
+ * that fell inside [i*width, (i+1)*width). Not thread-safe: it
+ * belongs to exactly one (single-threaded) simulation run.
  */
 class Timeline
 {

@@ -92,8 +92,7 @@ class BandwidthResource
 
     /**
      * Mirror every reservation's busy span onto @p timeline (pass
-     * nullptr to detach). Follows the telemetry idiom: one predictable
-     * branch when unattached.
+     * nullptr to detach). One predictable branch when unattached.
      */
     void
     attachMonitor(Timeline *timeline)

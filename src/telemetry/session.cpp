@@ -24,9 +24,7 @@ csvRow(std::ostream &os, double t_ns, const std::string &metric, double value)
 
 } // namespace
 
-Session::Session() : Session(Options()) {}
-
-Session::Session(Options options) : options_(options)
+Session::Session()
 {
     trace_.setProcessName("pgcn-sim");
     trace_.setThreadName(tracks::kKernels, "kernels");

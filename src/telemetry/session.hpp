@@ -1,10 +1,11 @@
 /**
  * @file
  * A telemetry session: the registry + trace writer bundle a
- * bench binary (or test) owns for one invocation. Instrumented
- * simulation entry points accept `Session *` (null = telemetry off,
- * the default) and record into it; the owner writes the trace JSON
- * and metrics CSV when done.
+ * bench binary (or test) owns for one invocation. Simulation entry
+ * points accept `Session *` (null = telemetry off, the default) and,
+ * once a run has returned, record its kernel span and counters from
+ * the run's stats; the owner writes the trace JSON and metrics CSV
+ * when done.
  *
  * The session also runs the global clock: every kernel executes on a
  * fresh engine starting at t=0, and beginKernel()/endKernel()
@@ -26,8 +27,6 @@ namespace pgcn::telemetry {
 namespace tracks {
 /** The kernel-span track. */
 constexpr uint32_t kKernels = 0;
-/** Per-core DMA-engine tracks: kDmaBase + core. */
-constexpr uint32_t kDmaBase = 1000;
 /** Sweep-worker tid stride: worker w's tracks live at
  *  (w + 1) * kWorkerStride + original tid (see Session::mergeWorker). */
 constexpr uint32_t kWorkerStride = 1u << 16;
@@ -37,21 +36,7 @@ constexpr uint32_t kWorkerStride = 1u << 16;
 class Session
 {
   public:
-    /** Construction-time knobs. */
-    struct Options
-    {
-        /**
-         * Emit per-descriptor DMA spans. Invaluable in Perfetto for
-         * small runs, but O(descriptors) trace size — leave off for
-         * full sweeps.
-         */
-        bool detailedTrace = false;
-    };
-
-    /** Session with default options. */
     Session();
-
-    explicit Session(Options options);
 
     /** The metric registry. */
     Registry &registry() { return registry_; }
@@ -59,9 +44,6 @@ class Session
     /** The trace accumulator. */
     TraceWriter &trace() { return trace_; }
     const TraceWriter &trace() const { return trace_; }
-
-    /** Whether per-descriptor DMA spans were requested. */
-    bool detailedTrace() const { return options_.detailedTrace; }
 
     /**
      * Open a kernel span named @p name and return the global-time
@@ -100,7 +82,6 @@ class Session
     void writeMetricsCsv(const std::string &path) const;
 
   private:
-    Options options_;
     Registry registry_;
     TraceWriter trace_;
     double offsetNs_ = 0.0;

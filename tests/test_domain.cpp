@@ -201,7 +201,8 @@ TEST(DomainModeParallel, GoldenDmaSpmmAtFourDomains)
 
 // Telemetry counters — what --metrics= writes —
 // must agree name for name and bit for bit whatever domain count is
-// requested (an attached session keeps the run on one engine).
+// requested, and an attached session must not keep the run on one
+// engine.
 TEST(DomainSerial, TelemetryCountersIdentical)
 {
     const graph::Csr csr = goldenGraph(8, 2000, 99);
@@ -209,8 +210,9 @@ TEST(DomainSerial, TelemetryCountersIdentical)
     using Counters = std::vector<std::pair<std::string, double>>;
     const auto collect = [&](unsigned domains) {
         telemetry::Session session;
-        runSharded(csr, 16, cfg, SpmmAlgorithm::Dma, domains, nullptr,
-                   &session);
+        const SpmmRunStats stats = runSharded(
+            csr, 16, cfg, SpmmAlgorithm::Dma, domains, nullptr, &session);
+        EXPECT_EQ(stats.domains, std::min(domains, cfg.numCores));
         Counters out;
         session.registry().forEachCounter(
             [&out](const std::string &name,
@@ -448,8 +450,7 @@ TEST(DomainSequenced, BitIdenticalWithFaultsInjected)
 // simulateGcn runs its SpMM layers on auto domains within the host
 // plan's cap (gcnHostPlan). On a two-die machine each layer shards
 // when the plan leaves it two threads, and must equal the serial
-// simulateSpmm of the same layer; an attached telemetry session keeps
-// every layer on one engine.
+// simulateSpmm of the same layer, with or without a telemetry session.
 TEST(DomainModeParallel, SimulateGcnLayersMatchSerialOnAutoDomains)
 {
     const graph::Csr csr = goldenGraph(8, 2000, 99);
@@ -472,8 +473,13 @@ TEST(DomainModeParallel, SimulateGcnLayersMatchSerialOnAutoDomains)
     telemetry::Session session;
     const GcnSimResult traced =
         simulateGcn(csr, layers, cfg, SpmmAlgorithm::Dma, &session);
-    for (const SpmmRunStats &s : traced.spmmLayers)
-        EXPECT_EQ(s.domains, 1u);
+    ASSERT_EQ(traced.spmmLayers.size(), layers.size());
+    for (size_t i = 0; i < layers.size(); ++i) {
+        SCOPED_TRACE("traced layer " + std::to_string(i));
+        EXPECT_EQ(traced.spmmLayers[i].domains, plan.layerDomains);
+        expectStatsIdentical(gcn.spmmLayers[i], traced.spmmLayers[i],
+                             /*same_count=*/false);
+    }
 }
 
 // The host-thread budget: W = min(L, H) concurrent layers, each SpMM
@@ -782,7 +788,7 @@ TEST(DomainPlan, AutoCountKeepsTinyRunsSerial)
     controls.domains = 0;
     controls.domainMode = DomainMode::Auto;
     const DomainSet::Options plan =
-        MemorySystem::domainPlan(tiny, &controls, false);
+        MemorySystem::domainPlan(tiny, &controls);
     EXPECT_EQ(plan.domains, 1u);
 }
 
@@ -795,29 +801,31 @@ TEST(DomainPlan, AutoModeGoesParallelWhenLegal)
     controls.domainMode = DomainMode::Auto;
     // An explicit count is honoured; it splits the die, so the
     // windows are a same-die hop wide.
-    DomainSet::Options plan = MemorySystem::domainPlan(cfg, &controls, false);
+    DomainSet::Options plan = MemorySystem::domainPlan(cfg, &controls);
     EXPECT_EQ(plan.domains, 4u);
     EXPECT_DOUBLE_EQ(plan.lookaheadNs, cfg.netSameDieNs);
     // Two dies on two domains: a cross-die hop wide.
     PiumaConfig two_dies = cfg;
     two_dies.numCores = 16;
     controls.domains = 2;
-    plan = MemorySystem::domainPlan(two_dies, &controls, false);
+    plan = MemorySystem::domainPlan(two_dies, &controls);
     EXPECT_EQ(plan.domains, 2u);
     EXPECT_DOUBLE_EQ(plan.lookaheadNs, two_dies.netCrossDieNs);
     // The auto count is die-aligned whenever it shards at all.
     controls.domains = 0;
-    plan = MemorySystem::domainPlan(two_dies, &controls, false);
+    plan = MemorySystem::domainPlan(two_dies, &controls);
     EXPECT_EQ(plan.domains, MemorySystem::autoDomainCount(two_dies));
     if (plan.domains > 1) {
         EXPECT_DOUBLE_EQ(plan.lookaheadNs, two_dies.netCrossDieNs);
     }
-    // A single-threaded attachment (telemetry session, monitor hub)
-    // resolves to one domain without error, in either mode.
+    // A monitor hub (single-threaded) resolves to one domain without
+    // error, in either mode.
+    sim::MonitorHub hub;
+    controls.monitor = &hub;
     controls.domains = 4;
-    EXPECT_EQ(MemorySystem::domainPlan(cfg, &controls, true).domains, 1u);
+    EXPECT_EQ(MemorySystem::domainPlan(cfg, &controls).domains, 1u);
     controls.domainMode = DomainMode::Parallel;
-    EXPECT_EQ(MemorySystem::domainPlan(cfg, &controls, true).domains, 1u);
+    EXPECT_EQ(MemorySystem::domainPlan(cfg, &controls).domains, 1u);
 }
 
 /**
@@ -903,7 +911,7 @@ TEST(DomainPlan, SeededPlansMatchSerialAtTheLeastCrossingLatency)
         controls.domains = domains;
         controls.domainMode = DomainMode::Parallel;
         const DomainSet::Options plan =
-            MemorySystem::domainPlan(cfg, &controls, false);
+            MemorySystem::domainPlan(cfg, &controls);
         ASSERT_EQ(plan.domains, domains);
         EXPECT_DOUBLE_EQ(plan.lookaheadNs,
                          leastCrossingLatencyNs(cfg, domains, fc));
@@ -933,18 +941,18 @@ TEST(DomainPlan, SequencedIsOneEngine)
 {
     PiumaConfig cfg;
     cfg.numCores = 256;
-    EXPECT_EQ(MemorySystem::domainPlan(cfg, nullptr, false).domains, 1u);
+    EXPECT_EQ(MemorySystem::domainPlan(cfg, nullptr).domains, 1u);
     SimControls controls;
     controls.domainMode = DomainMode::Sequenced;
     for (const unsigned d : {0u, 1u}) {
         controls.domains = d;
-        EXPECT_EQ(MemorySystem::domainPlan(cfg, &controls, false).domains,
+        EXPECT_EQ(MemorySystem::domainPlan(cfg, &controls).domains,
                   1u);
     }
     // Asking for threads in the one-engine mode is a mistake to
     // report, not a request to quietly ignore.
     controls.domains = 4;
-    EXPECT_THROW(MemorySystem::domainPlan(cfg, &controls, false),
+    EXPECT_THROW(MemorySystem::domainPlan(cfg, &controls),
                  ConfigError);
 }
 
@@ -964,11 +972,11 @@ TEST(DomainPlan, ExplicitParallelThrowsWhenModelMakesItIllegal)
     controls.faults = &faults;
     controls.domains = 4;
     controls.domainMode = DomainMode::Parallel;
-    EXPECT_THROW(MemorySystem::domainPlan(cfg, &controls, false),
+    EXPECT_THROW(MemorySystem::domainPlan(cfg, &controls),
                  ConfigError);
     // Auto with the same config quietly falls back to one engine.
     controls.domainMode = DomainMode::Auto;
-    EXPECT_EQ(MemorySystem::domainPlan(cfg, &controls, false).domains, 1u);
+    EXPECT_EQ(MemorySystem::domainPlan(cfg, &controls).domains, 1u);
 }
 
 // ---------------------------------------------------------------------------
