@@ -38,6 +38,8 @@
  *             re-runs it.
  *   --no-monitors  run without the per-point sim::MonitorHub, so the
  *             lat.hide column reads "-" (A/B runs, overhead checks).
+ *             A hub shards with the run, so either way --domains
+ *             keeps its plan.
  *
  * Determinism: each point's injector is seeded base + pointIndex, so
  * a fixed (seed, config) is bit-reproducible across runs and --jobs

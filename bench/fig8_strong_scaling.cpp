@@ -19,8 +19,10 @@
  * threads; the checkpoint and consolidated JSON stay byte-identical
  * to a serial run, see bench::SweepDriver). --domains N splits each
  * simulated machine into per-node event domains on their own threads
- * (sim::DomainSet), again with byte-identical output — the CI smoke
- * `cmp`s the sweep JSON of --domains 4 against the serial engine.
+ * (sim::DomainSet), again with byte-identical output. The monitors
+ * shard with the run, so a monitored point keeps its domain plan: the
+ * CI smokes `cmp` the checkpoint, sweep JSON and --occupancy= CSV of
+ * --domains 4 and --domains auto against the serial engine.
  *
  * Every DES point runs with a sim::MonitorHub attached (disable with
  * --no-monitors), so the middle panel also reports, per core count:

@@ -30,11 +30,11 @@ Machine::attachMonitor(sim::MonitorHub &hub)
     // Monitors observe spans the model computes anyway and never
     // schedule events, so the simulated result stays bit-identical
     // (the determinism tests pin this).
-    hub.beginRun(cfg.numCores, cfg.mtpsPerCore);
+    hub.beginRun(cfg.numCores);
     monitor = &hub;
     for (unsigned m = 0; m < static_cast<unsigned>(mtpIssue.size()); ++m)
         mtpIssue[m].attachMonitor(hub.issueTimeline(m / cfg.mtpsPerCore));
-    memory.attachMonitor(&hub);
+    memory.attachMonitor(hub);
 }
 
 void

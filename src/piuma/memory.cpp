@@ -138,13 +138,6 @@ MemorySystem::domainPlan(const PiumaConfig &cfg,
     }
     if (domains == 1 || !(lookahead > 0.0))
         return one;
-    if (controls->monitor != nullptr) {
-        if (want == sim::DomainMode::Parallel)
-            warn("--domains " + std::to_string(requested) +
-                 " runs on one domain: an attached monitor hub is "
-                 "single-threaded");
-        return one;
-    }
     // +inf (a single core) never gets here: domains <= numCores.
     return {domains, lookahead};
 }

@@ -187,11 +187,10 @@ class MemorySystem
      * (and no controls) is one domain; an explicit `domains > 1` with
      * it throws ConfigError. Parallel and Auto expand the domains==0
      * sentinel via autoDomainCount(), clamp the count to the cores and
-     * run on that many threads at the plan's modelLookaheadNs() —
-     * except that they fall back to one domain when the controls carry
-     * a monitor hub (single-threaded) or when that bound is not
-     * positive. An explicit Parallel request with a non-positive bound
-     * throws ConfigError instead.
+     * run on that many threads at the plan's modelLookaheadNs(); Auto
+     * falls back to one domain when that bound is not positive, and an
+     * explicit Parallel request throws ConfigError instead. A monitor
+     * hub shards with the run and never changes the plan.
      */
     static sim::DomainSet::Options
     domainPlan(const PiumaConfig &cfg, const sim::SimControls *controls);
@@ -529,21 +528,15 @@ class MemorySystem
      * Mirror every slice-controller and network-port reservation onto
      * @p hub's occupancy timelines (one per slice and per port). The
      * hub must already be sized by MonitorHub::beginRun for this
-     * system's core count. Hubs share fold geometry across cores:
-     * entry points run one domain whenever one is attached.
+     * system's core count. Slice i's and port i's timelines are
+     * written only from slice i's domain, so any plan may run.
      */
     void
-    attachMonitor(sim::MonitorHub *hub)
+    attachMonitor(sim::MonitorHub &hub)
     {
-        for (size_t i = 0; i < slices_.size(); ++i) {
-            slices_[i].attachMonitor(
-                hub != nullptr
-                    ? hub->sliceTimeline(static_cast<unsigned>(i))
-                    : nullptr);
-            netPorts_[i].attachMonitor(
-                hub != nullptr
-                    ? hub->portTimeline(static_cast<unsigned>(i))
-                    : nullptr);
+        for (unsigned i = 0; i < numCores_; ++i) {
+            slices_[i].attachMonitor(hub.sliceTimeline(i));
+            netPorts_[i].attachMonitor(hub.portTimeline(i));
         }
     }
 

@@ -334,8 +334,6 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
     if (csr.numVertices() == 0)
         PGCN_THROW(ShapeError, "cannot simulate SpMM on an empty matrix");
 
-    // A monitor hub shares single-threaded geometry with the run, so
-    // domainPlan keeps a monitored run on one domain.
     sim::MonitorHub *hub = controls != nullptr ? controls->monitor : nullptr;
     SpmmRun run(csr, embedding_dim, cfg,
                 MemorySystem::domainPlan(cfg, controls), controls);

@@ -414,8 +414,9 @@ enum class DomainMode
     /// Requires the model's lookahead bound to be positive; results
     /// are bit-identical to Sequenced by the keyed-seq construction.
     Parallel,
-    /// Parallel when the lookahead bound is positive and no monitor
-    /// hub (single-threaded) is attached; one engine otherwise.
+    /// Parallel when the lookahead bound is positive, one engine
+    /// otherwise. An attached monitor hub shards with the run and
+    /// never changes the plan.
     Auto,
 };
 

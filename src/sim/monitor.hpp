@@ -15,14 +15,16 @@
  *  - Timeline: a fixed-size array of time buckets accumulating busy
  *    nanoseconds. When a span lands past the last bucket the bucket
  *    width doubles and adjacent buckets fold together, so any run
- *    length fits in constant memory. All timelines of one MonitorHub
- *    share geometry (width/folds) and therefore stay comparable
- *    bucket-for-bucket.
+ *    length fits in constant memory. Each timeline folds on its own
+ *    spans only, so timelines written from different event domains
+ *    share no state.
  *  - MonitorHub: per-core issue/stall/stall-window timelines plus one
  *    busy timeline per DRAM slice, network port, and DMA engine, and
- *    the stall-attribution taxonomy (StallCause). Its report() rolls
- *    the spans up into occupancies and the latency-hiding
- *    effectiveness metric.
+ *    the stall-attribution taxonomy (StallCause). Its report() and
+ *    writeCsv() first fold every timeline to the widest one, so the
+ *    bins compare bucket-for-bucket and equal a serial run's at any
+ *    domain count; report() rolls the spans up into per-core stall
+ *    times and the latency-hiding effectiveness metric.
  *
  * Cost model: monitors are attach-based — a null pointer plus one
  * predictable branch on each hook when not attached. They observe reservation spans that the model computes
@@ -36,6 +38,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <ostream>
 #include <vector>
 
@@ -77,39 +80,22 @@ stallCauseName(StallCause c)
 }
 
 /**
- * Bucket geometry shared by every Timeline of one MonitorHub. Folding
- * is communicated through the fold counter: a timeline that triggered
- * (or lagged behind) a fold catches up lazily before its next access,
- * so one long span on one timeline re-buckets the others without
- * touching them eagerly.
- */
-struct TimelineGeometry
-{
-    SimTime width = 64.0; ///< current bucket width (ns)
-    size_t buckets = 64;  ///< bucket count (fixed per hub)
-    uint64_t folds = 0;   ///< times the width has doubled
-};
-
-/**
  * One bucketed span accumulator: bins_[i] holds the busy nanoseconds
- * that fell inside [i*width, (i+1)*width). Not thread-safe: it
- * belongs to exactly one (single-threaded) simulation run.
+ * that fell inside [i*width, (i+1)*width). The width doubles (folding
+ * adjacent buckets together) only when one of this timeline's own
+ * spans lands past the last bucket, so its bins depend on its spans
+ * alone, never on a sibling's. Not thread-safe: one timeline has one
+ * writer, the event domain that owns its core or slice.
  */
 class Timeline
 {
   public:
     Timeline() = default;
 
-    explicit Timeline(TimelineGeometry *geo) { reset(geo); }
-
-    /** Rebind to @p geo and zero the accumulator. */
-    void
-    reset(TimelineGeometry *geo)
+    /** An empty accumulator of @p buckets buckets, @p width ns each. */
+    Timeline(size_t buckets, SimTime width)
+        : width_(width), bins_(buckets, 0.0)
     {
-        geo_ = geo;
-        foldsApplied_ = geo != nullptr ? geo->folds : 0;
-        bins_.assign(geo != nullptr ? geo->buckets : 0, 0.0);
-        total_ = 0.0;
     }
 
     /**
@@ -120,68 +106,58 @@ class Timeline
     void
     addSpan(SimTime begin, SimTime end)
     {
-        if (geo_ == nullptr || end <= begin)
+        if (bins_.empty() || end <= begin)
             return;
         if (begin < 0.0)
             begin = 0.0;
-        // Grow the shared geometry until this span fits, then catch
-        // this timeline (and lazily, all siblings) up to it.
-        while (end >= static_cast<SimTime>(geo_->buckets) * geo_->width) {
-            ++geo_->folds;
-            geo_->width *= 2.0;
-        }
-        sync();
+        while (end >= static_cast<SimTime>(bins_.size()) * width_)
+            fold();
         total_ += end - begin;
-        const SimTime w = geo_->width;
-        size_t i = static_cast<size_t>(begin / w);
+        size_t i = static_cast<size_t>(begin / width_);
         while (begin < end && i < bins_.size()) {
-            const SimTime bucket_end = static_cast<SimTime>(i + 1) * w;
+            const SimTime bucket_end = static_cast<SimTime>(i + 1) * width_;
             bins_[i] += std::min(end, bucket_end) - begin;
             begin = bucket_end;
             ++i;
         }
     }
 
-    /**
-     * Apply any folds siblings triggered since this timeline was last
-     * touched. Call before reading bins(); addSpan() self-syncs.
-     */
+    /** Fold until the bucket width is at least @p width. */
     void
-    sync()
+    foldTo(SimTime width)
     {
-        if (geo_ == nullptr)
-            return;
-        while (foldsApplied_ < geo_->folds) {
-            const size_t half = bins_.size() / 2;
-            for (size_t i = 0; i < half; ++i)
-                bins_[i] = bins_[2 * i] + bins_[2 * i + 1];
-            std::fill(bins_.begin() + static_cast<ptrdiff_t>(half),
-                      bins_.end(), 0.0);
-            ++foldsApplied_;
-        }
-        // The width is shared state; recompute lazily from fold count.
+        while (!bins_.empty() && width_ < width)
+            fold();
     }
 
     /** Total accumulated span time (ns), independent of bucketing. */
     double total() const { return total_; }
 
-    /** Bucket accumulators; call sync() first. */
+    /** Bucket accumulators at width(). */
     const std::vector<double> &bins() const { return bins_; }
 
-    /** Current (shared) bucket width in ns. */
-    SimTime width() const { return geo_ != nullptr ? geo_->width : 0.0; }
+    /** Current bucket width in ns. */
+    SimTime width() const { return width_; }
 
   private:
-    TimelineGeometry *geo_ = nullptr;
-    uint64_t foldsApplied_ = 0;
+    /** Double the width: bucket i takes buckets 2i and 2i+1. */
+    void
+    fold()
+    {
+        const size_t half = bins_.size() / 2;
+        for (size_t i = 0; i < half; ++i)
+            bins_[i] = bins_[2 * i] + bins_[2 * i + 1];
+        std::fill(bins_.begin() + static_cast<ptrdiff_t>(half), bins_.end(),
+                  0.0);
+        width_ *= 2.0;
+    }
+
+    SimTime width_ = 0.0;
     std::vector<double> bins_;
     double total_ = 0.0;
 };
 
-/**
- * Roll-up of one monitored run; produced by MonitorHub::report().
- * All occupancies are fractions of the observation window (makespan).
- */
+/** Roll-up of one monitored run; produced by MonitorHub::report(). */
 struct OccupancyReport
 {
     struct CoreReport
@@ -197,10 +173,6 @@ struct OccupancyReport
     };
 
     std::vector<CoreReport> cores;
-    double issueOccupancy = 0.0; ///< Σ busy / (cores · lanes · makespan)
-    double sliceOccupancy = 0.0; ///< mean DRAM-slice utilization
-    double portOccupancy = 0.0;  ///< mean network-port utilization
-    double dmaOccupancy = 0.0;   ///< mean DMA-engine utilization
     /// Fraction of the stall window covered by issue activity on the
     /// same core — the paper's latency-hiding claim, measured. 1.0
     /// when nothing ever stalled.
@@ -211,11 +183,13 @@ struct OccupancyReport
 };
 
 /**
- * The per-run monitor registry: owns one shared bucket geometry and
- * the timelines for every simulated core, DRAM slice, network port,
- * and DMA engine. Wire-up happens once per run (beginRun + the
- * attach* calls on resources); the per-event hooks are addSpan() and
- * beginWait()/endWait().
+ * The per-run monitor registry: owns the timelines for every simulated
+ * core, DRAM slice, network port, and DMA engine. Wire-up happens
+ * once per run (beginRun + the attach* calls on resources); the
+ * per-event hooks are addSpan() and beginWait()/endWait(). Each
+ * core's timelines are written only from that core's event domain
+ * and each slice's and port's only from the slice's, so a hub needs
+ * no lock and never changes a run's domain plan.
  */
 class MonitorHub
 {
@@ -231,32 +205,20 @@ class MonitorHub
     explicit MonitorHub(const Options &opt) : opt_(opt) {}
 
     /**
-     * Size the monitor for a run over @p cores cores with @p
-     * lanes_per_core issue lanes (MTPs) each, and reset all spans.
-     * Must be called before attaching timelines to resources.
+     * Size the monitor for a run over @p cores cores and reset all
+     * spans. Must be called before attaching timelines to resources.
      */
     void
-    beginRun(unsigned cores, unsigned lanes_per_core = 1)
+    beginRun(unsigned cores)
     {
         PGCN_ASSERT(cores > 0, "monitor needs at least one core");
-        lanesPerCore_ = lanes_per_core == 0 ? 1 : lanes_per_core;
-        geo_ = TimelineGeometry{opt_.initialBucketNs, opt_.buckets, 0};
         cores_.assign(cores, CoreMonitor{});
         slices_.assign(cores, Timeline{});
         ports_.assign(cores, Timeline{});
         dmas_.assign(cores, Timeline{});
-        for (CoreMonitor &c : cores_) {
-            c.issue.reset(&geo_);
-            for (Timeline &t : c.stall)
-                t.reset(&geo_);
-            c.window.reset(&geo_);
-        }
-        for (Timeline &t : slices_)
-            t.reset(&geo_);
-        for (Timeline &t : ports_)
-            t.reset(&geo_);
-        for (Timeline &t : dmas_)
-            t.reset(&geo_);
+        forEachTimeline([this](Timeline &t) {
+            t = Timeline(opt_.buckets, opt_.initialBucketNs);
+        });
     }
 
     /** Number of monitored cores (0 before beginRun). */
@@ -316,7 +278,7 @@ class MonitorHub
     }
 
     /**
-     * Roll the recorded spans up into occupancies and the
+     * Roll the recorded spans up into per-core stall times and the
      * latency-hiding metric over the window [0, makespan]. Cores with
      * waits still open contribute their window up to the makespan.
      */
@@ -325,26 +287,19 @@ class MonitorHub
     {
         OccupancyReport rep;
         rep.cores.resize(cores_.size());
-        closeOpenWindows(makespan);
-        double busy_sum = 0.0, window_sum = 0.0, covered_sum = 0.0;
+        closeRun(makespan);
+        double window_sum = 0.0, covered_sum = 0.0;
         for (size_t i = 0; i < cores_.size(); ++i) {
-            CoreMonitor &c = cores_[i];
-            c.issue.sync();
-            c.window.sync();
+            const CoreMonitor &c = cores_[i];
+            const auto stall = [&c](StallCause cause) {
+                return c.stall[static_cast<size_t>(cause)].total();
+            };
             OccupancyReport::CoreReport &out = rep.cores[i];
             out.issueBusyNs = c.issue.total();
-            out.stallMemNs =
-                c.stall[static_cast<size_t>(StallCause::MemoryWait)]
-                    .total();
-            out.stallNetNs =
-                c.stall[static_cast<size_t>(StallCause::NetworkWait)]
-                    .total();
-            out.stallQueueNs =
-                c.stall[static_cast<size_t>(StallCause::QueueFull)]
-                    .total();
-            out.stallRecoveryNs =
-                c.stall[static_cast<size_t>(StallCause::RecoveryWait)]
-                    .total();
+            out.stallMemNs = stall(StallCause::MemoryWait);
+            out.stallNetNs = stall(StallCause::NetworkWait);
+            out.stallQueueNs = stall(StallCause::QueueFull);
+            out.stallRecoveryNs = stall(StallCause::RecoveryWait);
             out.windowNs = c.window.total();
             // Bucket-level overlap: within one bucket a core cannot
             // have covered more stall-window time than it spent busy
@@ -355,17 +310,8 @@ class MonitorHub
             const std::vector<double> &win = c.window.bins();
             for (size_t b = 0; b < busy.size() && b < win.size(); ++b)
                 out.coveredNs += std::min(busy[b], win[b]);
-            busy_sum += out.issueBusyNs;
             window_sum += out.windowNs;
             covered_sum += out.coveredNs;
-        }
-        if (makespan > 0.0) {
-            rep.issueOccupancy =
-                busy_sum / (static_cast<double>(cores_.size()) *
-                            lanesPerCore_ * makespan);
-            rep.sliceOccupancy = meanOccupancy(slices_, makespan);
-            rep.portOccupancy = meanOccupancy(ports_, makespan);
-            rep.dmaOccupancy = meanOccupancy(dmas_, makespan);
         }
         rep.latencyHidingEffectiveness =
             window_sum > 0.0 ? covered_sum / window_sum : 1.0;
@@ -382,20 +328,15 @@ class MonitorHub
     void
     writeCsv(std::ostream &os, SimTime makespan, const std::string &prefix)
     {
-        closeOpenWindows(makespan);
+        closeRun(makespan);
+        // CSV kinds of the measured stall causes, in StallCause order.
+        static constexpr const char *kStallKinds[kMeasuredStallCauses] = {
+            "stall_mem", "stall_net", "stall_queue", "stall_recovery"};
         for (size_t i = 0; i < cores_.size(); ++i) {
-            CoreMonitor &c = cores_[i];
+            const CoreMonitor &c = cores_[i];
             writeRows(os, prefix, "issue", i, c.issue);
-            writeRows(os, prefix, "stall_mem", i,
-                      c.stall[static_cast<size_t>(StallCause::MemoryWait)]);
-            writeRows(os, prefix, "stall_net", i,
-                      c.stall[static_cast<size_t>(StallCause::NetworkWait)]);
-            writeRows(
-                os, prefix, "stall_queue", i,
-                c.stall[static_cast<size_t>(StallCause::QueueFull)]);
-            writeRows(
-                os, prefix, "stall_recovery", i,
-                c.stall[static_cast<size_t>(StallCause::RecoveryWait)]);
+            for (size_t s = 0; s < kMeasuredStallCauses; ++s)
+                writeRows(os, prefix, kStallKinds[s], i, c.stall[s]);
             writeRows(os, prefix, "stall_window", i, c.window);
         }
         for (size_t i = 0; i < slices_.size(); ++i)
@@ -423,9 +364,27 @@ class MonitorHub
         SimTime windowStart = 0.0;
     };
 
-    /** Close any still-open stall windows at the end of the run. */
+    template <typename F>
     void
-    closeOpenWindows(SimTime makespan)
+    forEachTimeline(F f)
+    {
+        for (CoreMonitor &c : cores_) {
+            f(c.issue);
+            for (Timeline &t : c.stall)
+                f(t);
+            f(c.window);
+        }
+        for (std::vector<Timeline> *ts : {&slices_, &ports_, &dmas_})
+            for (Timeline &t : *ts)
+                f(t);
+    }
+
+    /**
+     * Close any still-open stall windows at the end of the run, then
+     * fold every timeline to the widest one's bucket width.
+     */
+    void
+    closeRun(SimTime makespan)
     {
         for (CoreMonitor &c : cores_) {
             if (c.openWaits > 0) {
@@ -433,24 +392,16 @@ class MonitorHub
                 c.openWaits = 0;
             }
         }
+        SimTime width = 0.0;
+        forEachTimeline(
+            [&width](Timeline &t) { width = std::max(width, t.width()); });
+        forEachTimeline([width](Timeline &t) { t.foldTo(width); });
     }
 
-    static double
-    meanOccupancy(std::vector<Timeline> &ts, SimTime makespan)
-    {
-        if (ts.empty() || makespan <= 0.0)
-            return 0.0;
-        double sum = 0.0;
-        for (Timeline &t : ts)
-            sum += t.total();
-        return sum / (static_cast<double>(ts.size()) * makespan);
-    }
-
-    void
+    static void
     writeRows(std::ostream &os, const std::string &prefix,
-              const char *kind, size_t index, Timeline &t)
+              const char *kind, size_t index, const Timeline &t)
     {
-        t.sync();
         const std::vector<double> &bins = t.bins();
         const SimTime w = t.width();
         for (size_t b = 0; b < bins.size(); ++b) {
@@ -463,8 +414,6 @@ class MonitorHub
     }
 
     Options opt_;
-    TimelineGeometry geo_{};
-    unsigned lanesPerCore_ = 1;
     std::vector<CoreMonitor> cores_;
     std::vector<Timeline> slices_;
     std::vector<Timeline> ports_;

@@ -19,32 +19,18 @@
  */
 #include <gtest/gtest.h>
 
-#include "graph/generators.hpp"
-#include "graph/normalize.hpp"
 #include "piuma/dense_programs.hpp"
 #include "piuma/spmm_programs.hpp"
 #include "piuma/walk_programs.hpp"
 #include "sim/fault.hpp"
+#include "test_fixtures.hpp"
 
 namespace {
 
 using namespace pgcn;
 using namespace pgcn::piuma;
-
-graph::Csr
-goldenGraph(uint32_t scale, graph::EdgeId edges, uint64_t seed)
-{
-    return graph::normalizedAdjacency(
-        graph::generateRmat(scale, edges, graph::rmatSkewed(), seed));
-}
-
-PiumaConfig
-twoCores()
-{
-    PiumaConfig cfg;
-    cfg.numCores = 2;
-    return cfg;
-}
+using pgcn_test::goldenGraph;
+using pgcn_test::twoCores;
 
 /**
  * Every fault class at once, in the survivable regime: jittered

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the observability layer: bucketed timelines with shared
- * fold geometry, the MonitorHub stall-window/occupancy roll-up, the
+ * Tests for the observability layer: bucketed timelines that fold on
+ * their own spans, the MonitorHub stall-window/occupancy roll-up, the
  * engine's critical-path tracking on hand-built event graphs, and the
  * two contracts the feature rests on — attaching a monitor never
  * changes simulated results (bit-identity against the determinism
@@ -13,28 +13,27 @@
 #include <functional>
 #include <sstream>
 
-#include "graph/generators.hpp"
-#include "graph/normalize.hpp"
 #include "piuma/dense_programs.hpp"
 #include "piuma/spmm_programs.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/monitor.hpp"
+#include "test_fixtures.hpp"
 
 namespace {
 
 using namespace pgcn;
 using namespace pgcn::sim;
+using pgcn_test::goldenGraph;
+using pgcn_test::twoCores;
 
 // ---------------------------------------------------------- Timeline
 
 TEST(Timeline, AccumulatesSpansIntoBuckets)
 {
-    TimelineGeometry geo; // 64 buckets x 64 ns
-    Timeline t(&geo);
+    Timeline t(64, 64.0);
     t.addSpan(0.0, 10.0);
     t.addSpan(70.0, 90.0);
-    t.sync();
     EXPECT_DOUBLE_EQ(t.total(), 30.0);
     EXPECT_DOUBLE_EQ(t.bins()[0], 10.0);
     EXPECT_DOUBLE_EQ(t.bins()[1], 20.0);
@@ -42,18 +41,15 @@ TEST(Timeline, AccumulatesSpansIntoBuckets)
 
 TEST(Timeline, SpanStraddlingBucketsSplits)
 {
-    TimelineGeometry geo;
-    Timeline t(&geo);
+    Timeline t(64, 64.0);
     t.addSpan(60.0, 70.0); // 4 ns in bucket 0, 6 ns in bucket 1
-    t.sync();
     EXPECT_DOUBLE_EQ(t.bins()[0], 4.0);
     EXPECT_DOUBLE_EQ(t.bins()[1], 6.0);
 }
 
 TEST(Timeline, EmptyAndNegativeSpansIgnored)
 {
-    TimelineGeometry geo;
-    Timeline t(&geo);
+    Timeline t(64, 64.0);
     t.addSpan(10.0, 10.0);
     t.addSpan(10.0, 5.0);
     EXPECT_DOUBLE_EQ(t.total(), 0.0);
@@ -61,29 +57,39 @@ TEST(Timeline, EmptyAndNegativeSpansIgnored)
 
 TEST(Timeline, FoldsWhenSpanPassesCapacity)
 {
-    TimelineGeometry geo; // capacity 64 * 64 = 4096 ns
-    Timeline t(&geo);
+    Timeline t(64, 64.0);      // capacity 64 * 64 = 4096 ns
     t.addSpan(0.0, 64.0);      // fills bucket 0
     t.addSpan(8000.0, 8010.0); // needs >= 8192 ns of capacity
-    EXPECT_EQ(geo.folds, 1u);
-    EXPECT_DOUBLE_EQ(geo.width, 128.0);
-    t.sync();
+    EXPECT_DOUBLE_EQ(t.width(), 128.0); // one fold
     EXPECT_DOUBLE_EQ(t.total(), 74.0);
     EXPECT_DOUBLE_EQ(t.bins()[0], 64.0); // survived the fold
     EXPECT_DOUBLE_EQ(t.bins()[62], 10.0); // 8000 / 128 = 62
 }
 
+// A fold on one timeline leaves its siblings alone; the hub catches
+// them up to the widest width at report time, so the CSV rows of a
+// lagging timeline come out at the shared width with its spans folded.
 TEST(Timeline, SiblingCatchesUpLazilyAfterFold)
 {
-    TimelineGeometry geo;
-    Timeline a(&geo);
-    Timeline b(&geo);
+    MonitorHub hub;
+    hub.beginRun(1);
+    Timeline &a = *hub.issueTimeline(0);
+    Timeline &b = *hub.sliceTimeline(0);
     b.addSpan(0.0, 64.0);
-    a.addSpan(8000.0, 8010.0); // a triggers the fold; b lags
-    b.sync();
-    EXPECT_DOUBLE_EQ(b.bins()[0], 64.0);
-    EXPECT_DOUBLE_EQ(b.total(), 64.0);
-    EXPECT_DOUBLE_EQ(a.width(), b.width());
+    b.addSpan(64.0, 100.0);
+    a.addSpan(8000.0, 8010.0); // a folds once; b keeps its width
+    EXPECT_DOUBLE_EQ(a.width(), 128.0);
+    EXPECT_DOUBLE_EQ(b.width(), 64.0);
+    EXPECT_DOUBLE_EQ(b.bins()[1], 36.0);
+
+    std::ostringstream os;
+    hub.writeCsv(os, 8010.0, "");
+    EXPECT_DOUBLE_EQ(b.width(), 128.0);
+    EXPECT_DOUBLE_EQ(b.bins()[0], 100.0); // buckets 0 and 1 folded
+    EXPECT_DOUBLE_EQ(b.bins()[1], 0.0);
+    EXPECT_DOUBLE_EQ(b.total(), 100.0);
+    EXPECT_NE(os.str().find("slice,0,0,0,128,100\n"), std::string::npos);
+    EXPECT_NE(os.str().find("issue,0,62,7936,128,10\n"), std::string::npos);
 }
 
 // -------------------------------------------------------- MonitorHub
@@ -91,7 +97,7 @@ TEST(Timeline, SiblingCatchesUpLazilyAfterFold)
 TEST(MonitorHub, ReportRollsUpBusyAndStallSpans)
 {
     MonitorHub hub;
-    hub.beginRun(1, 1);
+    hub.beginRun(1);
     hub.issueTimeline(0)->addSpan(0.0, 10.0);
     hub.issueTimeline(0)->addSpan(20.0, 30.0);
     hub.beginWait(0, 0.0);
@@ -103,7 +109,6 @@ TEST(MonitorHub, ReportRollsUpBusyAndStallSpans)
     EXPECT_DOUBLE_EQ(rep.cores[0].stallMemNs, 40.0);
     EXPECT_DOUBLE_EQ(rep.cores[0].windowNs, 40.0);
     EXPECT_DOUBLE_EQ(rep.cores[0].coveredNs, 20.0);
-    EXPECT_DOUBLE_EQ(rep.issueOccupancy, 0.2);
     EXPECT_DOUBLE_EQ(rep.latencyHidingEffectiveness, 0.5);
     EXPECT_DOUBLE_EQ(rep.exposedStallNs, 20.0);
 }
@@ -111,7 +116,7 @@ TEST(MonitorHub, ReportRollsUpBusyAndStallSpans)
 TEST(MonitorHub, StallWindowIsUnionOfOverlappingWaits)
 {
     MonitorHub hub;
-    hub.beginRun(1, 1);
+    hub.beginRun(1);
     hub.beginWait(0, 10.0);
     hub.beginWait(0, 15.0); // nested: window stays open
     hub.endWait(0, StallCause::MemoryWait, 10.0, 20.0);
@@ -127,19 +132,19 @@ TEST(MonitorHub, StallWindowIsUnionOfOverlappingWaits)
 TEST(MonitorHub, NoStallsMeansPerfectHiding)
 {
     MonitorHub hub;
-    hub.beginRun(2, 4);
+    hub.beginRun(2);
     hub.issueTimeline(0)->addSpan(0.0, 50.0);
     OccupancyReport rep = hub.report(100.0);
     EXPECT_DOUBLE_EQ(rep.latencyHidingEffectiveness, 1.0);
     EXPECT_DOUBLE_EQ(rep.exposedStallNs, 0.0);
-    // 50 busy ns over 2 cores x 4 lanes x 100 ns.
-    EXPECT_DOUBLE_EQ(rep.issueOccupancy, 50.0 / 800.0);
+    EXPECT_DOUBLE_EQ(rep.cores[0].issueBusyNs, 50.0);
+    EXPECT_DOUBLE_EQ(rep.cores[1].issueBusyNs, 0.0);
 }
 
 TEST(MonitorHub, OpenWaitClosedAtMakespan)
 {
     MonitorHub hub;
-    hub.beginRun(1, 1);
+    hub.beginRun(1);
     hub.beginWait(0, 60.0);
     // endWait never arrives (thread still parked at run end).
     OccupancyReport rep = hub.report(100.0);
@@ -149,7 +154,7 @@ TEST(MonitorHub, OpenWaitClosedAtMakespan)
 TEST(MonitorHub, CsvRowsAreSparseAndPrefixed)
 {
     MonitorHub hub;
-    hub.beginRun(1, 1);
+    hub.beginRun(1);
     hub.issueTimeline(0)->addSpan(0.0, 10.0);
     std::ostringstream os;
     hub.writeCsv(os, 100.0, "p,");
@@ -239,21 +244,6 @@ TEST(CriticalPath, IndependentChainsDoNotExtendEachOther)
 
 // --------------------------------------- monitors vs simulated result
 
-graph::Csr
-goldenGraph()
-{
-    return graph::normalizedAdjacency(
-        graph::generateRmat(8, 2000, graph::rmatSkewed(), 99));
-}
-
-piuma::PiumaConfig
-twoCores()
-{
-    piuma::PiumaConfig cfg;
-    cfg.numCores = 2;
-    return cfg;
-}
-
 TEST(MonitorBitIdentity, DmaGoldenUnchangedWithMonitorAttached)
 {
     const graph::Csr csr = goldenGraph();
@@ -322,11 +312,14 @@ TEST(MonitorBitIdentity, DenseMmSpansReachTheHub)
 
     ASSERT_EQ(hub.cores(), cfg.numCores);
     const OccupancyReport rep = hub.report(monitored.makespanNs);
-    EXPECT_GT(rep.issueOccupancy, 0.0);
-    EXPECT_GT(rep.sliceOccupancy, 0.0);
-    double stalled = 0.0;
-    for (const OccupancyReport::CoreReport &c : rep.cores)
-        stalled += c.stallMemNs + c.stallNetNs;
+    double issued = 0.0, sliced = 0.0, stalled = 0.0;
+    for (unsigned c = 0; c < hub.cores(); ++c) {
+        issued += hub.issueTimeline(c)->total();
+        sliced += hub.sliceTimeline(c)->total();
+        stalled += rep.cores[c].stallMemNs + rep.cores[c].stallNetNs;
+    }
+    EXPECT_GT(issued, 0.0);
+    EXPECT_GT(sliced, 0.0);
     EXPECT_GT(stalled, 0.0);
 }
 

@@ -7,7 +7,8 @@
  * graph-file-writing test routes its paths through here instead: the
  * directory name folds in the suite name, the test name and the pid,
  * so concurrent shards never collide and a crashed test leaves its
- * artefacts behind for postmortem inspection.
+ * artefacts behind for postmortem inspection. slurp() reads such a
+ * file back for byte comparison.
  */
 #ifndef PGCN_TESTS_TEST_PATHS_HPP
 #define PGCN_TESTS_TEST_PATHS_HPP
@@ -15,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #ifdef _WIN32
@@ -61,6 +64,15 @@ inline std::string
 testPath(const std::string &leaf)
 {
     return (uniqueTestDir() / leaf).string();
+}
+
+/** The bytes of the file at @p path (empty when it cannot be read). */
+inline std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
 }
 
 } // namespace pgcn_test

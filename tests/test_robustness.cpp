@@ -35,6 +35,8 @@ namespace {
 
 using namespace pgcn;
 using namespace pgcn::sim;
+using pgcn_test::slurp;
+using pgcn_test::testPath;
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -282,22 +284,6 @@ TEST(FaultConfig, RejectsOutOfRangeJitter)
 // ---------------------------------------------------------------------------
 // Checkpoints
 
-std::string
-tmpPath(const std::string &leaf)
-{
-    // Unique per test *and* per process: ctest -j runs each TEST as
-    // its own process and they must not race on checkpoint files.
-    return pgcn_test::testPath(leaf);
-}
-
-std::string
-slurpFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-}
-
 TEST(Checkpoint, DisabledCheckpointIsInert)
 {
     JsonlCheckpoint ckpt;
@@ -309,7 +295,7 @@ TEST(Checkpoint, DisabledCheckpointIsInert)
 
 TEST(Checkpoint, RecordReloadRoundTripsDoublesExactly)
 {
-    const std::string path = tmpPath("ckpt_roundtrip.jsonl");
+    const std::string path = testPath("ckpt_roundtrip.jsonl");
     const double awkward[] = {1.0 / 3.0, 6.02214076e23, 1e-308,
                               -0.0078125, 123456789.123456789};
     {
@@ -334,7 +320,7 @@ TEST(Checkpoint, RecordReloadRoundTripsDoublesExactly)
 
 TEST(Checkpoint, TruncatedLastLineIsSkipped)
 {
-    const std::string path = tmpPath("ckpt_torn.jsonl");
+    const std::string path = testPath("ckpt_torn.jsonl");
     {
         std::ofstream out(path);
         out << "{\"key\":\"done\",\"x\":1}\n";
@@ -348,7 +334,7 @@ TEST(Checkpoint, TruncatedLastLineIsSkipped)
 
 TEST(Checkpoint, FreshOpenDiscardsOldPoints)
 {
-    const std::string path = tmpPath("ckpt_fresh.jsonl");
+    const std::string path = testPath("ckpt_fresh.jsonl");
     {
         JsonlCheckpoint ckpt(path, /*resume=*/false);
         ckpt.record("old", {{"x", 1.0}});
@@ -360,9 +346,9 @@ TEST(Checkpoint, FreshOpenDiscardsOldPoints)
 
 TEST(Checkpoint, FinalJsonByteIdenticalAcrossResume)
 {
-    const std::string jsonl = tmpPath("ckpt_final.jsonl");
-    const std::string direct_json = tmpPath("ckpt_direct.json");
-    const std::string resumed_json = tmpPath("ckpt_resumed.json");
+    const std::string jsonl = testPath("ckpt_final.jsonl");
+    const std::string direct_json = testPath("ckpt_direct.json");
+    const std::string resumed_json = testPath("ckpt_resumed.json");
     {
         JsonlCheckpoint ckpt(jsonl, /*resume=*/false);
         ckpt.record("b", {{"gflops", 1.0 / 7.0}, {"ns", 4.5e6}});
@@ -373,9 +359,9 @@ TEST(Checkpoint, FinalJsonByteIdenticalAcrossResume)
         JsonlCheckpoint ckpt(jsonl, /*resume=*/true);
         ckpt.writeFinalJson(resumed_json);
     }
-    const std::string direct = slurpFile(direct_json);
+    const std::string direct = slurp(direct_json);
     EXPECT_FALSE(direct.empty());
-    EXPECT_EQ(direct, slurpFile(resumed_json));
+    EXPECT_EQ(direct, slurp(resumed_json));
     // Keys come out sorted regardless of record order.
     EXPECT_LT(direct.find("\"a\""), direct.find("\"b\""));
 }
@@ -385,33 +371,33 @@ TEST(Checkpoint, FinalJsonByteIdenticalAcrossResume)
 // the consolidated JSON sees the stamp.
 TEST(Checkpoint, StampedResumeReusesMatchingPoints)
 {
-    const std::string path = tmpPath("ckpt_stamp_match.jsonl");
-    const std::string json = tmpPath("ckpt_stamp_match.json");
+    const std::string path = testPath("ckpt_stamp_match.jsonl");
+    const std::string json = testPath("ckpt_stamp_match.json");
     {
         JsonlCheckpoint ckpt(path, /*resume=*/false, "00ab");
         ckpt.record("a", {{"x", 1.0}});
     }
-    EXPECT_EQ(slurpFile(path),
+    EXPECT_EQ(slurp(path),
               "{\"stamp\":\"00ab\"}\n{\"key\":\"a\",\"x\":1}\n");
     JsonlCheckpoint resumed(path, /*resume=*/true, "00ab");
     EXPECT_EQ(resumed.size(), 1u);
     ASSERT_NE(resumed.find("a"), nullptr);
     resumed.writeFinalJson(json);
-    EXPECT_EQ(slurpFile(json).find("stamp"), std::string::npos);
+    EXPECT_EQ(slurp(json).find("stamp"), std::string::npos);
 }
 
 // Points computed under another configuration must never be reused:
 // a different stamp and a file with no stamp are both ConfigErrors.
 TEST(Checkpoint, StampedResumeRejectsOtherOrMissingStamp)
 {
-    const std::string other = tmpPath("ckpt_stamp_other.jsonl");
+    const std::string other = testPath("ckpt_stamp_other.jsonl");
     {
         JsonlCheckpoint ckpt(other, /*resume=*/false, "00ab");
         ckpt.record("a", {{"x", 1.0}});
     }
     EXPECT_THROW(JsonlCheckpoint(other, true, "00cd"), ConfigError);
 
-    const std::string unstamped = tmpPath("ckpt_stamp_none.jsonl");
+    const std::string unstamped = testPath("ckpt_stamp_none.jsonl");
     {
         JsonlCheckpoint ckpt(unstamped, /*resume=*/false);
         ckpt.record("a", {{"x", 1.0}});
@@ -423,16 +409,16 @@ TEST(Checkpoint, StampedResumeRejectsOtherOrMissingStamp)
 // none): resuming it is a fresh run, which writes the stamp.
 TEST(Checkpoint, StampedResumeOfEmptyOrMissingFileStartsFresh)
 {
-    const std::string empty = tmpPath("ckpt_stamp_empty.jsonl");
+    const std::string empty = testPath("ckpt_stamp_empty.jsonl");
     std::ofstream(empty).close();
-    const std::string missing = tmpPath("ckpt_stamp_missing.jsonl");
+    const std::string missing = testPath("ckpt_stamp_missing.jsonl");
     std::remove(missing.c_str());
     for (const std::string &path : {empty, missing}) {
         {
             JsonlCheckpoint ckpt(path, /*resume=*/true, "00ab");
             EXPECT_EQ(ckpt.size(), 0u);
         }
-        EXPECT_EQ(slurpFile(path), "{\"stamp\":\"00ab\"}\n");
+        EXPECT_EQ(slurp(path), "{\"stamp\":\"00ab\"}\n");
     }
 }
 
@@ -440,14 +426,14 @@ TEST(Checkpoint, StampedResumeOfEmptyOrMissingFileStartsFresh)
 // has, and skips a stamp line it reads.
 TEST(Checkpoint, UnstampedCheckpointWritesOnlyPoints)
 {
-    const std::string path = tmpPath("ckpt_unstamped.jsonl");
+    const std::string path = testPath("ckpt_unstamped.jsonl");
     {
         JsonlCheckpoint ckpt(path, /*resume=*/false);
         ckpt.record("a", {{"x", 1.0}});
     }
-    EXPECT_EQ(slurpFile(path), "{\"key\":\"a\",\"x\":1}\n");
+    EXPECT_EQ(slurp(path), "{\"key\":\"a\",\"x\":1}\n");
 
-    const std::string stamped = tmpPath("ckpt_unstamped_reads.jsonl");
+    const std::string stamped = testPath("ckpt_unstamped_reads.jsonl");
     {
         JsonlCheckpoint ckpt(stamped, /*resume=*/false, "00ab");
         ckpt.record("a", {{"x", 1.0}});
@@ -472,7 +458,7 @@ class CorruptInput : public ::testing::Test
     std::string
     writeFile(const std::string &leaf, const std::string &content)
     {
-        const std::string path = tmpPath(leaf);
+        const std::string path = testPath(leaf);
         std::ofstream out(path, std::ios::binary);
         out << content;
         return path;
@@ -590,7 +576,7 @@ fuzzLoader(const std::string &valid_blob, const char *leaf,
 {
     size_t rejected = 0, accepted = 0;
     for (uint64_t seed = 0; seed < 200; ++seed) {
-        const std::string path = tmpPath(leaf);
+        const std::string path = testPath(leaf);
         {
             std::ofstream out(path, std::ios::binary);
             out << corrupt(valid_blob, seed);
@@ -616,9 +602,9 @@ TEST_F(CorruptInput, FuzzEdgeListTextNeverEscapesTypedErrors)
 {
     const graph::Coo coo =
         graph::generateRmat(6, 128, graph::rmatSkewed(), 5);
-    const std::string path = tmpPath("fuzz_valid.txt");
+    const std::string path = testPath("fuzz_valid.txt");
     graph::saveEdgeListText(coo, path);
-    const std::string blob = slurpFile(path);
+    const std::string blob = slurp(path);
     ASSERT_FALSE(blob.empty());
     fuzzLoader(blob, "fuzz_mut.txt", [](const std::string &p) {
         const graph::Coo loaded = graph::loadEdgeListText(p);
@@ -637,9 +623,9 @@ TEST_F(CorruptInput, FuzzBinaryCsrNeverEscapesTypedErrors)
 {
     const graph::Csr csr = graph::normalizedAdjacency(
         graph::generateRmat(6, 128, graph::rmatSkewed(), 5));
-    const std::string path = tmpPath("fuzz_valid.csr");
+    const std::string path = testPath("fuzz_valid.csr");
     graph::saveCsrBinary(csr, path);
-    const std::string blob = slurpFile(path);
+    const std::string blob = slurp(path);
     ASSERT_FALSE(blob.empty());
     fuzzLoader(blob, "fuzz_mut.csr", [&](const std::string &p) {
         const graph::Csr loaded = graph::loadCsrBinary(p);

@@ -12,7 +12,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -23,6 +22,7 @@
 #include "graph/normalize.hpp"
 #include "piuma/spmm_programs.hpp"
 #include "telemetry/registry.hpp"
+#include "test_fixtures.hpp"
 #include "test_paths.hpp"
 #include "telemetry/session.hpp"
 #include "telemetry/trace.hpp"
@@ -33,6 +33,7 @@ using namespace pgcn;
 using telemetry::Registry;
 using telemetry::Session;
 using telemetry::TraceWriter;
+using pgcn_test::twoCores;
 
 // ---------------------------------------------------------------------
 // Trace-validation helpers.
@@ -396,14 +397,6 @@ tinyGraph()
         graph::generateRmat(6, 600, graph::rmatSkewed(), 7));
 }
 
-piuma::PiumaConfig
-twoCores()
-{
-    piuma::PiumaConfig cfg;
-    cfg.numCores = 2;
-    return cfg;
-}
-
 TEST(SpmmTelemetry, RecordingDoesNotPerturbTheSimulation)
 {
     const graph::Csr csr = tinyGraph();
@@ -479,11 +472,7 @@ TEST(SpmmTelemetry, MetricsCsvHasSeriesCountersAndSummaries)
 
     const std::string path = pgcn_test::testPath("metrics.csv");
     session.writeMetricsCsv(path);
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string csv = ss.str();
+    const std::string csv = pgcn_test::slurp(path);
     EXPECT_EQ(csv.rfind("t_ns,metric,value\n", 0), 0u);
     EXPECT_NE(csv.find("piuma.spmm.makespan_ns"), std::string::npos);
     EXPECT_NE(csv.find("piuma.dma.descriptors"), std::string::npos);
