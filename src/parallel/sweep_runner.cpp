@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/manifest.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace pgcn::parallel {
@@ -107,10 +108,12 @@ SweepRunner::run(JsonlCheckpoint &ckpt)
                                                 : 1;
                 for (unsigned attempt = 0;; ++attempt) {
                     // Fresh per-POINT injector each attempt: seeding by
-                    // submission index (not worker, not attempt) keeps
-                    // perturbed timings schedule-independent and makes
-                    // injected faults deterministic — which is exactly
-                    // why they classify as permanent.
+                    // the point's key (not worker, not attempt, not
+                    // position) keeps perturbed timings
+                    // schedule-independent, leaves a point's faults
+                    // alone when other points are added or removed,
+                    // and makes injected faults deterministic — which
+                    // is exactly why they classify as permanent.
                     std::optional<sim::FaultInjector> faults;
                     sim::SimControls controls;
                     controls.domains = options_.domains;
@@ -120,7 +123,7 @@ SweepRunner::run(JsonlCheckpoint &ckpt)
                                                 : sim::DomainMode::Parallel;
                     if (options_.faults) {
                         sim::FaultConfig cfg = *options_.faults;
-                        cfg.seed += static_cast<uint64_t>(i);
+                        cfg.seed += fnv1a64(points_[i].key);
                         faults.emplace(cfg);
                         controls.faults = &*faults;
                     }

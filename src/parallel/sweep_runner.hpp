@@ -13,9 +13,9 @@
  *
  *  - one telemetry Session per worker (merged into a caller session
  *    afterwards, on worker-tagged tracks);
- *  - one FaultInjector per *point*, seeded from the base seed and the
- *    point's submission index, so timings are independent of which
- *    worker runs the point;
+ *  - one FaultInjector per *point*, seeded from the base seed and a
+ *    hash of the point's key, so timings are independent of which
+ *    worker runs the point and of which other points the sweep holds;
  *  - completions funnel through an OrderedCheckpointWriter, which
  *    buffers out-of-order finishes and appends in submission order;
  *  - typed per-point errors are captured worker-locally and reported
@@ -68,8 +68,8 @@ struct SweepOptions
     /// Give each worker its own telemetry Session.
     bool telemetry = false;
     /// Base fault configuration; each point runs with a fresh injector
-    /// seeded `faults->seed + pointIndex` so results do not depend on
-    /// worker assignment. Disabled when unset.
+    /// seeded `faults->seed + fnv1a64(key)` so results depend neither
+    /// on worker assignment nor on the point's position in the sweep. Disabled when unset.
     std::optional<sim::FaultConfig> faults;
     /// Self-healing: in-process attempts per point for *transient*
     /// failures (host I/O errors). 1 = fail fast. Permanent failures
