@@ -15,19 +15,23 @@
  *    point, byte-identical to a serial run (see
  *    parallel/sweep_runner.hpp);
  *  - faults: --faults=dram_drop=1e-5,... (parseFaultSpec).
- * A bench declares its own flags to the same parser (LocalFlag), e.g.
- * fig8's --occupancy= and --no-monitors; any other argument is a
- * ConfigError. A bench whose sweep simulates nothing rejects the
- * flags that act on simulated points (kSimFlags). Benches that run no
- * sweep take no arguments at all (runFixedBenchMain).
+ * The shared flags are one table (kSharedFlags) that both the parser
+ * and --help read. A bench declares its own flags to the same parser
+ * (LocalFlag), e.g. fig8's --occupancy= and --no-monitors; any other
+ * argument is a ConfigError. A bench whose sweep simulates nothing
+ * rejects the flags that act on simulated points (SharedFlag::
+ * simulated). Benches that run no sweep take no arguments at all
+ * (runFixedBenchMain).
  */
 #ifndef PGCN_BENCH_BENCH_UTIL_HPP
 #define PGCN_BENCH_BENCH_UTIL_HPP
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <exception>
 #include <functional>
+#include <iomanip>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -222,34 +226,129 @@ parseDomainCount(const std::string &value)
 /**
  * A flag one bench adds to the shared set. A @p name ending in '='
  * takes a value ("--mega="); any other name is a bare switch
- * ("--small"). @p apply receives the value, empty for a switch, and
- * throws ConfigError on a malformed one. An @p output flag only names
- * a file the bench writes, so the checkpoint stamp leaves it out.
+ * ("--small"). @p help is its --help line. @p apply receives the
+ * value, empty for a switch, and throws ConfigError on a malformed
+ * one. An @p output flag only names a file the bench writes, so the
+ * checkpoint stamp leaves it out.
  */
 struct LocalFlag
 {
     std::string name;
+    std::string help;
     std::function<void(const std::string &)> apply;
     bool output = false;
 };
 
 /**
- * The shared flags that act only on simulated points: telemetry,
- * fault injection and event domains. A bench whose sweep runs
- * analytic models only has nothing for them to act on.
+ * A flag every sweep bench takes. A @p name ending in '=' takes its
+ * value inline; a @p spaced one takes it inline or as the next
+ * argument ("--jobs=4", "--jobs 4"); any other name is a switch.
  */
-inline constexpr const char *kSimFlags[] = {
-    "--trace=", "--metrics=", "--faults=", "--domains"};
+struct SharedFlag
+{
+    const char *name;
+    const char *value; ///< --help's placeholder for the value
+    const char *help;
+    /// Acts only on simulated points (telemetry, faults, domains): a
+    /// bench whose sweep runs analytic models rejects it.
+    bool simulated;
+    bool spaced;
+    void (*apply)(BenchArgs &, const std::string &);
+};
+
+/** The shared flags, in --help order; parseBenchArgs matches on it. */
+inline const SharedFlag kSharedFlags[] = {
+    {"--trace=", "<path>", "Chrome trace, one span per simulated run",
+     true, false, [](BenchArgs &a, const std::string &v) { a.tracePath = v; }},
+    {"--metrics=", "<path>", "CSV of final counter values", true, false,
+     [](BenchArgs &a, const std::string &v) { a.metricsPath = v; }},
+    {"--checkpoint=", "<path>", "JSONL file of completed sweep points",
+     false, false,
+     [](BenchArgs &a, const std::string &v) { a.checkpointPath = v; }},
+    {"--resume", "", "reuse the completed points of --checkpoint=", false,
+     false, [](BenchArgs &a, const std::string &) { a.resume = true; }},
+    {"--sweep-json=", "<path>", "consolidated sweep JSON (needs --checkpoint=)",
+     false, false,
+     [](BenchArgs &a, const std::string &v) { a.sweepJsonPath = v; }},
+    {"--jobs", "N", "sweep points run at once (0 = one per host thread)",
+     false, true,
+     [](BenchArgs &a, const std::string &v) {
+         a.jobs = parseCount("--jobs", v);
+     }},
+    {"--domains", "N|auto", "event domains (host threads) per simulated point",
+     true, true,
+     [](BenchArgs &a, const std::string &v) {
+         a.domains = parseDomainCount(v);
+     }},
+    {"--faults=", "<key=value,...>", "fault injection (seed, dram_drop, ...)",
+     true, false,
+     [](BenchArgs &a, const std::string &v) {
+         a.faults = parseFaultSpec(v);
+         a.valueFlags.push_back("--faults=" + v);
+     }},
+};
 
 /**
- * Parse the shared flags plus the bench's own @p local ones.
+ * Whether argv[@p i] is the flag @p name (see SharedFlag for the
+ * forms). On a match @p value gets its value, empty for a switch, and
+ * a spaced value advances @p i past it.
+ * @throws ConfigError when a spaced flag is the last argument.
+ */
+inline bool
+takeFlag(const std::string &name, bool spaced, int argc, char **argv,
+         int &i, std::string &value)
+{
+    const std::string arg = argv[i];
+    if (name.back() == '=') {
+        if (arg.rfind(name, 0) != 0)
+            return false;
+        value = arg.substr(name.size());
+        return true;
+    }
+    if (spaced && arg.rfind(name + "=", 0) == 0) {
+        value = arg.substr(name.size() + 1);
+        return true;
+    }
+    if (arg != name)
+        return false;
+    value.clear();
+    if (spaced) {
+        if (i + 1 >= argc)
+            PGCN_THROW(ConfigError, name << " needs a value");
+        value = argv[++i];
+    }
+    return true;
+}
+
+/** Print the flags parseBenchArgs takes: the --help text. */
+inline void
+printBenchHelp(std::ostream &os, const std::string &bench,
+               const std::vector<LocalFlag> &local, bool simulates)
+{
+    os << "usage: " << bench << " [flags]\n";
+    const auto row = [&](const std::string &usage, const std::string &help) {
+        os << "  " << std::left << std::setw(27) << usage << ' ' << help
+           << "\n";
+    };
+    for (const SharedFlag &f : kSharedFlags) {
+        if (simulates || !f.simulated)
+            row(std::string(f.name) + (f.spaced ? " " : "") + f.value, f.help);
+    }
+    for (const LocalFlag &f : local)
+        row(f.name, f.help);
+    row("--help", "print these flags and exit");
+}
+
+/**
+ * Parse the shared flags (kSharedFlags) plus the bench's own @p local
+ * ones. --help prints them all and exits 0.
  * @throws ConfigError on an unknown --flag (a typo such as
  *         --domain=4 would otherwise run a different
  *         configuration than asked), a positional argument (a flag
  *         typed without its "--" would otherwise run the default
  *         sweep), a malformed value, a flag that needs another one
- *         it was not given, or one of kSimFlags when @p simulates is
- *         false.
+ *         it was not given, or a simulated-only flag when
+ *         @p simulates is false.
  */
 inline BenchArgs
 parseBenchArgs(int argc, char **argv,
@@ -265,46 +364,36 @@ parseBenchArgs(int argc, char **argv,
     }
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        for (const char *flag : kSimFlags) {
-            if (!simulates && arg.rfind(flag, 0) == 0) {
-                PGCN_THROW(ConfigError,
-                           flag << " acts on simulated points, and "
-                                << args.benchName
-                                << " simulates none");
-            }
+        if (arg == "--help") {
+            printBenchHelp(std::cout, args.benchName, local, simulates);
+            std::exit(0);
         }
-        if (arg.rfind("--trace=", 0) == 0) {
-            args.tracePath = arg.substr(8);
-        } else if (arg.rfind("--metrics=", 0) == 0) {
-            args.metricsPath = arg.substr(10);
-        } else if (arg.rfind("--checkpoint=", 0) == 0) {
-            args.checkpointPath = arg.substr(13);
-        } else if (arg == "--resume") {
-            args.resume = true;
-        } else if (arg.rfind("--sweep-json=", 0) == 0) {
-            args.sweepJsonPath = arg.substr(13);
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            args.jobs = parseCount("--jobs", arg.substr(7));
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            args.jobs = parseCount("--jobs", argv[++i]);
-        } else if (arg.rfind("--domains=", 0) == 0) {
-            args.domains = parseDomainCount(arg.substr(10));
-        } else if (arg == "--domains" && i + 1 < argc) {
-            args.domains = parseDomainCount(argv[++i]);
-        } else if (arg.rfind("--faults=", 0) == 0) {
-            args.faults = parseFaultSpec(arg.substr(9));
-            args.valueFlags.push_back(arg);
-        } else if (arg.rfind("--", 0) == 0) {
-            const auto flag = std::find_if(
-                local.begin(), local.end(), [&](const LocalFlag &f) {
-                    return f.name.back() == '=' ? arg.rfind(f.name, 0) == 0
-                                                : arg == f.name;
-                });
-            if (flag == local.end())
-                PGCN_THROW(ConfigError, "unknown flag: " << arg);
-            flag->apply(arg.substr(flag->name.size()));
+        std::string value;
+        const auto shared = std::find_if(
+            std::begin(kSharedFlags), std::end(kSharedFlags),
+            [&](const SharedFlag &f) {
+                return takeFlag(f.name, f.spaced, argc, argv, i, value);
+            });
+        if (shared != std::end(kSharedFlags)) {
+            if (!simulates && shared->simulated) {
+                PGCN_THROW(ConfigError,
+                           shared->name << " acts on simulated points, and "
+                                        << args.benchName
+                                        << " simulates none");
+            }
+            shared->apply(args, value);
+            continue;
+        }
+        const auto flag = std::find_if(
+            local.begin(), local.end(), [&](const LocalFlag &f) {
+                return takeFlag(f.name, false, argc, argv, i, value);
+            });
+        if (flag != local.end()) {
+            flag->apply(value);
             if (!flag->output)
                 args.valueFlags.push_back(arg);
+        } else if (arg.rfind("--", 0) == 0) {
+            PGCN_THROW(ConfigError, "unknown flag: " << arg);
         } else {
             PGCN_THROW(ConfigError, "unexpected positional argument '"
                                         << arg
@@ -397,12 +486,17 @@ runBenchMain(Fn &&body)
 
 /**
  * runBenchMain for a bench that runs no sweep: it has no flag to take,
- * so any argument is a ConfigError rather than silently ignored.
+ * so any argument but a lone --help is a ConfigError rather than
+ * silently ignored.
  */
 template <typename Fn>
 inline int
 runFixedBenchMain(int argc, char **argv, Fn &&body)
 {
+    if (argc == 2 && std::string(argv[1]) == "--help") {
+        std::cout << "usage: " << argv[0] << " (this bench takes no flags)\n";
+        return 0;
+    }
     return runBenchMain([&] {
         if (argc > 1) {
             PGCN_THROW(ConfigError, "unexpected argument '"

@@ -84,9 +84,12 @@ benchMain(int argc, char **argv)
     bool monitors = true;
     const bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv,
-        {{"--small", [&](const std::string &) { small = true; }},
-         {"--poison", [&](const std::string &) { poison = true; }},
-         {"--no-monitors", [&](const std::string &) { monitors = false; }}});
+        {{"--small", "one small graph, three rates, one policy",
+          [&](const std::string &) { small = true; }},
+         {"--poison", "add one poisoned point, quarantined when it fails",
+          [&](const std::string &) { poison = true; }},
+         {"--no-monitors", "run the points without monitors",
+          [&](const std::string &) { monitors = false; }}});
     bench::SweepDriver driver(args);
 
     // Base fault config: --faults= may add jitters or override the

@@ -67,14 +67,15 @@ benchMain(int argc, char **argv)
     bool monitors = true;
     const bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv,
-        {{"--mega=",
+        {{"--mega=", "N: one N-core big-machine point instead of the figure",
           [&](const std::string &v) {
               mega_cores = bench::parseCount("--mega", v);
           }},
-         {"--occupancy=",
+         {"--occupancy=", "<path>: CSV of every point's monitor timelines",
           [&](const std::string &v) { occupancy_path = v; },
           /*output=*/true},
-         {"--no-monitors", [&](const std::string &) { monitors = false; }}});
+         {"--no-monitors", "run the points without monitors",
+          [&](const std::string &) { monitors = false; }}});
     // The CSV dumps each point's hub, which only a point simulated in
     // this run fills: a reused point's hub stays empty, and --mega runs
     // its one point without monitors.

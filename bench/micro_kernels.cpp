@@ -9,7 +9,9 @@
  * this machine (as opposed to the modelled platforms of the figure
  * benches). One row, BM_SimulateSpmm, instead times the simulator
  * itself: the host cost of one discrete-event PIUMA SpMM point, most
- * of it the memory protocol's request and response events.
+ * of it the memory protocol's request and response events; the
+ * BM_EngineHold rows time the bare event engine at a fixed calendar
+ * depth (a hold model).
  *
  * Every compute bench reports FLOPS (measured) next to roofline_FLOPS
  * — the src/xeon analytical model evaluated for a single core of THIS
@@ -26,6 +28,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "common/rng.hpp"
 #include "core/gcn.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
@@ -33,6 +36,8 @@
 #include "kernels/simd.hpp"
 #include "kernels/spmm.hpp"
 #include "piuma/spmm_programs.hpp"
+#include "sim/callback.hpp"
+#include "sim/engine.hpp"
 #include "tensor/dense_mm.hpp"
 #include "xeon/config.hpp"
 #include "xeon/timing.hpp"
@@ -309,6 +314,73 @@ BM_SimulateSpmm(benchmark::State &state)
 }
 BENCHMARK(BM_SimulateSpmm)
     ->Name("BM_SimulateSpmm/products14/dma/cores16/k256")
+    ->Unit(benchmark::kMillisecond);
+
+/// Mean reschedule delay of the hold model's events, in simulated ns.
+constexpr double kHoldMeanNs = 100.0;
+
+/** One hold-model engine and the draws its events reschedule by. */
+struct HoldModel
+{
+    sim::Engine engine;
+    Rng rng{7};
+
+    double
+    nextDelay()
+    {
+        return 2.0 * kHoldMeanNs * rng.uniform();
+    }
+};
+
+/** A hold-model event: when it fires it reschedules itself. */
+struct HoldEvent
+{
+    HoldModel *model;
+
+    void
+    operator()() const
+    {
+        model->engine.schedule(model->nextDelay(), sim::Callback(*this));
+    }
+};
+
+/**
+ * The classic hold model on sim::Engine: @p pending self-rescheduling
+ * callbacks with uniform delays, so the calendar holds a constant
+ * depth. events_per_s is the engine's dispatch rate at that depth
+ * alone, with no memory protocol behind the events. Each iteration
+ * runs ~2^20 events, after one untimed warm-up window.
+ */
+void
+BM_EngineHold(benchmark::State &state, size_t pending)
+{
+    HoldModel model;
+    model.engine.reserveEvents(pending);
+    for (size_t i = 0; i < pending; ++i) {
+        model.engine.schedule(model.nextDelay(),
+                              sim::Callback(HoldEvent{&model}));
+    }
+    const double window = kHoldMeanNs * static_cast<double>(1u << 20) /
+                          static_cast<double>(pending);
+    // One untimed window first, so the calendar has settled its
+    // geometry to the depth before timing starts.
+    model.engine.runUntil(window);
+    const uint64_t before = model.engine.eventsProcessed();
+    for (auto _ : state)
+        model.engine.runUntil(model.engine.now() + window);
+    const auto events =
+        static_cast<double>(model.engine.eventsProcessed() - before);
+    state.SetItemsProcessed(static_cast<int64_t>(events));
+    state.counters["events_per_s"] =
+        benchmark::Counter(events, benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_EngineHold, 1K, size_t{1} << 10)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EngineHold, 64K, size_t{1} << 16)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EngineHold, 256K, size_t{1} << 18)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EngineHold, 1M, size_t{1} << 20)
     ->Unit(benchmark::kMillisecond);
 
 void

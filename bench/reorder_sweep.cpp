@@ -95,7 +95,8 @@ benchMain(int argc, char **argv)
     bool model_only = false;
     const bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv,
-        {{"--model-only", [&](const std::string &) { model_only = true; }}});
+        {{"--model-only", "skip the host-timed points",
+          [&](const std::string &) { model_only = true; }}});
     bench::SweepDriver driver(args);
 
     struct GraphCase

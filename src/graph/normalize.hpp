@@ -14,23 +14,17 @@ namespace pgcn::graph {
 /**
  * Build the symmetric-normalised adjacency matrix used by GCN layers.
  *
- * Pipeline: drop existing self loops, symmetrize, add unit self loops,
- * then scale every non-zero (u, v) by 1/sqrt(deg(u) * deg(v)).
+ * A~ keeps the structure of @p coo only: input self loops and weights
+ * are dropped, every edge counts in both directions, duplicates
+ * collapse, and each vertex gets one unit self loop. Every non-zero
+ * (u, v) is then 1/sqrt(deg(u) * deg(v)), computed in double and
+ * rounded once. One linear pass (a counting sort into rows, then a
+ * sort and dedupe within each row) builds it without copying the COO.
  *
  * @param coo Raw (possibly directed, possibly multi-) edge list.
  * @return CSR of A~ with row sums' spectral radius <= 1.
  */
 Csr normalizedAdjacency(const Coo &coo);
-
-/**
- * Scale the non-zeros of an existing CSR in the same way, without the
- * symmetrize/self-loop pipeline. Degree here means row length, i.e.
- * the matrix is assumed already structurally symmetric with loops.
- *
- * @param csr Structurally prepared adjacency.
- * @return CSR with values replaced by 1/sqrt(deg(u) deg(v)).
- */
-Csr symNormalizeValues(const Csr &csr);
 
 } // namespace pgcn::graph
 

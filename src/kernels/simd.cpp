@@ -5,14 +5,15 @@
  */
 #include "kernels/simd.hpp"
 
+#include <sys/mman.h>
+
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <new>
 #include <string>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -219,35 +220,114 @@ opsFor(Tier tier)
     return tableFor(tier);
 }
 
+namespace {
+
+// Buffers at or above one huge page get 2 MiB placement so the kernel
+// can back them with huge pages (THP is madvise-gated on most
+// distros). The gather side of SpMM touches a random 64-byte line per
+// edge; 4 KiB pages make every one of those a potential TLB miss, and
+// run-to-run page placement then dominates the measured variance.
+constexpr uint64_t kHugePage = 2ull << 20;
+constexpr uint64_t kPage = 4096;
+
+/** Rounded byte size of a buffer, in the 64 bytes before its data. */
+struct alignas(64) Header
+{
+    uint64_t bytes;
+};
+
+Header *
+headerOf(float *p)
+{
+    return reinterpret_cast<Header *>(p) - 1;
+}
+
+// A large buffer is its own mapping: one header page, then the 2 MiB-
+// aligned data. Mapped, not heap, memory: the heap could place it only
+// in a free hole of its size plus 2 MiB, so where it landed (and the
+// peak RSS) would depend on what was freed before.
+float *
+mapLarge(uint64_t bytes)
+{
+    const uint64_t len = bytes + kHugePage;
+    void *base =
+        ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED)
+        throw std::bad_alloc{};
+    const auto lo = reinterpret_cast<uintptr_t>(base);
+    const uintptr_t data = (lo + kPage + kHugePage - 1) & ~(kHugePage - 1);
+    if (data - kPage > lo)
+        ::munmap(base, data - kPage - lo);
+    if (lo + len > data + bytes)
+        ::munmap(reinterpret_cast<void *>(data + bytes),
+                 lo + len - data - bytes);
+    auto *p = reinterpret_cast<float *>(data);
+#if defined(__linux__)
+    ::madvise(p, bytes, MADV_HUGEPAGE);
+#endif
+    return p;
+}
+
+void
+unmapLarge(float *p)
+{
+    ::munmap(reinterpret_cast<char *>(p) - kPage,
+             headerOf(p)->bytes + kPage);
+}
+
+// The most recently freed large buffer, handed to the next request of
+// its size. A GCN pass frees its output and the next pass asks for the
+// same size again, so a steady loop reuses one mapping instead of
+// faulting in fresh pages every pass.
+std::mutex g_spareMutex;
+float *g_spare = nullptr; // guarded by g_spareMutex
+
+} // namespace
+
 float *
 alignedAlloc(uint64_t n)
 {
     if (n == 0)
         return nullptr;
-    // Buffers at or above one huge page get 2 MiB placement so the
-    // kernel can back them with huge pages (THP is madvise-gated on
-    // most distros). The gather side of SpMM touches a random 64-byte
-    // line per edge; 4 KiB pages make every one of those a potential
-    // TLB miss, and run-to-run page placement then dominates the
-    // measured variance.
-    constexpr uint64_t kHugePage = 2ull << 20;
     uint64_t bytes = n * sizeof(float);
-    const uint64_t align = bytes >= kHugePage ? kHugePage : 64;
-    bytes = (bytes + align - 1) / align * align;
-    void *p = std::aligned_alloc(align, bytes);
-    if (p == nullptr)
-        throw std::bad_alloc{};
-#if defined(__linux__)
-    if (align == kHugePage)
-        ::madvise(p, bytes, MADV_HUGEPAGE);
-#endif
-    return static_cast<float *>(p);
+    float *p = nullptr;
+    if (bytes >= kHugePage) {
+        bytes = (bytes + kHugePage - 1) / kHugePage * kHugePage;
+        {
+            std::lock_guard<std::mutex> lock(g_spareMutex);
+            if (g_spare != nullptr && headerOf(g_spare)->bytes == bytes)
+                return std::exchange(g_spare, nullptr);
+        }
+        p = mapLarge(bytes);
+    } else {
+        bytes = (bytes + sizeof(Header) - 1) / sizeof(Header) *
+                sizeof(Header);
+        void *base = std::aligned_alloc(sizeof(Header), sizeof(Header) + bytes);
+        if (base == nullptr)
+            throw std::bad_alloc{};
+        p = reinterpret_cast<float *>(static_cast<Header *>(base) + 1);
+    }
+    headerOf(p)->bytes = bytes;
+    return p;
 }
 
 void
 alignedFree(float *p)
 {
-    std::free(p);
+    if (p == nullptr)
+        return;
+    if (headerOf(p)->bytes < kHugePage) {
+        std::free(headerOf(p));
+        return;
+    }
+    float *old = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(g_spareMutex);
+        old = std::exchange(g_spare, p);
+    }
+    if (old != nullptr)
+        unmapLarge(old);
 }
 
 AlignedBuffer

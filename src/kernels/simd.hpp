@@ -158,10 +158,16 @@ const Ops &ops();
  */
 const Ops &opsFor(Tier tier);
 
-/** Allocate @p n floats with 64-byte alignment (not zero-filled). */
+/**
+ * Allocate @p n floats with 64-byte alignment (not zero-filled).
+ * Buffers of 2 MiB or more are 2 MiB-aligned, huge-page advised
+ * mappings of their own, and the most recently freed one is handed
+ * to the next request of its rounded size (one spare, process-wide,
+ * behind a mutex).
+ */
 float *alignedAlloc(uint64_t n);
 
-/** Free a pointer from alignedAlloc. */
+/** Free a pointer from alignedAlloc (null is a no-op). */
 void alignedFree(float *p);
 
 /** Deleter so aligned allocations can live in unique_ptr. */

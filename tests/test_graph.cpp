@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
+#include "common/manifest.hpp"
+#include "common/rng.hpp"
 #include "graph/coo.hpp"
 #include "graph/csr.hpp"
 #include "graph/datasets.hpp"
@@ -187,6 +191,179 @@ TEST(Normalize, IsolatedVertexGetsUnitSelfLoop)
     // Isolated vertex has only its self loop, normalised to 1/1.
     EXPECT_EQ(norm.degree(2), 1u);
     EXPECT_FLOAT_EQ(norm.rowVals(2)[0], 1.0f);
+}
+
+// The COO chain normalizedAdjacency replaced, kept here as its
+// oracle: drop loops, symmetrize (sort, combine duplicates), add unit
+// loops, build the CSR (a second sort), then scale by D^-1/2 on both
+// sides in double. Input weights never reach the values.
+Csr
+cooPipelineNormalize(const Coo &coo)
+{
+    Coo prepared = coo;
+    prepared.removeSelfLoops();
+    prepared.symmetrize();
+    prepared.addSelfLoops(1.0f);
+    const Csr structural(prepared);
+    const VertexId n = structural.numVertices();
+    std::vector<double> inv_sqrt_deg(n);
+    for (VertexId u = 0; u < n; ++u) {
+        inv_sqrt_deg[u] =
+            1.0 / std::sqrt(static_cast<double>(structural.degree(u)));
+    }
+    const auto &offsets = structural.rowOffsets();
+    const auto &cols = structural.cols();
+    std::vector<Value> vals(structural.numEdges());
+    for (VertexId u = 0; u < n; ++u) {
+        for (EdgeId e = offsets[u]; e < offsets[u + 1]; ++e)
+            vals[e] = static_cast<Value>(inv_sqrt_deg[u] *
+                                         inv_sqrt_deg[cols[e]]);
+    }
+    return Csr(n, offsets, cols, std::move(vals));
+}
+
+// Seeded multigraph over n vertices: endpoints drawn from the first
+// ~90% (the rest stay isolated), a quarter of the edges repeat an
+// earlier one in either direction, ~10% are self loops, and weights
+// are not 1.
+Coo
+messyCoo(VertexId n, EdgeId edges, uint64_t seed)
+{
+    pgcn::Rng rng(seed);
+    const VertexId reach = std::max<VertexId>(1, n - n / 10);
+    Coo coo(n);
+    for (EdgeId i = 0; i < edges; ++i) {
+        const auto weight = static_cast<Value>(0.25 + 2.0 * rng.uniform());
+        const double kind = rng.uniform();
+        if (kind < 0.25 && coo.numEdges() > 0) {
+            const Edge &old =
+                coo.edges()[rng.uniformInt(coo.numEdges())];
+            if (kind < 0.125)
+                coo.addEdge(old.src, old.dst, weight);
+            else
+                coo.addEdge(old.dst, old.src, weight);
+        } else {
+            const auto u = static_cast<VertexId>(rng.uniformInt(reach));
+            const auto v = kind < 0.35
+                               ? u
+                               : static_cast<VertexId>(rng.uniformInt(reach));
+            coo.addEdge(u, v, weight);
+        }
+    }
+    return coo;
+}
+
+void
+expectSameBytes(const Csr &got, const Csr &want, const std::string &what)
+{
+    ASSERT_EQ(got.numVertices(), want.numVertices()) << what;
+    EXPECT_EQ(got.rowOffsets(), want.rowOffsets()) << what;
+    EXPECT_EQ(got.cols(), want.cols()) << what;
+    ASSERT_EQ(got.vals().size(), want.vals().size()) << what;
+    EXPECT_EQ(std::memcmp(got.vals().data(), want.vals().data(),
+                          want.vals().size() * sizeof(Value)),
+              0)
+        << what;
+}
+
+TEST(Normalize, MatchesCooPipelineOracle)
+{
+    Coo empty(1);
+    expectSameBytes(normalizedAdjacency(empty), cooPipelineNormalize(empty),
+                    "|V|=1, no edges");
+    Coo loop(1);
+    loop.addEdge(0, 0, 3.0f);
+    expectSameBytes(normalizedAdjacency(loop), cooPipelineNormalize(loop),
+                    "|V|=1, a weighted self loop");
+    Coo pair(2);
+    pair.addEdge(0, 1, 2.0f);
+    pair.addEdge(1, 0, 0.5f);
+    pair.addEdge(0, 1);
+    pair.addEdge(1, 1);
+    expectSameBytes(normalizedAdjacency(pair), cooPipelineNormalize(pair),
+                    "|V|=2, both directions, a duplicate and a loop");
+    for (const VertexId n : {1u, 2u, 1000u}) {
+        for (const uint64_t seed : {1u, 2u, 3u}) {
+            const Coo coo = messyCoo(n, 8 * EdgeId{n}, seed);
+            expectSameBytes(normalizedAdjacency(coo),
+                            cooPipelineNormalize(coo),
+                            "messy |V|=" + std::to_string(n) + " seed " +
+                                std::to_string(seed));
+        }
+    }
+    for (const uint32_t scale : {10u, 14u}) {
+        const Coo rmat = shuffleVertexIds(
+            generateRmat(scale, (EdgeId{1} << scale) * 16, rmatSkewed(),
+                         scale),
+            scale + 1);
+        expectSameBytes(normalizedAdjacency(rmat),
+                        cooPipelineNormalize(rmat),
+                        "rmat scale " + std::to_string(scale));
+    }
+    const Coo uniform = generateUniform(5000, 40000, 4);
+    expectSameBytes(normalizedAdjacency(uniform),
+                    cooPipelineNormalize(uniform), "uniform");
+}
+
+uint64_t
+csrDigest(const Csr &csr)
+{
+    uint64_t h = pgcn::fnv1a64(uint64_t{csr.numVertices()});
+    h = pgcn::fnv1a64(csr.rowOffsets().data(),
+                      csr.rowOffsets().size() * sizeof(EdgeId), h);
+    h = pgcn::fnv1a64(csr.cols().data(),
+                      csr.cols().size() * sizeof(VertexId), h);
+    return pgcn::fnv1a64(csr.vals().data(),
+                         csr.vals().size() * sizeof(Value), h);
+}
+
+uint64_t
+cooDigest(const Coo &coo)
+{
+    uint64_t h = pgcn::fnv1a64(uint64_t{coo.numVertices()});
+    for (const Edge &e : coo.edges()) {
+        h = pgcn::fnv1a64(uint64_t{e.src}, h);
+        h = pgcn::fnv1a64(uint64_t{e.dst}, h);
+        h = pgcn::fnv1a64(static_cast<double>(e.weight), h);
+    }
+    return h;
+}
+
+// Digests recorded before the linear-time build replaced the COO
+// chain. A change to the structure or one rounding of A~, or to any
+// proxy graph, moves them.
+TEST(Normalize, GoldenDigests)
+{
+    EXPECT_EQ(pgcn::hashHex(csrDigest(normalizedAdjacency(shuffleVertexIds(
+                  generateRmat(12, EdgeId{1} << 16, rmatSkewed(), 1), 2)))),
+              "05c73ef72f60d946");
+    EXPECT_EQ(pgcn::hashHex(csrDigest(
+                  normalizedAdjacency(generateUniform(3000, 20000, 5)))),
+              "7af566a7f2c51f87");
+    EXPECT_EQ(pgcn::hashHex(csrDigest(
+                  normalizedAdjacency(messyCoo(1000, 8000, 6)))),
+              "d257127fde9f703a");
+    EXPECT_EQ(pgcn::hashHex(csrDigest(
+                  buildProxy(datasetByName("products"), EdgeId{1} << 14, 1)
+                      .adjacency)),
+              "52d6793e8d9f7f82");
+    EXPECT_EQ(pgcn::hashHex(csrDigest(
+                  buildProxy(datasetByName("arxiv"), EdgeId{1} << 14, 3)
+                      .adjacency)),
+              "5083d190a75034b9");
+}
+
+TEST(Generators, RmatGoldenDigests)
+{
+    EXPECT_EQ(pgcn::hashHex(cooDigest(
+                  generateRmat(10, EdgeId{1} << 14, rmatSkewed(), 3))),
+              "63eaec0de92eb5eb");
+    EXPECT_EQ(pgcn::hashHex(cooDigest(
+                  generateRmat(10, EdgeId{1} << 14, rmatUniform(), 3))),
+              "38143c4e3f4f87e1");
+    EXPECT_EQ(pgcn::hashHex(cooDigest(shuffleVertexIds(
+                  generateRmat(16, EdgeId{1} << 20, rmatSkewed(), 1), 2))),
+              "e2d7f4e62eed8791");
 }
 
 TEST(Generators, RmatDeterministic)

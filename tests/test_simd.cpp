@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <random>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -126,6 +127,49 @@ TEST(SimdAligned, BuffersAre64ByteAligned)
         auto buf = simd::makeAlignedBuffer(n);
         EXPECT_EQ(reinterpret_cast<uintptr_t>(buf.get()) % 64, 0u);
     }
+}
+
+TEST(SimdAligned, LargeFreeIsRecycledForTheSameSize)
+{
+    constexpr uintptr_t kHugePage = uintptr_t{2} << 20;
+    const uint64_t n = (uint64_t{3} << 20) / sizeof(float); // 3 MiB
+    float *a = simd::alignedAlloc(n);
+    ASSERT_NE(a, nullptr);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % kHugePage, 0u);
+    a[0] = 1.0f;
+    a[n - 1] = 2.0f;
+    simd::alignedFree(a);
+    float *b = simd::alignedAlloc(n);
+    EXPECT_EQ(b, a);
+    // Another request of the same rounded size (4 MiB) takes it too.
+    simd::alignedFree(b);
+    float *c = simd::alignedAlloc((uint64_t{4} << 20) / sizeof(float));
+    EXPECT_EQ(c, a);
+    // A different size gets a fresh mapping.
+    float *d = simd::alignedAlloc((uint64_t{6} << 20) / sizeof(float));
+    EXPECT_NE(d, c);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(d) % kHugePage, 0u);
+    simd::alignedFree(c);
+    simd::alignedFree(d);
+}
+
+TEST(SimdAligned, ConcurrentLargeAllocAndFree)
+{
+    const uint64_t n = (uint64_t{2} << 20) / sizeof(float);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([n, t] {
+            for (int i = 0; i < 50; ++i) {
+                simd::AlignedBuffer buf = simd::makeAlignedBuffer(n);
+                buf[0] = static_cast<float>(t);
+                buf[n - 1] = static_cast<float>(i);
+                EXPECT_EQ(buf[0], static_cast<float>(t));
+                EXPECT_EQ(buf[n - 1], static_cast<float>(i));
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
 }
 
 // ------------------------------------------- per-tier kernel checks
