@@ -19,7 +19,8 @@
  * The modeled half has a ctest twin: island and RCM order must both
  * cut the blocked remote-access fraction below shuffle's
  * (DgasAblation.BlockedPlacementRewardsIslandizedOrder). The host
- * GF/s column is wall-clock and gated nowhere.
+ * GF/s table is wall-clock, printed last under a "Host-timed"
+ * caption, and gated nowhere: everything above it is deterministic.
  *
  * Runs on the shared sweep driver (--jobs N / --checkpoint= /
  * --resume / --sweep-json=). --model-only skips the host wall-clock
@@ -243,10 +244,13 @@ benchMain(int argc, char **argv)
 
     driver.run();
 
-    Table table("Reordering: host kernels and modeled locality",
-                {"graph", "order", "nnz GF/s",
-                 "nbr dist", "tile WS", "conduct",
+    Table table("Reordering: modeled locality",
+                {"graph", "order", "nbr dist", "tile WS", "conduct",
                  "remote% hash", "remote% blk", "slice skew blk"});
+    // Wall-clock numbers get their own closing section, so every line
+    // above it is deterministic and can be diffed.
+    Table host("Host-timed: nnz-balanced SpMM, wall clock",
+               {"graph", "order", "nnz GF/s"});
     for (size_t g = 0; g < cases.size(); ++g) {
         for (size_t i = 0; i < locality[g].size(); ++i) {
             const graph::ReorderPass pass = locality[g][i].pass;
@@ -257,10 +261,13 @@ benchMain(int argc, char **argv)
                 const auto *v = driver.result(refs[i].idx);
                 return v ? v->at(name) : 0.0;
             };
+            host.row()
+                .cell(cases[g].name)
+                .cell(graph::reorderPassName(pass))
+                .cell(value(hostNnz[g], "gflops"), 2);
             table.row()
                 .cell(cases[g].name)
                 .cell(graph::reorderPassName(pass))
-                .cell(value(hostNnz[g], "gflops"), 2)
                 .cell(value(locality[g], "avg_neighbor_distance"), 0)
                 .cell(value(locality[g], "avg_tile_working_set"), 0)
                 .cell(value(locality[g], "island_conductance"), 3)
@@ -278,8 +285,12 @@ benchMain(int argc, char **argv)
            "across rows) — the paper's DGAS argument. Blocked "
            "placement + owner-computes lets islandization and RCM "
            "keep neighbourhoods slice-local: remote% drops vs the "
-           "shuffled baseline, and the host kernels see the same "
-           "story as cache-resident tiles (tile WS down, GF/s up).\n";
+           "shuffled baseline, and the per-tile working set shrinks "
+           "with it (tile WS down).\n";
+    if (!model_only) {
+        std::cout << "\n";
+        host.print(std::cout);
+    }
     driver.finish();
     return driver.failed() == 0 ? 0 : 1;
 }

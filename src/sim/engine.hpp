@@ -40,7 +40,16 @@
  *    is re-derived from the mean dispatch gap only after the scans
  *    have wasted as many node visits as a relink costs, and a full
  *    revolution of empty buckets jumps to the earliest node the
- *    revolution itself inspected.
+ *    revolution itself inspected. A relink is one linear scan of the
+ *    node slab (free nodes carry payload 0), not a walk of every chain.
+ *
+ * At depth the calendar is latency-bound, so it prefetches instead of
+ * stalling: a lookahead cursor walks the chains of the next buckets
+ * one node per far pop, prefetching the node it reads next and the
+ * payload (callback-slab entry or coroutine frame) of each event it
+ * passes, and a load prefetches the payloads of its first
+ * kPrefetchWindow pops. Prefetches are hints, so dispatch order never
+ * depends on them.
  *
  * Events enter three ways: schedule(delay, handle) and
  * schedule(delay, Callback) stamp the next sequence number, and
@@ -76,6 +85,7 @@
 #define PGCN_SIM_ENGINE_HPP
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <coroutine>
 #include <cstdint>
@@ -170,9 +180,8 @@ class Engine
     {
         for (size_t i = nowHead_; i < nowQ_.size(); ++i)
             destroyFramePayload(nowQ_[i].payload);
-        for (const int32_t head : slotHeads_)
-            for (int32_t n = head; n >= 0; n = farArena_[n].next)
-                destroyFramePayload(farArena_[n].payload);
+        for (const FarNode &nd : farArena_) // free nodes carry payload 0
+            destroyFramePayload(nd.payload);
         for (const Event &ev : bottom_)
             destroyFramePayload(ev.payload);
     }
@@ -346,8 +355,8 @@ class Engine
     /**
      * Pre-size the event arenas so a run of known magnitude never
      * reallocates: @p far bounds concurrent future events (roughly
-     * the number of live agents), @p zero bounds concurrent
-     * zero-delay events.
+     * the number of live agents and the bucket count, rounded up to a
+     * power of two), @p zero bounds concurrent zero-delay events.
      */
     void
     reserveEvents(size_t far, size_t zero = 0)
@@ -355,6 +364,8 @@ class Engine
         farArena_.reserve(far);
         bottom_.reserve(far);
         nowQ_.reserve(zero ? zero : far);
+        if (std::bit_ceil(far) > slotHeads_.size())
+            rebuild(wheelWidth_, std::bit_ceil(far));
     }
 
     /**
@@ -740,10 +751,26 @@ class Engine
     }
 
     /** Bottom order: the latest (when, seq) first, the earliest last. */
-    static bool
-    later(const Event &a, const Event &b)
-    {
+    static constexpr auto later = [](const Event &a, const Event &b) {
         return before(Key{b.when, b.seq}, Key{a.when, a.seq});
+    };
+
+    /**
+     * Prefetch the first lines dispatching @p p reads: its coroutine
+     * frame, or its callback-slab entry, which may straddle two lines.
+     * The address is selected before both prefetches: GCC 12 deletes a
+     * prefetch whose address is loaded on one branch only.
+     */
+    void
+    prefetchPayload(Payload p)
+    {
+        const uintptr_t at =
+            (p & kCallbackTag) != 0
+                ? reinterpret_cast<uintptr_t>(&callbackAt(p >> 1))
+                : p;
+        __builtin_prefetch(reinterpret_cast<const void *>(at));
+        __builtin_prefetch(
+            reinterpret_cast<const void *>(at + sizeof(Callback) - 1));
     }
 
     /** Take a slab node for @p ev (unlinked). */
@@ -785,16 +812,18 @@ class Engine
 
     /**
      * File an event in the far calendar. Amortized O(1): the bucket
-     * count doubles once the population outgrows it (a relink of every
-     * node, paid for by the pushes that doubled it), and an event whose
-     * bucket the dispatch cursor has already loaded joins the bottom
-     * at its sorted place.
+     * count doubles once the population outgrows it (an arena growth
+     * and a relink of every node, paid for by the pushes that doubled
+     * it), and an event whose bucket the dispatch cursor has already
+     * loaded joins the bottom at its sorted place.
      */
     void
     farPush(const Key &k, Payload p, uint32_t depth)
     {
-        if (++farCount_ > slotHeads_.size())
+        if (++farCount_ > slotHeads_.size()) {
+            ++arenaGrowths_;
             rebuild(wheelWidth_, 2 * slotHeads_.size());
+        }
         const Event ev{k.when, k.seq, p, depth};
         if (bucketOf(k.when) < cursor_) {
             bottomInsert(std::lower_bound(bottom_.begin(), bottom_.end(),
@@ -815,7 +844,8 @@ class Engine
      * every chain, so it jumps straight to the earliest bucket seen.
      * Empty buckets, alias visits and the events of an oversized
      * bucket (a long bottom) count as waste (see farPop). The loaded
-     * bucket is sorted once, latest event first.
+     * bucket is sorted once, latest event first, and the payloads of
+     * its first kPrefetchWindow pops are prefetched.
      */
     void
     farLoad()
@@ -840,6 +870,7 @@ class Engine
                              Event{nd.when, nd.seq, nd.payload, nd.depth});
                 *link = nd.next;
                 nd.next = farFree_;
+                nd.payload = 0; // the free mark rebuild() scans for
                 farFree_ = n;
             }
             ++cursor_;
@@ -855,6 +886,13 @@ class Engine
         if (bottom_.size() > kOversizedLoad)
             waste_ += bottom_.size();
         std::sort(bottom_.begin(), bottom_.end(), later);
+        const size_t window = std::min(bottom_.size(), kPrefetchWindow);
+        for (size_t i = bottom_.size() - window; i < bottom_.size(); ++i)
+            prefetchPayload(bottom_[i].payload);
+        if (aheadNext_ <= cursor_) { // the walk's chain was just loaded
+            aheadNext_ = cursor_;
+            aheadNode_ = -1;
+        }
     }
 
     /** Sort key of the earliest pending far event. */
@@ -867,10 +905,11 @@ class Engine
     }
 
     /**
-     * Remove and return the earliest pending far event. Once the
-     * scans have wasted as many visits as a relink of every node
-     * costs, the bucket width is re-aimed at kBucketEvents mean
-     * dispatch gaps — so retuning stays amortized O(1) per event.
+     * Remove and return the earliest pending far event, and step the
+     * lookahead. Once the scans have wasted as many visits as a relink
+     * of every node costs, the bucket width is re-aimed at
+     * kBucketEvents mean dispatch gaps — so retuning stays amortized
+     * O(1) per event.
      */
     Event
     farPop()
@@ -882,9 +921,36 @@ class Engine
         --farCount_;
         ++gapPops_;
         lastFarWhen_ = ev.when;
+        lookAhead();
         if (waste_ > farCount_ + kMinRetuneWaste)
             retune();
         return ev;
+    }
+
+    /**
+     * Walk the chains of the buckets after the loaded one, one node per
+     * pop and at most kLookaheadBuckets buckets past the next load: read
+     * the node the last step prefetched, prefetch the payload of a node
+     * due in its bucket, then prefetch the node the walk reads next, so
+     * the next farLoad finds both in cache. A hint only: a walk gone
+     * stale costs a wasted prefetch, never order.
+     */
+    void
+    lookAhead()
+    {
+        if (aheadNode_ >= 0) {
+            const FarNode &nd = farArena_[aheadNode_];
+            if (bucketOf(nd.when) + 1 == aheadNext_)
+                prefetchPayload(nd.payload);
+            aheadNode_ = nd.next;
+        }
+        while (aheadNode_ < 0) {
+            if (aheadNext_ > cursor_ + kLookaheadBuckets)
+                return;
+            aheadNode_ =
+                slotHeads_[static_cast<size_t>(aheadNext_++) & slotMask_];
+        }
+        __builtin_prefetch(&farArena_[aheadNode_]);
     }
 
     /**
@@ -910,46 +976,36 @@ class Engine
 
     /**
      * Relink every far event — the bottom included — into @p slots
-     * buckets of @p width ns, and restart the cursor at the clock's
-     * bucket. Chained nodes are threaded onto one list through their
-     * own links first, so a rebuild copies no node and needs no
-     * scratch memory.
+     * buckets of @p width ns, and restart the cursor and the lookahead
+     * at the clock's bucket. The bottom goes back into slab nodes,
+     * then one linear scan of the slab links every live node (free
+     * nodes carry payload 0): a relink streams the slab instead of
+     * chasing chains, and needs no scratch memory.
      */
     void
     rebuild(double width, size_t slots)
     {
-        int32_t all = -1;
-        const auto collect = [&](int32_t n) {
-            farArena_[n].next = all;
-            all = n;
-        };
-        for (const int32_t head : slotHeads_) {
-            for (int32_t n = head; n >= 0;) {
-                const int32_t next = farArena_[n].next;
-                collect(n);
-                n = next;
-            }
-        }
         for (const Event &ev : bottom_)
-            collect(allocNode(ev));
+            allocNode(ev);
         bottom_.clear();
         wheelWidth_ = width;
         wheelInvWidth_ = 1.0 / width;
         slotHeads_.assign(slots, -1);
         slotMask_ = slots - 1;
         cursor_ = bucketOf(now_);
-        while (all >= 0) {
-            const int32_t next = farArena_[all].next;
-            linkNode(all);
-            all = next;
-        }
+        for (size_t n = 0; n < farArena_.size(); ++n)
+            if (farArena_[n].payload != 0)
+                linkNode(static_cast<int32_t>(n));
         waste_ = 0;
+        aheadNext_ = cursor_;
+        aheadNode_ = -1;
     }
 
     /** One far event: sort key, payload, and intrusive bucket link.
      *  The depth field occupies what was padding — FarNode stays 32
-     *  bytes, so critical-path tracking costs the calendar nothing. */
-    struct FarNode
+     *  bytes, so critical-path tracking costs the calendar nothing —
+     *  and 32-byte alignment keeps each node on one cache line. */
+    struct alignas(32) FarNode
     {
         SimTime when;
         uint64_t seq;
@@ -968,6 +1024,10 @@ class Engine
     static constexpr size_t kOversizedLoad = 32;
     /// Waste floor before a retune, so tiny calendars never thrash.
     static constexpr uint64_t kMinRetuneWaste = 1024;
+    /// Bottom events whose payloads are prefetched ahead of dispatch.
+    static constexpr size_t kPrefetchWindow = 8;
+    /// How many buckets past the next load the lookahead may run.
+    static constexpr uint64_t kLookaheadBuckets = 16;
 
     std::vector<FarNode> farArena_;     ///< far-calendar node slab
     std::vector<int32_t> slotHeads_ =
@@ -977,6 +1037,8 @@ class Engine
     int32_t farFree_ = -1;              ///< slab free-list head
     size_t farCount_ = 0;               ///< live far events (incl. bottom)
     uint64_t cursor_ = 0;               ///< next bucket to load
+    uint64_t aheadNext_ = 0;            ///< bucket the lookahead enters next
+    int32_t aheadNode_ = -1;            ///< its next node (-1: chain end)
     double wheelWidth_ = 1.0;           ///< bucket width (ns)
     double wheelInvWidth_ = 1.0;
     uint64_t waste_ = 0;                ///< empty/alias visits since retune

@@ -316,9 +316,11 @@ TEST(Engine, ReservedArenasNeverGrowOnResumePath)
 {
     // With pre-sized arenas, a pure coroutine workload performs no
     // per-event allocation: the growth counter stays at zero across
-    // tens of thousands of dispatches.
+    // hundreds of thousands of dispatches. More agents than the far
+    // calendar's initial 1,024 buckets, so reserveEvents() must size
+    // the bucket array too.
     Engine engine;
-    constexpr int kAgents = 64;
+    constexpr int kAgents = 4096;
     engine.reserveEvents(kAgents, kAgents);
     for (int a = 0; a < kAgents; ++a) {
         [](Engine &eng, int id) -> Process {
@@ -328,7 +330,7 @@ TEST(Engine, ReservedArenasNeverGrowOnResumePath)
     }
     engine.run();
     EXPECT_EQ(engine.arenaGrowths(), 0u);
-    EXPECT_EQ(engine.coroutineEvents(), 64u * 200u);
+    EXPECT_EQ(engine.coroutineEvents(), 4096u * 200u);
 
     // Sanity: the counter does count — the same workload without
     // reserveEvents() must grow the arenas at least once.
@@ -341,6 +343,37 @@ TEST(Engine, ReservedArenasNeverGrowOnResumePath)
     }
     cold.run();
     EXPECT_GT(cold.arenaGrowths(), 0u);
+}
+
+TEST(Engine, DestructorDestroysEveryParkedFrameOnce)
+{
+    // A run stopped at a horizon leaves frames in far-calendar slab
+    // nodes and in the loaded bottom, next to slab nodes already
+    // freed. ~Engine must destroy every parked frame exactly once:
+    // free nodes carry payload 0 and are skipped.
+    struct Guard
+    {
+        int *alive;
+        ~Guard() { --*alive; }
+    };
+    constexpr int kAgents = 4096;
+    int alive = 0;
+    {
+        Engine engine;
+        for (int a = 0; a < kAgents; ++a) {
+            [](Engine &eng, int id, int *live) -> Process {
+                ++*live;
+                const Guard guard{live};
+                for (;;)
+                    co_await eng.delay(1.0 + 0.25 * (id % 7));
+            }(engine, a, &alive);
+        }
+        engine.runUntil(500.0);
+        EXPECT_GT(engine.eventsProcessed(), uint64_t{kAgents});
+        EXPECT_EQ(engine.queueDepth(), size_t{kAgents});
+        EXPECT_EQ(alive, kAgents);
+    }
+    EXPECT_EQ(alive, 0);
 }
 
 } // namespace
@@ -445,12 +478,14 @@ TEST(EngineProperty, RandomScheduleRunsInOrder)
  * Keyed successors land 0 to 0.75 ns ahead, mostly inside the bucket
  * being dispatched; ordinary successors use the schedule() paths.
  * The first @p initial events come in clusters of @p cluster equal
- * timestamps. The oracle orders (when, seq) with the carried key as a
+ * timestamps, and events below id @p long_ids draw 16x longer
+ * delays. The oracle orders (when, seq) with the carried key as a
  * keyed event's seq and the engine's schedule count as an ordinary
  * one's.
  */
 void
-expectKeyedOracleOrder(uint64_t initial, uint64_t cluster)
+expectKeyedOracleOrder(uint64_t initial, uint64_t cluster,
+                       uint64_t long_ids = 0)
 {
     const uint64_t total = 4 * initial;
     const auto draw = [](uint64_t id, uint64_t salt) {
@@ -460,8 +495,9 @@ expectKeyedOracleOrder(uint64_t initial, uint64_t cluster)
     const auto keyed = [&](uint64_t id) { return draw(id, 0) % 2 == 0; };
     const auto delayOf = [&](uint64_t id) {
         const uint64_t r = draw(id, 1);
-        return keyed(id) ? static_cast<double>(r % 4) * 0.25
-                         : static_cast<double>(r % 16) * 0.25;
+        const double scale = id < long_ids ? 16.0 : 1.0;
+        return scale * (keyed(id) ? static_cast<double>(r % 4) * 0.25
+                                  : static_cast<double>(r % 16) * 0.25);
     };
     const auto keyOf = [&](uint64_t id) {
         return makeKeyedSeq(kSeqBandRequest,
@@ -529,6 +565,26 @@ TEST(EngineProperty, KeyedPostsIntoTheLoadedBucketRunInOrder)
     for (const uint64_t initial : {uint64_t{16}, uint64_t{1} << 12}) {
         SCOPED_TRACE("initial events " + std::to_string(initial));
         expectKeyedOracleOrder(initial, 1);
+    }
+}
+
+// 2^15 initial events: the calendar doubles from its initial 1,024
+// buckets while the events are filed, and again during the run while
+// keyed posts land in the loaded bucket, so each relink meets a
+// loaded bottom and a live lookahead.
+TEST(EngineProperty, BucketDoublingUnderKeyedPostsRunsInOrder)
+{
+    expectKeyedOracleOrder(uint64_t{1} << 15, 1);
+}
+
+// A long-delay phase, then short delays: the mean dispatch gap moves
+// under the calendar, and its retunes relink in mid-bucket, with
+// hundreds of events in the loaded bottom and the lookahead live.
+TEST(EngineProperty, MidBucketRetuneAfterLongDelaysRunsInOrder)
+{
+    for (const uint64_t long_ids : {uint64_t{2} << 12, uint64_t{3} << 12}) {
+        SCOPED_TRACE("long-delay ids " + std::to_string(long_ids));
+        expectKeyedOracleOrder(uint64_t{1} << 12, 1, long_ids);
     }
 }
 
